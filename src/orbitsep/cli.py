@@ -113,27 +113,50 @@ def _envelope(args) -> dict:
     }
 
 
-def _transform_values(name, group, x, seed, mode):
-    """Evaluate one named transform; returns (id, values vector)."""
-    if name in ("f", "theta", "phif", "phi"):
-        table = build_exponent_table(group)
-        if name == "f":
-            result = eval_monomial_map(table, x)
-        elif name == "theta":
-            result = eval_phase_map(table, default_beta(table), x)
-        elif name == "phif":
-            result = eval_norm_scaled(table, x)
-        else:
-            result = eval_lowdim(table, default_reduction(table, seed), x, mode)
-        return result.transform_id, result.values
+def _transform(name, group, seed, mode):
+    """Build the named transform's exponent table or Hermite data once.
+
+    Returns (id, evaluate): evaluate(x) gives the payload fields for one
+    signal, in output order.  The evaluators are looked up by name when
+    called, so wrappers installed on this module's globals see every call.
+    """
     if name == "rational":
         data = hermite_multiplier(group)
-        return "rational", eval_rational_invariants(data, x).values
+        hermite = hermite_as_dict(data)
+
+        def evaluate(x):
+            result = eval_rational_invariants(data, x)
+            return {"dim": data.dim, "values": result.values,
+                    "domain_ok": result.domain_ok, "hermite": hermite}
+
+        return "rational", evaluate
     if name == "g":
         data = hermite_multiplier(group)
-        _, values = eval_scaled_invariants(data, x)
-        return "G", values
-    raise ConfigError(f"unknown transform {name!r}; expected one of {TRANSFORMS}")
+
+        def evaluate(x):
+            sign, values = eval_scaled_invariants(data, x)
+            return {"dim": len(values), "sign": sign, "values": values}
+
+        return "G", evaluate
+    if name not in TRANSFORMS:
+        raise ConfigError(f"unknown transform {name!r}; expected one of {TRANSFORMS}")
+    table = build_exponent_table(group)
+    if name == "f":
+        tid, vector = "F", lambda x: eval_monomial_map(table, x)
+    elif name == "theta":
+        beta = default_beta(table)
+        tid, vector = "Theta", lambda x: eval_phase_map(table, beta, x)
+    elif name == "phif":
+        tid, vector = "PhiF", lambda x: eval_norm_scaled(table, x)
+    else:
+        ell = default_reduction(table, seed)
+        tid, vector = "Phi", lambda x: eval_lowdim(table, ell, x, mode)
+
+    def evaluate(x):
+        values = vector(x).values
+        return {"dim": len(values), "values": values}
+
+    return tid, evaluate
 
 
 def cmd_exponents(args) -> dict:
@@ -150,38 +173,17 @@ def cmd_exponents(args) -> dict:
 def cmd_invariants(args) -> dict:
     group, image_shape = _resolve_group(args)
     x = _load_signal(args.input, group, image_shape)
-    payload = {**_envelope(args)}
-    if args.transform == "rational":
-        data = hermite_multiplier(group)
-        result = eval_rational_invariants(data, x)
-        payload.update(
-            {
-                "transform": "rational",
-                "dim": data.dim,
-                "values": result.values,
-                "domain_ok": result.domain_ok,
-                "hermite": hermite_as_dict(data),
-            }
-        )
-        return payload
-    if args.transform == "g":
-        data = hermite_multiplier(group)
-        sign, values = eval_scaled_invariants(data, x)
-        payload.update(
-            {"transform": "G", "dim": len(values), "sign": sign, "values": values}
-        )
-        return payload
-    tid, values = _transform_values(args.transform, group, x, args.seed, args.mode)
-    payload.update({"transform": tid, "dim": len(values), "values": values})
-    return payload
+    tid, evaluate = _transform(args.transform, group, args.seed, args.mode)
+    return {**_envelope(args), "transform": tid, **evaluate(x)}
 
 
 def cmd_compare(args) -> dict:
     group, image_shape = _resolve_group(args)
     first = _load_signal(args.input_a, group, image_shape)
     second = _load_signal(args.input_b, group, image_shape)
-    tid, values_a = _transform_values(args.transform, group, first, args.seed, args.mode)
-    _, values_b = _transform_values(args.transform, group, second, args.seed, args.mode)
+    tid, evaluate = _transform(args.transform, group, args.seed, args.mode)
+    values_a = evaluate(first)["values"]
+    values_b = evaluate(second)["values"]
     gap = float(np.linalg.norm(values_a - values_b))
     payload = {**_envelope(args), "transform": tid, "transform_gap": gap}
     try:
@@ -248,8 +250,8 @@ def cmd_counterexample(args) -> dict:
 
 def cmd_bench(args) -> dict:
     group, _ = _resolve_group(args)
-    table = build_exponent_table(group)
     if args.transform == "phi":
+        table = build_exponent_table(group)
         ell = default_reduction(table, args.seed)
         orders = group.orders
         if len(orders) == 2 and group.dim == orders[0] * orders[1]:
@@ -262,8 +264,8 @@ def cmd_bench(args) -> dict:
         transform = lambda z: eval_lowdim(table, ell, z, args.mode).values
         tid = "Phi"
     elif args.transform in BENCH_TRANSFORMS:
-        tid, _ = _transform_values(args.transform, group, np.ones(group.dim, complex), args.seed, args.mode)
-        transform = lambda z: _transform_values(args.transform, group, z, args.seed, args.mode)[1]
+        tid, evaluate = _transform(args.transform, group, args.seed, args.mode)
+        transform = lambda z: evaluate(z)["values"]
         bound = None
     else:
         raise ConfigError(f"bench supports transforms {BENCH_TRANSFORMS}")

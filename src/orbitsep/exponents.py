@@ -11,6 +11,7 @@ and exists for validation only.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -146,6 +147,18 @@ class ExponentTable:
             yield idx, exps
         for idx, exps in self.triples.items():
             yield idx, exps
+
+    @functools.cached_property
+    def blocks(self) -> tuple:
+        """Singles, pairs and triples as (indices, exponents) array pairs of
+        shape (count, size), in component order; exponents are float64."""
+        singles = {(k,): (m,) for k, m in enumerate(self.singles)}
+        parts = (singles, self.pairs, self.triples)
+        return tuple(
+            (np.array(list(part), dtype=np.intp).reshape(-1, size),
+             np.array(list(part.values()), dtype=float).reshape(-1, size))
+            for size, part in enumerate(parts, start=1)
+        )
 
 
 def build_exponent_table(group: GroupSpec, max_tuple_size: int = 3) -> ExponentTable:

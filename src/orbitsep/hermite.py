@@ -17,9 +17,9 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ConfigError, DimensionError, DomainError, InternalCheckError
-from .groups import GroupSpec, _check_signal, act, cyclic_shift_spec
+from .groups import GroupSpec, _check_signal, cyclic_shift_spec
 from .metric import child_seed, orbit_distance, sample_pair
-from .transforms import make_reduction
+from .transforms import make_reduction, monomials
 
 COLLISION_TOL = 1e-8
 SEPARATION_FLOOR = 1e-3
@@ -198,23 +198,6 @@ def _column_invariance_exact(group: GroupSpec, block) -> None:
                 )
 
 
-def _column_invariance_numeric(group: GroupSpec, block) -> None:
-    # 20 random torus points against every generator, 1e-10 relative.
-    rng = np.random.default_rng(20260817)
-    s = len(group.orders)
-    for _ in range(20):
-        z = np.exp(2j * np.pi * rng.random(group.dim))
-        base = _laurent_by_columns(block, z)
-        scale = max(1.0, float(np.abs(base).max()))
-        for i in range(s):
-            gen = tuple(1 if g == i else 0 for g in range(s))
-            moved = _laurent_by_columns(block, act(group, gen, z))
-            if float(np.abs(moved - base).max()) > 1e-10 * scale:
-                raise InternalCheckError(
-                    "torus spot-check of column invariance failed"
-                )
-
-
 def hermite_multiplier(group: GroupSpec) -> HermiteData:
     """Hermite-reduce the stacked exponents/orders matrix and package the
     invariant exponent block, its exact scaling vector, and the signature.
@@ -241,7 +224,6 @@ def hermite_multiplier(group: GroupSpec) -> HermiteData:
     except DomainError as exc:
         raise InternalCheckError("invariant exponent block is singular") from exc
     signature = tuple((c > 0) - (c < 0) for c in scaling)
-    _column_invariance_numeric(group, block)
     return HermiteData(
         group=group,
         inv_exponents=block,
@@ -279,34 +261,6 @@ def cyclic_fixture_data(n: int) -> HermiteData:
     )
 
 
-def _laurent_by_columns(block, z) -> np.ndarray:
-    # Component j = prod_k z_k ** block[k][j]; caller guards zeros.
-    n = len(block)
-    values = np.ones(n, dtype=complex)
-    for j in range(n):
-        value = complex(1.0)
-        for k in range(n):
-            e = block[k][j]
-            if e:
-                value *= complex(z[k]) ** int(e)
-        values[j] = value
-    return values
-
-
-def _laurent_by_rows(block, z) -> np.ndarray:
-    # Component k = prod_j z_j ** block[k][j]; caller guards zeros.
-    n = len(block)
-    values = np.ones(n, dtype=complex)
-    for k in range(n):
-        value = complex(1.0)
-        for j in range(n):
-            e = block[k][j]
-            if e:
-                value *= complex(z[j]) ** int(e)
-        values[k] = value
-    return values
-
-
 @dataclass(frozen=True, eq=False)
 class RationalInvariantResult:
     values: np.ndarray
@@ -322,33 +276,12 @@ def eval_rational_invariants(data: HermiteData, z) -> RationalInvariantResult:
     also clears domain_ok.
     """
     z = _check_signal(data.group, z)
-    block = data.inv_exponents
-    n = data.dim
-    values = np.zeros(n, dtype=complex)
-    domain_ok = True
-    for j in range(n):
-        value = complex(1.0)
-        annihilated = False
-        poled = False
-        for k in range(n):
-            e = block[k][j]
-            if e == 0:
-                continue
-            if z[k] == 0:
-                if e < 0:
-                    poled = True
-                    break
-                annihilated = True
-                continue
-            value *= complex(z[k]) ** int(e)
-        if poled:
-            domain_ok = False
-        elif annihilated:
-            values[j] = 0.0
-        else:
-            values[j] = value
-            if not (math.isfinite(value.real) and math.isfinite(value.imag)):
-                domain_ok = False
+    exps = np.array(data.inv_exponents, dtype=float).T
+    poled = ((z == 0) & (exps < 0)).any(axis=1)
+    annihilated = ((z == 0) & (exps > 0)).any(axis=1)
+    values = monomials(z, np.arange(data.dim), exps)
+    values[poled | annihilated] = 0
+    domain_ok = not poled.any() and bool(np.isfinite(values).all())
     return RationalInvariantResult(values=values, domain_ok=domain_ok)
 
 
@@ -385,8 +318,8 @@ def eval_scaled_invariants(data: HermiteData, x):
             )
         sign = 1 if q > 0 else -1
         scale = math.sqrt(abs(q))
-    values = scale * _laurent_by_columns(data.inv_exponents, x / scale)
-    return sign, values
+    exps = np.array(data.inv_exponents, dtype=float).T
+    return sign, scale * monomials(x / scale, np.arange(data.dim), exps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -468,7 +401,8 @@ def construct_counterexample(data: HermiteData, y) -> CounterexampleResult:
 
     def unsigned_map(w):
         norm = float(np.linalg.norm(w))
-        return norm * _laurent_by_rows(data.inv_exponents, w / norm)
+        exps = np.array(data.inv_exponents, dtype=float)
+        return norm * monomials(w / norm, np.arange(data.dim), exps)
 
     g_gap = float(np.linalg.norm(unsigned_map(scaled) - unsigned_map(twisted)))
     distance = orbit_distance(data.group, scaled, twisted).distance

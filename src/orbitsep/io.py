@@ -9,6 +9,7 @@ Infinity literal).
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from fractions import Fraction
@@ -20,8 +21,8 @@ from .errors import ConfigError
 
 
 def read_signal_json(path) -> np.ndarray:
-    """Complex signal from a JSON array whose entries are numbers or
-    [re, im] pairs."""
+    """Complex signal from a JSON array whose entries are finite numbers or
+    [re, im] pairs of them."""
     try:
         raw = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
@@ -31,17 +32,22 @@ def read_signal_json(path) -> np.ndarray:
     values = []
     for entry in raw:
         if isinstance(entry, (int, float)) and not isinstance(entry, bool):
-            values.append(complex(entry, 0.0))
-        elif (
+            entry = [entry, 0.0]
+        if not (
             isinstance(entry, list)
             and len(entry) == 2
             and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in entry)
         ):
-            values.append(complex(entry[0], entry[1]))
-        else:
             raise ConfigError(
                 f"signal {path}: entries must be numbers or [re, im] pairs"
             )
+        try:
+            value = complex(entry[0], entry[1])
+        except OverflowError as exc:
+            raise ConfigError(f"signal {path}: number out of range: {exc}") from exc
+        if not cmath.isfinite(value):
+            raise ConfigError(f"signal {path}: entries must be finite, got {value}")
+        values.append(value)
     return np.array(values, dtype=complex)
 
 
@@ -60,6 +66,8 @@ def read_image_csv(path) -> np.ndarray:
             rows.append([float(tok) for tok in line.split(",")])
         except ValueError as exc:
             raise ConfigError(f"{path}:{line_no}: bad number: {exc}") from exc
+        if not all(map(math.isfinite, rows[-1])):
+            raise ConfigError(f"{path}:{line_no}: non-finite number")
     if not rows:
         raise ConfigError(f"image {path} is empty")
     if any(len(row) != len(rows[0]) for row in rows):

@@ -1,4 +1,4 @@
-"""The four invariant transforms built on an exponent table.
+"""The four invariant transforms on an exponent table and their one kernel.
 
 All four are exactly invariant under the group action by construction:
 - monomial map: one invariant monomial per coordinate subset (separating).
@@ -64,19 +64,21 @@ def default_beta(table: ExponentTable) -> BetaWeights:
     )
 
 
-def _monomial(x, indices, exponents) -> complex:
-    value = complex(1.0)
-    for k, e in zip(indices, exponents):
-        value *= complex(x[k]) ** int(e)
-    return value
+def monomials(z, indices, exponents) -> np.ndarray:
+    """prod_j z[indices[..., j]] ** exponents[..., j] along the last axis.
+
+    The kernel behind F, PhiF, Phi and the Laurent invariants.  exponents
+    are float64: exact below 2**53, and the same conversion CPython's
+    complex ** int makes.  Overflow gives inf or nan, never a warning.
+    """
+    with np.errstate(all="ignore"):
+        return np.prod(z[indices] ** exponents, axis=-1)
 
 
 def eval_monomial_map(table: ExponentTable, x) -> InvariantVector:
     """The separating monomial map: one monomial per subset, fixed order."""
     x = _check_signal(table.group, x)
-    values = np.array(
-        [_monomial(x, idx, exps) for idx, exps in table.components()]
-    )
+    values = np.concatenate([monomials(x, idx, exps) for idx, exps in table.blocks])
     return InvariantVector(transform_id="F", values=values)
 
 
@@ -86,21 +88,14 @@ def eval_phase_map(table: ExponentTable, beta: BetaWeights, x) -> InvariantVecto
     exactly zero."""
     x = _check_signal(table.group, x)
     moduli = np.abs(x)
-    values = []
-    for idx, exps in table.components():
-        if len(idx) == 1:
-            k = idx[0]
-            values.append(complex(moduli[k] ** beta.singles[k]))
-            continue
-        if any(moduli[k] == 0 for k in idx):
-            values.append(0j)
-            continue
-        weights = beta.for_subset(idx)
-        value = complex(1.0)
-        for k, e, b in zip(idx, exps, weights):
-            value *= moduli[k] ** b * (x[k] / moduli[k]) ** int(e)
-        values.append(value)
-    return InvariantVector(transform_id="Theta", values=np.array(values))
+    phases = _unit_phases(x, moduli)
+    with np.errstate(all="ignore"):
+        values = [(moduli ** np.array(beta.singles)).astype(complex)]
+        for (idx, exps), subsets in zip(table.blocks[1:], (table.pairs, table.triples)):
+            weights = np.array([beta.for_subset(s) for s in subsets]).reshape(idx.shape)
+            value = np.prod(moduli[idx] ** weights * phases[idx] ** exps, axis=-1)
+            values.append(np.where((moduli[idx] == 0).any(axis=-1), 0j, value))
+    return InvariantVector(transform_id="Theta", values=np.concatenate(values))
 
 
 def eval_norm_scaled(table: ExponentTable, x) -> InvariantVector:
@@ -191,12 +186,9 @@ def eval_lowdim(
         v = eval_monomial_map(table, phases).values
     else:
         support = (moduli > 0).astype(complex)
-        off_diagonal = [
-            _monomial(phases, idx, exps)
-            for idx, exps in table.components()
-            if len(idx) > 1
-        ]
-        v = np.concatenate([support, np.array(off_diagonal, dtype=complex)])
+        v = np.concatenate(
+            [support, *(monomials(phases, idx, exps) for idx, exps in table.blocks[1:])]
+        )
     mu = float(moduli[moduli > 0].min())
     return InvariantVector(
         transform_id="Phi",

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+import orbitsep.cli
 from orbitsep.cli import main
 
 
@@ -136,6 +137,59 @@ def test_invariants_g_payload(capsys, tmp_path):
     assert payload["transform"] == "G"
     assert payload["sign"] in (-1, 1)
     assert payload["dim"] == 4
+
+
+@pytest.mark.parametrize("transform", ["rational", "g"])
+def test_invariants_large_hermite_entries_exit_zero(capsys, tmp_path, transform):
+    # The invariant block reaches 1.3e6, so the values leave the double
+    # range; that is reported in the values, not as an internal failure.
+    sig = tmp_path / "sig.json"
+    sig.write_text("[1, [0.5, -0.25], 2]")
+    payload = run_json(
+        capsys, "invariants", "--orders", "53,58", "--matrix", "31,0,5;6,46,9",
+        "--transform", transform, str(sig),
+    )
+    if transform == "rational":
+        assert payload["domain_ok"] is False
+
+
+def test_invariants_power_overflow_is_non_finite(capsys, tmp_path):
+    sig = write_signal(tmp_path, "big.json", [1e10])
+    payload = run_json(
+        capsys, "invariants", "--orders", "101", "--matrix", "1", str(sig)
+    )
+    assert payload["values"][0][0] == "Infinity"
+
+
+def count_calls(monkeypatch, name):
+    calls = []
+    original = getattr(orbitsep.cli, name)
+    monkeypatch.setattr(
+        orbitsep.cli, name, lambda *a, **k: calls.append(a) or original(*a, **k)
+    )
+    return calls
+
+
+@pytest.mark.parametrize(
+    "argv,builder",
+    [
+        (["compare"], "build_exponent_table"),
+        (["bench", "--transform", "f", "--samples", "5"], "build_exponent_table"),
+        (["compare", "--transform", "rational"], "hermite_multiplier"),
+    ],
+    ids=["compare", "bench-f", "compare-rational"],
+)
+def test_each_command_builds_its_data_once(capsys, monkeypatch, tmp_path, argv, builder):
+    calls = count_calls(monkeypatch, builder)
+    rng = np.random.default_rng(33)
+    inputs = []
+    if argv[0] == "compare":
+        inputs = [
+            str(write_signal(tmp_path, f"{k}.json", rng.standard_normal(6) + 0.5))
+            for k in "ab"
+        ]
+    run_json(capsys, *argv, "--shift", "2x3", *inputs)
+    assert len(calls) == 1
 
 
 def test_invariants_dimension_mismatch(capsys, tmp_path):

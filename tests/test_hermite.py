@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import reference
 
 from orbitsep import (
     ConfigError,
@@ -181,6 +182,31 @@ def test_hermite_invariant_columns_under_action():
                 assert np.abs(moved - base).max() <= 1e-10 * max(
                     1.0, np.abs(base).max()
                 )
+
+
+@pytest.mark.parametrize(
+    "group", reference.ORACLE_GROUPS.values(), ids=reference.ORACLE_GROUPS.keys()
+)
+def test_laurent_invariants_match_scalar_reference(group):
+    data = hermite_multiplier(group)
+    rng = np.random.default_rng(29)
+    n = group.dim
+    full = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    sparse = full.copy()
+    sparse[::3] = 0
+    for z in (full, sparse, np.zeros(n, dtype=complex)):
+        got = eval_rational_invariants(data, z)
+        values, domain_ok = reference.rational_invariants(data, z)
+        assert got.domain_ok == domain_ok
+        zeros = values == 0
+        assert np.array_equal(got.values == 0, zeros)
+        # Poles and annihilated components are exactly +0, never -0 or 0 * inf.
+        assert not np.signbit(got.values[zeros].view(float)).any()
+        np.testing.assert_allclose(got.values, values, rtol=1e-12, atol=0)
+    _, scaled = eval_scaled_invariants(data, full)
+    np.testing.assert_allclose(
+        scaled, reference.scaled_invariants(data, full), rtol=1e-12, atol=0
+    )
 
 
 def test_rational_invariants_on_ones_and_invariance():

@@ -28,7 +28,11 @@ def test_signal_json_mixed_entries(tmp_path):
 
 @pytest.mark.parametrize(
     "text",
-    ["[]", "{}", "[true]", '["x"]', "[[1]]", "[[1, 2, 3]]", "[[1, true]]", "not json"],
+    [
+        "[]", "{}", "[true]", '["x"]', "[[1]]", "[[1, 2, 3]]", "[[1, true]]", "not json",
+        "[NaN, 1]", "[1e400, 1]", "[[1, -Infinity]]",
+        pytest.param("[" + "9" * 400 + ", 1]", id="400-digit int"),
+    ],
 )
 def test_signal_json_rejects(tmp_path, text):
     p = tmp_path / "bad.json"
@@ -56,6 +60,9 @@ def test_csv_reader(tmp_path):
     (tmp_path / "alpha.csv").write_text("1,x\n")
     with pytest.raises(ConfigError):
         read_image_csv(tmp_path / "alpha.csv")
+    (tmp_path / "nan.csv").write_text("1,nan,3\n")
+    with pytest.raises(ConfigError):
+        read_image_csv(tmp_path / "nan.csv")
 
 
 def test_pgm_ascii_and_binary_agree(tmp_path):

@@ -3,6 +3,7 @@ Lipschitz constants, and the proportionality check."""
 
 import numpy as np
 import pytest
+import reference
 
 from orbitsep import (
     BetaWeights,
@@ -57,6 +58,47 @@ def test_all_transforms_invariant(group):
         for el in enumerate_group(group):
             moved = fn(act(group, el, x)).values
             assert np.abs(moved - base).max() <= 1e-10 * scale
+
+
+def oracle_signals(rng, n):
+    """A random signal and one with every third entry exactly zero."""
+    sparse = random_signal(rng, n)
+    sparse[::3] = 0
+    return [random_signal(rng, n), sparse]
+
+
+@pytest.mark.parametrize(
+    "group", reference.ORACLE_GROUPS.values(), ids=reference.ORACLE_GROUPS.keys()
+)
+def test_transforms_match_scalar_reference(group):
+    # Below exponent 100 numpy's complex power takes the same integer path
+    # as CPython's, so F, PhiF and Phi agree bit for bit, signed zeros too.
+    rng = np.random.default_rng(17)
+    table = build_exponent_table(group)
+    # Weights of 0 make the zero rule visible: 0 ** 0 is 1, not 0.
+    beta = BetaWeights(
+        singles=tuple(1.0 + rng.integers(0, 2, len(table.singles))),
+        pairs={idx: tuple(rng.integers(0, 3, 2) * 1.0) for idx in table.pairs},
+        triples={idx: tuple(rng.integers(0, 3, 3) * 1.0) for idx in table.triples},
+    )
+    ell = default_reduction(table, 5)
+    for x in oracle_signals(rng, group.dim):
+        pairs = [
+            (eval_monomial_map(table, x), reference.monomial_map(table, x)),
+            (eval_norm_scaled(table, x), reference.norm_scaled(table, x)),
+            *(
+                (eval_lowdim(table, ell, x, mode), reference.lowdim(table, ell, x, mode))
+                for mode in ("repaired", "as_written")
+            ),
+        ]
+        for got, want in pairs:
+            assert np.array_equal(got.values.view(np.uint64), want.view(np.uint64))
+        np.testing.assert_allclose(
+            eval_phase_map(table, beta, x).values,
+            reference.phase_map(table, beta, x),
+            rtol=1e-15,
+            atol=0,
+        )
 
 
 def test_monomial_map_values_and_dim():
