@@ -1,17 +1,21 @@
-"""Minimal invariant monomial exponents: singles, pairs, and triples.
+"""Minimal invariant monomial exponents, and the exact lattice core they share
+with the Hermite code.
 
 For a diagonal action the monomial x_{k1}^{e1} * ... * x_{kt}^{et} is invariant
-exactly when sum_j e_j * exponents[i][k_j] = 0 mod orders[i] for every
-generator row i.  This module computes, per coordinate subset of size <= 3,
-the minimal such exponent tuple (minimal leading exponent, then
-lexicographically smallest completion), which together define the separating
-monomial map.  oracle_minimal re-derives the same tuples by exhaustive search
-and exists for validation only.
+exactly when sum_j e_j * chi_{k_j} lies in the order lattice P spanned by the
+vectors p_i * e_i, where chi_k is column k of the character matrix.  Per
+coordinate subset of size <= 3 this module computes the minimal such exponent
+tuple (minimal leading exponent, then lexicographically smallest completion),
+which together define the separating monomial map.  The tuple is the first
+column of the column Hermite form of the subset's invariant lattice, read off
+the Hermite bases of the lattices Lambda(ks) = span(chi_ks) + P, so the cost
+depends on N and s but not on the size of the orders.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -20,51 +24,125 @@ import numpy as np
 from .errors import ConfigError, DimensionError
 from .groups import GroupSpec
 
-# One row of the congruence system: coefficient, right-hand side, modulus.
+
+def _as_int_rows(matrix):
+    rows = [list(map(int, row)) for row in matrix]
+    if not rows or any(len(row) != len(rows[0]) for row in rows):
+        raise DimensionError("integer matrix must be rectangular and nonempty")
+    return rows
+
+
+def _extended_gcd(a: int, b: int):
+    # Returns (g, u, v) with u*a + v*b = g and g >= 0.
+    old_r, r = a, b
+    old_u, u = 1, 0
+    old_v, v = 0, 1
+    while r:
+        q = old_r // r
+        old_r, r = r, old_r - q * r
+        old_u, u = u, old_u - q * u
+        old_v, v = v, old_v - q * v
+    if old_r < 0:
+        return -old_r, -old_u, -old_v
+    return old_r, old_u, old_v
+
+
+def hermite_normal_form(matrix):
+    """Column-style Hermite normal form: returns (H, U) with M @ U = H.
+
+    H has positive pivots on a descending staircase, entries to the left of
+    each pivot reduced into [0, pivot), zeros to the right; U is unimodular.
+    Column operations only, so M @ U = H holds exactly at every step.
+    """
+    h = _as_int_rows(matrix)
+    num_rows, num_cols = len(h), len(h[0])
+    u = [[1 if r == c else 0 for c in range(num_cols)] for r in range(num_cols)]
+    rows = h + u  # every column operation acts on M and U alike
+
+    pivot_col = 0
+    for row_idx in range(num_rows):
+        if pivot_col >= num_cols:
+            break
+        for j in range(pivot_col + 1, num_cols):
+            if h[row_idx][j] == 0:
+                continue
+            a, b = h[row_idx][pivot_col], h[row_idx][j]
+            g, a11, a12 = _extended_gcd(a, b)
+            a21, a22 = -(b // g), a // g
+            # (pivot, j) <- (a11*pivot + a12*j, a21*pivot + a22*j), det 1.
+            for row in rows:
+                x, y = row[pivot_col], row[j]
+                row[pivot_col] = a11 * x + a12 * y
+                row[j] = a21 * x + a22 * y
+        if h[row_idx][pivot_col] == 0:
+            continue  # rank-deficient row: pivot column stays available
+        if h[row_idx][pivot_col] < 0:
+            for row in rows:
+                row[pivot_col] = -row[pivot_col]
+        pivot = h[row_idx][pivot_col]
+        for j in range(pivot_col):
+            q = h[row_idx][j] // pivot  # floor: remainder lands in [0, pivot)
+            if q:
+                for row in rows:
+                    row[j] -= q * row[pivot_col]
+        pivot_col += 1
+
+    freeze = lambda table: tuple(tuple(row) for row in table)
+    return freeze(h), freeze(u)
+
+
+def _stacked(group: GroupSpec, ks):
+    """[chi_ks | -diag(orders)]: the character columns of the coordinates ks
+    beside the negated generator orders, one row per generator."""
+    s = len(group.orders)
+    return [
+        [row[k] for k in ks] + [-p if j == i else 0 for j in range(s)]
+        for i, (row, p) in enumerate(zip(group.exponents, group.orders))
+    ]
+
+
+def _basis(group: GroupSpec, ks):
+    """Lambda(ks): the s x s lower-triangular Hermite basis, one lattice vector
+    per column, of the lattice spanned by chi_ks and the order vectors."""
+    s = len(group.orders)
+    h, _ = hermite_normal_form(_stacked(group, ks))
+    return tuple(row[:s] for row in h)
 
 
 def _solve_congruence(w: int, r: int, p: int):
-    """Solutions of w*t = r (mod p) as (t0, q) meaning t = t0 (mod q), or None."""
-    w %= p
-    r %= p
+    """Solutions of w*t = r (mod p) as (t0, q) meaning t = t0 (mod q) with
+    0 <= t0 < q, or None."""
     g = math.gcd(w, p)
     if r % g:
         return None
     q = p // g
-    if q == 1:
-        return (0, 1)
-    t0 = (r // g) * pow(w // g, -1, q) % q
-    return (t0, q)
+    return (r // g) * pow(w // g, -1, q) % q, q
 
 
-def _merge_congruences(a1: int, q1: int, a2: int, q2: int):
-    """Intersect t = a1 (mod q1) with t = a2 (mod q2), or None if incompatible."""
-    g = math.gcd(q1, q2)
-    if (a2 - a1) % g:
-        return None
-    lcm = q1 // g * q2
-    if q2 == g:
-        return (a1 % lcm, lcm)
-    step = (a2 - a1) // g * pow(q1 // g, -1, q2 // g) % (q2 // g)
-    return ((a1 + q1 * step) % lcm, lcm)
+def _solve(v, w, basis):
+    """{t : v + t*w in the lattice of basis} as (t0, q), t = t0 (mod q) with
+    0 <= t0 < q, or None when the set is empty.
 
-
-def _solve_rows(coeffs, rhs, orders):
-    """Smallest t >= 0 with coeffs[i]*t = rhs[i] (mod orders[i]) for all i, or None.
-
-    The solution set is a single residue class mod lcm of the per-row moduli,
-    so the returned representative is the global minimum.
+    One sweep down the triangular basis: row i fixes t modulo a growing q so
+    that the residual's row-i entry is a multiple of the pivot, and that
+    multiple of pivot column i clears it from the rows below.  The residual
+    is kept as r0 + u*r1 for t = t0 + q*u.
     """
-    t, q = 0, 1
-    for w, r, p in zip(coeffs, rhs, orders):
-        row = _solve_congruence(w, r, p)
+    r0, r1 = list(v), list(w)
+    t0, q = 0, 1
+    for i, pivot_row in enumerate(basis):
+        pivot = pivot_row[i]
+        row = _solve_congruence(r1[i], -r0[i], pivot)
         if row is None:
             return None
-        merged = _merge_congruences(t, q, row[0], row[1])
-        if merged is None:
-            return None
-        t, q = merged
-    return t
+        u, step = row
+        t0, q = t0 + q * u, q * step
+        x0, x1 = (r0[i] + u * r1[i]) // pivot, step * r1[i] // pivot
+        for j in range(i + 1, len(basis)):
+            c = basis[j][i]
+            r0[j] += u * r1[j] - x0 * c
+            r1[j] = step * r1[j] - x1 * c
+    return t0, q
 
 
 def _check_index(group: GroupSpec, k: int) -> int:
@@ -76,8 +154,28 @@ def _check_index(group: GroupSpec, k: int) -> int:
     return k
 
 
-def _column(group: GroupSpec, k: int):
-    return [row[k] for row in group.exponents]
+def _minimal(columns, ks, basis) -> tuple:
+    """Minimal exponent tuple of the subset ks: columns[k] is chi_k and
+    basis(sub) returns Lambda(sub).
+
+    The leading exponent is the least t >= 1 with t*chi_k1 in Lambda(ks[1:]).
+    Each later exponent is the least t >= 0 that puts the running sum plus
+    t*chi_kj into Lambda(ks[j+1:]), the last one into the order lattice.
+    """
+    exps, total = [], [0] * len(columns[0])
+    for j, k in enumerate(ks):
+        t0, q = _solve(total, columns[k], basis(ks[j + 1:]))
+        t = t0 if exps else q
+        exps.append(t)
+        total = [a + t * w for a, w in zip(total, columns[k])]
+    return tuple(exps)
+
+
+def _minimal_of(group: GroupSpec, ks) -> tuple:
+    ks = tuple(_check_index(group, k) for k in ks)
+    if len(set(ks)) != len(ks):
+        raise DimensionError(f"subset indices must be distinct, got {ks}")
+    return _minimal(tuple(zip(*group.exponents)), ks, functools.partial(_basis, group))
 
 
 def minimal_single(group: GroupSpec, k: int) -> int:
@@ -90,36 +188,12 @@ def minimal_single(group: GroupSpec, k: int) -> int:
 
 def minimal_pair(group: GroupSpec, k1: int, k2: int):
     """Least a >= 1 admitting b with x_{k1}^a x_{k2}^b invariant; b minimal in [0, m_{k2})."""
-    k1, k2 = _check_index(group, k1), _check_index(group, k2)
-    if k1 == k2:
-        raise DimensionError("pair indices must be distinct")
-    col1, col2 = _column(group, k1), _column(group, k2)
-    orders = group.orders
-    for a in range(1, minimal_single(group, k1) + 1):
-        rhs = [(-a * w) % p for w, p in zip(col1, orders)]
-        b = _solve_rows(col2, rhs, orders)
-        if b is not None:
-            return (a, b)
-    raise AssertionError("unreachable: a = m_k1 always admits b = 0")
+    return _minimal_of(group, (k1, k2))
 
 
 def minimal_triple(group: GroupSpec, k1: int, k2: int, k3: int):
     """Least c >= 1 admitting (d, e); (d, e) lexicographically smallest in range."""
-    k1, k2, k3 = (_check_index(group, k) for k in (k1, k2, k3))
-    if len({k1, k2, k3}) != 3:
-        raise DimensionError("triple indices must be distinct")
-    col1, col2, col3 = (_column(group, k) for k in (k1, k2, k3))
-    orders = group.orders
-    m2 = minimal_single(group, k2)
-    for c in range(1, minimal_single(group, k1) + 1):
-        base = [(-c * w) % p for w, p in zip(col1, orders)]
-        # Feasible d values repeat with period m_k2, so [0, m_k2) is a full scan.
-        for d in range(m2):
-            rhs = [(r - d * w) % p for r, w, p in zip(base, col2, orders)]
-            e = _solve_rows(col3, rhs, orders)
-            if e is not None:
-                return (c, d, e)
-    raise AssertionError("unreachable: c = m_k1 always admits d = e = 0")
+    return _minimal_of(group, (k1, k2, k3))
 
 
 @dataclass(frozen=True)
@@ -168,20 +242,20 @@ def build_exponent_table(group: GroupSpec, max_tuple_size: int = 3) -> ExponentT
             f"max_tuple_size must be 1, 2, or 3, got {max_tuple_size}; "
             "larger tuple sizes are not supported"
         )
-    n = group.dim
-    singles = tuple(minimal_single(group, k) for k in range(n))
-    pairs = {}
-    triples = {}
-    if max_tuple_size >= 2:
-        for k1 in range(n):
-            for k2 in range(k1 + 1, n):
-                pairs[(k1, k2)] = minimal_pair(group, k1, k2)
-    if max_tuple_size >= 3:
-        for k1 in range(n):
-            for k2 in range(k1 + 1, n):
-                for k3 in range(k2 + 1, n):
-                    triples[(k1, k2, k3)] = minimal_triple(group, k1, k2, k3)
-    return ExponentTable(group=group, singles=singles, pairs=pairs, triples=triples)
+    # Lambda of each suffix subset, computed once per table.
+    basis = functools.cache(functools.partial(_basis, group))
+    columns = tuple(zip(*group.exponents))
+    singles = tuple(minimal_single(group, k) for k in range(group.dim))
+    found = {
+        size: {
+            ks: _minimal(columns, ks, basis)
+            for ks in itertools.combinations(range(group.dim), size)
+        }
+        for size in range(2, max_tuple_size + 1)
+    }
+    return ExponentTable(
+        group=group, singles=singles, pairs=found.get(2, {}), triples=found.get(3, {})
+    )
 
 
 def table_as_dict(table: ExponentTable) -> dict:
@@ -196,64 +270,3 @@ def table_as_dict(table: ExponentTable) -> dict:
         },
         "total_dim": table.total_dim,
     }
-
-
-def _packed_residues(rows, orders):
-    """Pack per-row residue arrays into single mixed-radix integer keys."""
-    key = np.zeros_like(rows[0], dtype=np.int64)
-    scale = 1
-    for residues, p in zip(rows, orders):
-        key += scale * residues
-        scale *= p
-    return key
-
-
-def oracle_minimal(group: GroupSpec, subset):
-    """Exhaustive-search minimum over exponents in [0, lcm of orders]; tests only.
-
-    Same search order as the solver (leading exponent, then lex completion),
-    implemented as a batched scan with no congruence reasoning.
-    """
-    subset = tuple(_check_index(group, k) for k in subset)
-    if not 1 <= len(subset) <= 3:
-        raise ConfigError(f"oracle supports subsets of size 1..3, got {len(subset)}")
-    if len(set(subset)) != len(subset):
-        raise DimensionError("subset indices must be distinct")
-    L = group.phase_lcm
-    orders = np.array(group.orders, dtype=np.int64)[:, None]
-    cols = [np.array(_column(group, k), dtype=np.int64)[:, None] for k in subset]
-
-    if len(subset) == 1:
-        exps = np.arange(1, L + 1, dtype=np.int64)[None, :]
-        ok = ((cols[0] * exps) % orders == 0).all(axis=0)
-        return (int(np.nonzero(ok)[0][0]) + 1,)
-
-    if len(subset) == 2:
-        b_grid = np.arange(L, dtype=np.int64)[None, :]
-        res_b = (cols[1] * b_grid) % orders
-        for a in range(1, L + 1):
-            res_a = (cols[0] * a) % orders
-            ok = ((res_a + res_b) % orders == 0).all(axis=0)
-            hits = np.nonzero(ok)[0]
-            if hits.size:
-                return (a, int(hits[0]))
-        raise AssertionError("unreachable: a = lcm always admits b = 0")
-
-    # Triples: match mixed-radix keys of required residues against e's residues.
-    e_grid = np.arange(L, dtype=np.int64)[None, :]
-    need_keys = _packed_residues((-(cols[2] * e_grid)) % orders, group.orders)
-    c_grid = np.arange(L + 1, dtype=np.int64)[None, :]
-    d_grid = np.arange(L, dtype=np.int64)[None, :]
-    res_c = (cols[0] * c_grid) % orders
-    res_d = (cols[1] * d_grid) % orders
-    have = [
-        (res_c[i][:, None] + res_d[i][None, :]) % int(orders[i, 0])
-        for i in range(len(group.orders))
-    ]
-    have_keys = _packed_residues(have, group.orders)
-    feasible = np.isin(have_keys, need_keys)
-    feasible[0, :] = False
-    flat = np.nonzero(feasible.ravel())[0]
-    c, d = divmod(int(flat[0]), L)
-    e = int(np.nonzero(need_keys == have_keys[c, d])[0][0])
-    return (c, d, e)

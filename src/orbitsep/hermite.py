@@ -1,11 +1,13 @@
-"""Exact Hermite-normal-form machinery and the rational invariants on top.
+"""The rational invariants on top of the exact column Hermite normal form.
 
-Integer work is arbitrary precision, rational work is exact Fraction; floats
-appear only when a Laurent monomial is evaluated at a concrete signal.  The
-pipeline: stack the character exponents against the negated generator orders,
-reduce to column Hermite form, read the invariant Laurent exponents out of the
-kernel block of the unimodular multiplier, then solve for the rational scaling
-vector that makes the invariants jointly homogeneous of degree one.
+The Hermite normal form itself lives in exponents, the lattice core shared
+with the exponent solver.  Integer work is arbitrary precision, rational
+work is exact Fraction; floats appear only when a Laurent monomial is
+evaluated at a concrete signal.  The pipeline: stack the character exponents
+against the negated generator orders, reduce to column Hermite form, read
+the invariant Laurent exponents out of the kernel block of the unimodular
+multiplier, then solve for the rational scaling vector that makes the
+invariants jointly homogeneous of degree one.
 """
 
 from __future__ import annotations
@@ -17,85 +19,13 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ConfigError, DimensionError, DomainError, InternalCheckError
+from .exponents import _as_int_rows, _stacked, hermite_normal_form
 from .groups import GroupSpec, _check_signal, cyclic_shift_spec
-from .metric import child_seed, orbit_distance, sample_pair
-from .transforms import make_reduction, monomials
+from .metric import orbit_distance
+from .transforms import monomials
 
 COLLISION_TOL = 1e-8
 SEPARATION_FLOOR = 1e-3
-
-
-def _as_int_rows(matrix):
-    rows = [list(map(int, row)) for row in matrix]
-    if not rows or any(len(row) != len(rows[0]) for row in rows):
-        raise DimensionError("integer matrix must be rectangular and nonempty")
-    return rows
-
-
-def _extended_gcd(a: int, b: int):
-    # Returns (g, u, v) with u*a + v*b = g and g >= 0.
-    old_r, r = a, b
-    old_u, u = 1, 0
-    old_v, v = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_u, u = u, old_u - q * u
-        old_v, v = v, old_v - q * v
-    if old_r < 0:
-        return -old_r, -old_u, -old_v
-    return old_r, old_u, old_v
-
-
-def hermite_normal_form(matrix):
-    """Column-style Hermite normal form: returns (H, U) with M @ U = H.
-
-    H has positive pivots on a descending staircase, entries to the left of
-    each pivot reduced into [0, pivot), zeros to the right; U is unimodular.
-    Column operations only, so M @ U = H holds exactly at every step.
-    """
-    h = _as_int_rows(matrix)
-    num_rows, num_cols = len(h), len(h[0])
-    u = [[1 if r == c else 0 for c in range(num_cols)] for r in range(num_cols)]
-
-    def combine(c1, c2, a11, a12, a21, a22):
-        # (col c1, col c2) <- (a11*c1 + a12*c2, a21*c1 + a22*c2), det +-1.
-        for table in (h, u):
-            for row in table:
-                x, y = row[c1], row[c2]
-                row[c1] = a11 * x + a12 * y
-                row[c2] = a21 * x + a22 * y
-
-    def add_multiple(src, dst, factor):
-        for table in (h, u):
-            for row in table:
-                row[dst] += factor * row[src]
-
-    pivot_col = 0
-    for row_idx in range(num_rows):
-        if pivot_col >= num_cols:
-            break
-        for j in range(pivot_col + 1, num_cols):
-            if h[row_idx][j] == 0:
-                continue
-            a, b = h[row_idx][pivot_col], h[row_idx][j]
-            g, coef_a, coef_b = _extended_gcd(a, b)
-            combine(pivot_col, j, coef_a, coef_b, -(b // g), a // g)
-        if h[row_idx][pivot_col] == 0:
-            continue  # rank-deficient row: pivot column stays available
-        if h[row_idx][pivot_col] < 0:
-            for table in (h, u):
-                for row in table:
-                    row[pivot_col] = -row[pivot_col]
-        pivot = h[row_idx][pivot_col]
-        for j in range(pivot_col):
-            q = h[row_idx][j] // pivot  # floor: remainder lands in [0, pivot)
-            if q:
-                add_multiple(pivot_col, j, -q)
-        pivot_col += 1
-
-    freeze = lambda table: tuple(tuple(row) for row in table)
-    return freeze(h), freeze(u)
 
 
 def integer_determinant(matrix) -> int:
@@ -163,28 +93,6 @@ class HermiteData:
     def dim(self) -> int:
         return len(self.inv_exponents)
 
-    def _block(self, rows, cols):
-        if self.multiplier is None:
-            return None
-        return tuple(tuple(self.multiplier[r][c] for c in cols) for r in rows)
-
-    @property
-    def pivot_top(self):
-        # N x s block: coordinate exponents paired with the Hermite pivots.
-        s = len(self.group.orders)
-        return self._block(range(self.dim), range(s))
-
-    @property
-    def pivot_bottom(self):
-        s = len(self.group.orders)
-        return self._block(range(self.dim, self.dim + s), range(s))
-
-    @property
-    def kernel_bottom(self):
-        # s x N block: order multipliers certifying each column's invariance.
-        s = len(self.group.orders)
-        return self._block(range(self.dim, self.dim + s), range(s, s + self.dim))
-
 
 def _column_invariance_exact(group: GroupSpec, block) -> None:
     # A column is invariant iff its exponent combination vanishes mod order.
@@ -207,11 +115,7 @@ def hermite_multiplier(group: GroupSpec) -> HermiteData:
     invariant columns, and a nonsingular exponent block.
     """
     n, s = group.dim, len(group.orders)
-    stacked = [
-        list(group.exponents[i]) + [-group.orders[i] if j == i else 0 for j in range(s)]
-        for i in range(s)
-    ]
-    h_full, u = hermite_normal_form(stacked)
+    h_full, u = hermite_normal_form(_stacked(group, range(n)))
     if any(h_full[i][j] != 0 for i in range(s) for j in range(s, s + n)):
         raise InternalCheckError("Hermite reduction left a nonzero tail block")
     hermite = tuple(tuple(row[:s]) for row in h_full)
@@ -419,50 +323,6 @@ def construct_counterexample(data: HermiteData, y) -> CounterexampleResult:
         g_gap=g_gap,
         orbit_distance=distance,
     )
-
-
-def ae_projection_check(
-    group: GroupSpec,
-    polymap,
-    out_dim: int,
-    seed,
-    samples: int,
-    kind: str = "random",
-    tol: float = 1e-9,
-) -> dict:
-    """Empirical check that a seeded generic linear reduction of an invariant
-    polynomial map still separates: counts pairs that collide after reduction
-    yet sit in distinct orbits.  out_dim below dim+2 leaves the generic
-    separation theorem's contract, which is flagged, not fatal."""
-    samples = int(samples)
-    if samples < 1:
-        raise ConfigError("samples must be positive")
-    probe = np.asarray(polymap(np.ones(group.dim, dtype=complex)))
-    poly_dim = int(probe.size)
-    reduction_seed = seed if isinstance(seed, int) else abs(hash(tuple(seed)))
-    ell = make_reduction(reduction_seed, poly_dim, out_dim)
-    collisions = 0
-    violations = 0
-    for i in range(samples):
-        x, y = sample_pair(group, kind, child_seed(seed, i))
-        px = ell.matrix @ np.asarray(polymap(x))
-        py = ell.matrix @ np.asarray(polymap(y))
-        ref = max(1.0, float(np.linalg.norm(px)), float(np.linalg.norm(py)))
-        if float(np.linalg.norm(px - py)) <= tol * ref:
-            collisions += 1
-            if orbit_distance(group, x, y).distance > 1e-6:
-                violations += 1
-    return {
-        "out_dim": int(out_dim),
-        "poly_dim": poly_dim,
-        "in_contract": bool(out_dim >= group.dim + 2),
-        "kind": kind,
-        "samples": samples,
-        "collisions": collisions,
-        "violations": violations,
-        "seed": seed,
-        "tolerance": tol,
-    }
 
 
 def hermite_as_dict(data: HermiteData) -> dict:

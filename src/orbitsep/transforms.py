@@ -17,11 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, DomainError
+from .errors import ConfigError, DimensionError
 from .exponents import ExponentTable
 from .groups import _check_signal
-
-EQUALITY_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -235,20 +233,3 @@ def lipschitz_bound(
         nm = orders[0] * orders[1]
         return 3.0 * math.sqrt(6.0) * nm**2.5 * norm + 1.0
     raise ConfigError(f"unknown group_kind {group_kind!r}; expected one of {GROUP_KINDS}")
-
-
-def check_npp(table: ExponentTable, x, y, scale: float) -> bool:
-    """Whether the monomial maps are proportional: F(x) = scale * F(y)
-    componentwise within 1e-9, for unit-norm signals and scale > 0."""
-    x = _check_signal(table.group, x)
-    y = _check_signal(table.group, y)
-    scale = float(scale)
-    if scale <= 0:
-        raise DomainError(f"proportionality scale must be positive, got {scale}")
-    for name, z in (("x", x), ("y", y)):
-        if abs(np.linalg.norm(z) - 1.0) > 1e-9:
-            raise DomainError(f"{name} must have unit norm")
-    fx = eval_monomial_map(table, x).values
-    fy = eval_monomial_map(table, y).values
-    ref = max(1.0, float(np.abs(fx).max()), float(np.abs(scale * fy).max()))
-    return bool(np.all(np.abs(fx - scale * fy) <= EQUALITY_TOL * ref))

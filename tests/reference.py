@@ -1,12 +1,27 @@
-"""Scalar references for the vectorised transforms: one complex ** int
-product per component, multiplied left to right starting from 1."""
+"""Test-only references: scalar products for the vectorised transforms (one
+complex ** int product per component, multiplied left to right starting
+from 1), the exhaustive minimal-exponent oracle, and the empirical
+separation and proportionality checks."""
 
 import cmath
 import math
 
 import numpy as np
 
-from orbitsep import cyclic_shift_spec, shift_action_spec
+from orbitsep import (
+    ConfigError,
+    DimensionError,
+    DomainError,
+    child_seed,
+    cyclic_shift_spec,
+    eval_monomial_map,
+    make_reduction,
+    orbit_distance,
+    sample_pair,
+    shift_action_spec,
+)
+
+EQUALITY_TOL = 1e-9
 
 # Groups the vectorised transforms are checked against these references on.
 ORACLE_GROUPS = {
@@ -92,3 +107,130 @@ def scaled_invariants(data, x) -> np.ndarray:
     scale = math.sqrt(abs(sum(s * abs(complex(v)) ** 2 for s, v in zip(signs, x))))
     columns = [[data.inv_exponents[k][j] for k in range(n)] for j in range(n)]
     return scale * np.array([monomial(x / scale, range(n), col) for col in columns])
+
+
+def _packed_residues(rows, orders):
+    """Pack per-row residue arrays into single mixed-radix integer keys."""
+    key = np.zeros_like(rows[0], dtype=np.int64)
+    scale = 1
+    for residues, p in zip(rows, orders):
+        key += scale * residues
+        scale *= p
+    return key
+
+
+def oracle_minimal(group, subset):
+    """Exhaustive-search minimum over exponents in [0, lcm of orders].
+
+    Same search order as the solver (leading exponent, then lex completion),
+    implemented as a batched scan with no congruence reasoning.
+    """
+    subset = tuple(int(k) for k in subset)
+    if any(not 0 <= k < group.dim for k in subset):
+        raise DimensionError(f"subset {subset} out of range for dimension {group.dim}")
+    if not 1 <= len(subset) <= 3:
+        raise ConfigError(f"oracle supports subsets of size 1..3, got {len(subset)}")
+    if len(set(subset)) != len(subset):
+        raise DimensionError("subset indices must be distinct")
+    L = group.phase_lcm
+    orders = np.array(group.orders, dtype=np.int64)[:, None]
+    cols = [
+        np.array([row[k] for row in group.exponents], dtype=np.int64)[:, None]
+        for k in subset
+    ]
+
+    if len(subset) == 1:
+        exps = np.arange(1, L + 1, dtype=np.int64)[None, :]
+        ok = ((cols[0] * exps) % orders == 0).all(axis=0)
+        return (int(np.nonzero(ok)[0][0]) + 1,)
+
+    if len(subset) == 2:
+        b_grid = np.arange(L, dtype=np.int64)[None, :]
+        res_b = (cols[1] * b_grid) % orders
+        for a in range(1, L + 1):
+            res_a = (cols[0] * a) % orders
+            ok = ((res_a + res_b) % orders == 0).all(axis=0)
+            hits = np.nonzero(ok)[0]
+            if hits.size:
+                return (a, int(hits[0]))
+        raise AssertionError("unreachable: a = lcm always admits b = 0")
+
+    # Triples: match mixed-radix keys of required residues against e's residues.
+    e_grid = np.arange(L, dtype=np.int64)[None, :]
+    need_keys = _packed_residues((-(cols[2] * e_grid)) % orders, group.orders)
+    c_grid = np.arange(L + 1, dtype=np.int64)[None, :]
+    d_grid = np.arange(L, dtype=np.int64)[None, :]
+    res_c = (cols[0] * c_grid) % orders
+    res_d = (cols[1] * d_grid) % orders
+    have = [
+        (res_c[i][:, None] + res_d[i][None, :]) % int(orders[i, 0])
+        for i in range(len(group.orders))
+    ]
+    have_keys = _packed_residues(have, group.orders)
+    feasible = np.isin(have_keys, need_keys)
+    feasible[0, :] = False
+    flat = np.nonzero(feasible.ravel())[0]
+    c, d = divmod(int(flat[0]), L)
+    e = int(np.nonzero(need_keys == have_keys[c, d])[0][0])
+    return (c, d, e)
+
+
+def check_npp(table, x, y, scale: float) -> bool:
+    """Whether the monomial maps are proportional: F(x) = scale * F(y)
+    componentwise within 1e-9, for unit-norm signals and scale > 0."""
+    x = np.asarray(x, dtype=complex)
+    y = np.asarray(y, dtype=complex)
+    scale = float(scale)
+    if scale <= 0:
+        raise DomainError(f"proportionality scale must be positive, got {scale}")
+    for name, z in (("x", x), ("y", y)):
+        if abs(np.linalg.norm(z) - 1.0) > 1e-9:
+            raise DomainError(f"{name} must have unit norm")
+    fx = eval_monomial_map(table, x).values
+    fy = eval_monomial_map(table, y).values
+    ref = max(1.0, float(np.abs(fx).max()), float(np.abs(scale * fy).max()))
+    return bool(np.all(np.abs(fx - scale * fy) <= EQUALITY_TOL * ref))
+
+
+def ae_projection_check(
+    group,
+    polymap,
+    out_dim: int,
+    seed,
+    samples: int,
+    kind: str = "random",
+    tol: float = 1e-9,
+) -> dict:
+    """Empirical check that a seeded generic linear reduction of an invariant
+    polynomial map still separates: counts pairs that collide after reduction
+    yet sit in distinct orbits.  out_dim below dim+2 leaves the generic
+    separation theorem's contract, which is flagged, not fatal."""
+    samples = int(samples)
+    if samples < 1:
+        raise ConfigError("samples must be positive")
+    probe = np.asarray(polymap(np.ones(group.dim, dtype=complex)))
+    poly_dim = int(probe.size)
+    reduction_seed = seed if isinstance(seed, int) else abs(hash(tuple(seed)))
+    ell = make_reduction(reduction_seed, poly_dim, out_dim)
+    collisions = 0
+    violations = 0
+    for i in range(samples):
+        x, y = sample_pair(group, kind, child_seed(seed, i))
+        px = ell.matrix @ np.asarray(polymap(x))
+        py = ell.matrix @ np.asarray(polymap(y))
+        ref = max(1.0, float(np.linalg.norm(px)), float(np.linalg.norm(py)))
+        if float(np.linalg.norm(px - py)) <= tol * ref:
+            collisions += 1
+            if orbit_distance(group, x, y).distance > 1e-6:
+                violations += 1
+    return {
+        "out_dim": int(out_dim),
+        "poly_dim": poly_dim,
+        "in_contract": bool(out_dim >= group.dim + 2),
+        "kind": kind,
+        "samples": samples,
+        "collisions": collisions,
+        "violations": violations,
+        "seed": seed,
+        "tolerance": tol,
+    }

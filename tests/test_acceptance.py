@@ -9,9 +9,7 @@ import pytest
 
 from orbitsep import (
     act,
-    ae_projection_check,
     build_exponent_table,
-    check_npp,
     child_seed,
     construct_counterexample,
     cyclic_fixture_data,
@@ -31,12 +29,12 @@ from orbitsep import (
     minimal_pair,
     minimal_single,
     minimal_triple,
-    oracle_minimal,
     orbit_distance,
     sample_pair,
     shift_action_spec,
     signed_quadratic,
 )
+from reference import ae_projection_check, check_npp, oracle_minimal
 
 SEED = 20260817
 SHIFT23 = shift_action_spec(2, 3)

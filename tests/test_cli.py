@@ -1,10 +1,16 @@
 """End-to-end command-line checks through main(argv)."""
 
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import orbitsep
 import orbitsep.cli
 from orbitsep.cli import main
 
@@ -67,6 +73,32 @@ def test_exponents_rejects_double_declaration(capsys):
     )
     assert code == 2
     assert "not both" in err
+
+
+def test_exponents_prime_order_near_ten_million():
+    # A solver that scans exponent values up to the order does not finish;
+    # the child runs under a timeout so such a solver fails instead of hanging.
+    src = str(Path(orbitsep.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    argv = ["exponents", "--orders", "10000019", "--matrix", "1,0"]
+    done = subprocess.run(
+        [sys.executable, "-m", "orbitsep.cli", *argv],
+        capture_output=True, text=True, timeout=10, env=env,
+    )
+    assert done.returncode == 0, done.stderr
+    table = json.loads(done.stdout)["table"]
+    assert table["singles"] == [10000019, 1]
+    assert table["pairs"] == {"0,1": [10000019, 0]}
+
+
+def test_exponents_two_large_orders_triple_is_fast(capsys):
+    start = time.perf_counter()
+    payload = run_json(
+        capsys, "exponents", "--orders", "1009,1013", "--matrix", "1,0,0;0,1,0"
+    )
+    elapsed = time.perf_counter() - start
+    assert payload["table"]["triples"] == {"0,1,2": [1009, 0, 0]}
+    assert elapsed < 1.0, f"table build took {elapsed:.2f} s"
 
 
 def test_invariants_phi_zero_signal(capsys, tmp_path):

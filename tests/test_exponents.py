@@ -1,4 +1,4 @@
-"""Minimal invariant exponents: closed-form singles, congruence-solved pairs
+"""Minimal invariant exponents: closed-form singles, lattice-solved pairs
 and triples, the exhaustive oracle, and the assembled table."""
 
 import itertools
@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orbitsep import (
     ConfigError,
@@ -17,10 +19,10 @@ from orbitsep import (
     minimal_pair,
     minimal_single,
     minimal_triple,
-    oracle_minimal,
     shift_action_spec,
     table_as_dict,
 )
+from reference import oracle_minimal
 
 
 def naive_minimal(group, subset):
@@ -187,3 +189,54 @@ def test_single_exponent_lcm_formula():
                 *(pi // math.gcd(g.exponents[i][k], pi) for i, pi in enumerate(p))
             )
             assert minimal_single(g, k) == want
+
+
+@st.composite
+def groups(draw, max_order, max_dim=5):
+    """Groups with s <= 3 generators of order <= max_order and N <= max_dim."""
+    s = draw(st.integers(1, 3))
+    n = draw(st.integers(1, max_dim))
+    orders = draw(st.lists(st.integers(1, max_order), min_size=s, max_size=s))
+    entries = st.integers(0, 2 * max_order)
+    matrix = draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=s, max_size=s))
+    return make_group(orders, matrix)
+
+
+@st.composite
+def small_lcm_groups(draw):
+    """Orders in [2, 60] drawn among the divisors of one L <= 240, so the
+    exhaustive oracle's (L + 1) x L scan stays small.  Composite L values
+    give orders with shared factors."""
+    lcm = draw(st.sampled_from([120, 168, 180, 210, 240]) | st.integers(2, 240))
+    divisors = [d for d in range(2, 61) if lcm % d == 0] or [1]
+    group = draw(groups(60))
+    orders = [draw(st.sampled_from(divisors)) for _ in group.orders]
+    return make_group(orders, group.exponents)
+
+
+def subsets(group):
+    n = group.dim
+    return [ks for size in (1, 2, 3) for ks in itertools.combinations(range(n), size)]
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(small_lcm_groups())
+def test_table_matches_oracle_on_random_groups(group):
+    table = build_exponent_table(group)
+    found = {(k,): (m,) for k, m in enumerate(table.singles)}
+    found.update(table.pairs)
+    found.update(table.triples)
+    assert found == {ks: oracle_minimal(group, ks) for ks in subsets(group)}
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(groups(10**5))
+def test_large_order_tuples_invariant_and_reduced(group):
+    table = build_exponent_table(group)
+    for ks, exps in table.components():
+        for row, p in zip(group.exponents, group.orders):
+            assert sum(e * row[k] for k, e in zip(ks, exps)) % p == 0
+        assert exps[0] >= 1
+        assert table.singles[ks[0]] % exps[0] == 0
+        for k, e in zip(ks[1:], exps[1:]):
+            assert 0 <= e < table.singles[k]
