@@ -9,6 +9,7 @@ Exit codes: 0 ok, 2 config or input error, 3 dimension or domain error,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -66,6 +67,19 @@ def _parse_shift(text: str):
     return n, m
 
 
+def _at_least(low, convert):
+    """argparse type for a finite number >= low; anything else exits 2."""
+
+    def parse(text):
+        value = convert(text)
+        if not low <= value < math.inf:
+            raise argparse.ArgumentTypeError(f"{text} is not a finite {convert.__name__} >= {low}")
+        return value
+
+    parse.__name__ = convert.__name__  # argparse names the type in its errors
+    return parse
+
+
 def _resolve_group(args):
     """Group from --shift NxM, or --orders plus --matrix.  Returns the group
     and, for the shift shorthand, the image shape."""
@@ -116,9 +130,10 @@ def _envelope(args) -> dict:
 def _transform(name, group, seed, mode):
     """Build the named transform's exponent table or Hermite data once.
 
-    Returns (id, evaluate): evaluate(x) gives the payload fields for one
-    signal, in output order.  The evaluators are looked up by name when
-    called, so wrappers installed on this module's globals see every call.
+    Returns (id, evaluate, bound): evaluate(x) gives one signal's payload
+    fields in output order; bound() gives Phi's certified Lipschitz constant
+    and is None for the other transforms.  Evaluators are looked up by name
+    when called, so wrappers installed on this module's globals see every call.
     """
     if name == "rational":
         data = hermite_multiplier(group)
@@ -129,7 +144,7 @@ def _transform(name, group, seed, mode):
             return {"dim": data.dim, "values": result.values,
                     "domain_ok": result.domain_ok, "hermite": hermite}
 
-        return "rational", evaluate
+        return "rational", evaluate, None
     if name == "g":
         data = hermite_multiplier(group)
 
@@ -137,10 +152,11 @@ def _transform(name, group, seed, mode):
             sign, values = eval_scaled_invariants(data, x)
             return {"dim": len(values), "sign": sign, "values": values}
 
-        return "G", evaluate
+        return "G", evaluate, None
     if name not in TRANSFORMS:
         raise ConfigError(f"unknown transform {name!r}; expected one of {TRANSFORMS}")
     table = build_exponent_table(group)
+    bound = None
     if name == "f":
         tid, vector = "F", lambda x: eval_monomial_map(table, x)
     elif name == "theta":
@@ -151,12 +167,15 @@ def _transform(name, group, seed, mode):
     else:
         ell = default_reduction(table, seed)
         tid, vector = "Phi", lambda x: eval_lowdim(table, ell, x, mode)
+        p = group.orders
+        kind = "generic" if len(p) != 2 else "image" if group.dim == p[0] * p[1] else "two_factor"
+        bound = lambda: lipschitz_bound(table, ell, kind)
 
     def evaluate(x):
         values = vector(x).values
         return {"dim": len(values), "values": values}
 
-    return tid, evaluate
+    return tid, evaluate, bound
 
 
 def cmd_exponents(args) -> dict:
@@ -173,7 +192,7 @@ def cmd_exponents(args) -> dict:
 def cmd_invariants(args) -> dict:
     group, image_shape = _resolve_group(args)
     x = _load_signal(args.input, group, image_shape)
-    tid, evaluate = _transform(args.transform, group, args.seed, args.mode)
+    tid, evaluate, _ = _transform(args.transform, group, args.seed, args.mode)
     return {**_envelope(args), "transform": tid, **evaluate(x)}
 
 
@@ -181,7 +200,7 @@ def cmd_compare(args) -> dict:
     group, image_shape = _resolve_group(args)
     first = _load_signal(args.input_a, group, image_shape)
     second = _load_signal(args.input_b, group, image_shape)
-    tid, evaluate = _transform(args.transform, group, args.seed, args.mode)
+    tid, evaluate, _ = _transform(args.transform, group, args.seed, args.mode)
     values_a = evaluate(first)["values"]
     values_b = evaluate(second)["values"]
     gap = float(np.linalg.norm(values_a - values_b))
@@ -250,33 +269,17 @@ def cmd_counterexample(args) -> dict:
 
 def cmd_bench(args) -> dict:
     group, _ = _resolve_group(args)
-    if args.transform == "phi":
-        table = build_exponent_table(group)
-        ell = default_reduction(table, args.seed)
-        orders = group.orders
-        if len(orders) == 2 and group.dim == orders[0] * orders[1]:
-            kind = "image"
-        elif len(orders) == 2:
-            kind = "two_factor"
-        else:
-            kind = "generic"
-        bound = lipschitz_bound(table, ell, kind)
-        transform = lambda z: eval_lowdim(table, ell, z, args.mode).values
-        tid = "Phi"
-    elif args.transform in BENCH_TRANSFORMS:
-        tid, evaluate = _transform(args.transform, group, args.seed, args.mode)
-        transform = lambda z: evaluate(z)["values"]
-        bound = None
-    else:
-        raise ConfigError(f"bench supports transforms {BENCH_TRANSFORMS}")
-    ratio, _ = lipschitz_ratio_scan(transform, group, "full_support", args.samples, args.seed)
+    tid, evaluate, bound = _transform(args.transform, group, args.seed, args.mode)
+    ratio, _ = lipschitz_ratio_scan(
+        lambda z: evaluate(z)["values"], group, "full_support", args.samples, args.seed
+    )
     return {
         **_envelope(args),
         "transform": tid,
         "kind": "full_support",
         "samples": args.samples,
         "max_ratio": ratio,
-        "bound": bound,
+        "bound": bound and bound(),
     }
 
 
@@ -287,8 +290,8 @@ def _add_group_flags(parser):
 
 
 def _add_run_flags(parser):
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--tol", type=float, default=1e-9)
+    parser.add_argument("--seed", type=_at_least(0, int), default=0)
+    parser.add_argument("--tol", type=_at_least(0, float), default=1e-9)
     parser.add_argument("--mode", choices=("as_written", "repaired"), default="repaired")
     parser.add_argument("--out", help="write JSON here instead of stdout")
 
@@ -331,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_group_flags(p)
     _add_run_flags(p)
     p.add_argument("--transform", choices=BENCH_TRANSFORMS, default="phi")
-    p.add_argument("--samples", type=int, default=200)
+    p.add_argument("--samples", type=_at_least(1, int), default=200)
     p.set_defaults(handler=cmd_bench)
 
     return parser

@@ -271,7 +271,9 @@ def construct_counterexample(data: HermiteData, y) -> CounterexampleResult:
     exps, poly = _scale_collision_poly(data.scaling, weights)
     slope_at_one = float(np.dot(weights, exps))  # poly'(1)
     grid = np.logspace(-9.0, 9.0, 3601)
-    values = np.power(grid[:, None], exps[None, :]) @ weights - 1.0
+    # Far grid ends overflow to inf, which still compares as positive.
+    with np.errstate(over="ignore"):
+        values = np.power(grid[:, None], exps[None, :]) @ weights - 1.0
 
     bracket = None
     if slope_at_one > 0:

@@ -12,6 +12,7 @@ All four are exactly invariant under the group action by construction:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -34,32 +35,22 @@ class InvariantVector:
 
 @dataclass(frozen=True, eq=False)
 class BetaWeights:
-    """Moduli exponents for the phase map: >= 1 on singles, >= 0 elsewhere."""
+    """Moduli exponents for the phase map: one float array per table block,
+    shaped (N, 1), (P, 2) and (T, 3); >= 1 on singles, >= 0 elsewhere."""
 
-    singles: tuple
-    pairs: dict
-    triples: dict
+    blocks: tuple
 
     def __post_init__(self):
-        if any(b < 1 for b in self.singles):
+        singles, *rest = self.blocks
+        if (singles < 1).any():
             raise ConfigError("single-coordinate beta weights must be >= 1")
-        for weights in (*self.pairs.values(), *self.triples.values()):
-            if any(b < 0 for b in weights):
-                raise ConfigError("beta weights must be nonnegative")
-
-    def for_subset(self, indices):
-        if len(indices) == 2:
-            return self.pairs[indices]
-        return self.triples[indices]
+        if any((weights < 0).any() for weights in rest):
+            raise ConfigError("beta weights must be nonnegative")
 
 
 def default_beta(table: ExponentTable) -> BetaWeights:
-    """All weights 1, matching the table's subsets."""
-    return BetaWeights(
-        singles=tuple(1.0 for _ in table.singles),
-        pairs={idx: (1.0, 1.0) for idx in table.pairs},
-        triples={idx: (1.0, 1.0, 1.0) for idx in table.triples},
-    )
+    """All weights 1, in the table's block layout."""
+    return BetaWeights(tuple(np.ones_like(exps) for _, exps in table.blocks))
 
 
 def monomials(z, indices, exponents) -> np.ndarray:
@@ -83,15 +74,16 @@ def eval_monomial_map(table: ExponentTable, x) -> InvariantVector:
 def eval_phase_map(table: ExponentTable, beta: BetaWeights, x) -> InvariantVector:
     """Phase-only map: singles are pure moduli |x_k|^beta; larger subsets are
     moduli-weighted unit-phase monomials; any subset touching a zero entry is
-    exactly zero."""
+    exactly zero.  beta must be laid out in this table's blocks."""
     x = _check_signal(table.group, x)
+    if [w.shape for w in beta.blocks] != [exps.shape for _, exps in table.blocks]:
+        raise DimensionError("beta weights are not laid out in this table's blocks")
     moduli = np.abs(x)
     phases = _unit_phases(x, moduli)
     with np.errstate(all="ignore"):
-        values = [(moduli ** np.array(beta.singles)).astype(complex)]
-        for (idx, exps), subsets in zip(table.blocks[1:], (table.pairs, table.triples)):
-            weights = np.array([beta.for_subset(s) for s in subsets]).reshape(idx.shape)
-            value = np.prod(moduli[idx] ** weights * phases[idx] ** exps, axis=-1)
+        values = [(moduli ** beta.blocks[0][:, 0]).astype(complex)]
+        for (idx, exps), w in zip(table.blocks[1:], beta.blocks[1:]):
+            value = np.prod(moduli[idx] ** w * phases[idx] ** exps, axis=-1)
             values.append(np.where((moduli[idx] == 0).any(axis=-1), 0j, value))
     return InvariantVector(transform_id="Theta", values=np.concatenate(values))
 
@@ -112,11 +104,14 @@ def eval_norm_scaled(table: ExponentTable, x) -> InvariantVector:
 
 @dataclass(frozen=True, eq=False)
 class LinearReduction:
-    """Seeded complex Gaussian matrix with its cached operator norm."""
+    """Seeded complex Gaussian matrix; its operator norm is computed on first use."""
 
     matrix: np.ndarray
     seed: int
-    operator_norm: float
+
+    @functools.cached_property
+    def operator_norm(self) -> float:
+        return float(np.linalg.svd(self.matrix, compute_uv=False)[0])
 
     @property
     def out_dim(self) -> int:
@@ -140,8 +135,7 @@ def make_reduction(seed: int, in_dim: int, out_dim: int) -> LinearReduction:
         rng.standard_normal((out_dim, in_dim))
         + 1j * rng.standard_normal((out_dim, in_dim))
     ) / math.sqrt(2.0)
-    operator_norm = float(np.linalg.svd(matrix, compute_uv=False)[0])
-    return LinearReduction(matrix=matrix, seed=int(seed), operator_norm=operator_norm)
+    return LinearReduction(matrix=matrix, seed=int(seed))
 
 
 def default_reduction(table: ExponentTable, seed: int) -> LinearReduction:
@@ -216,9 +210,7 @@ def lipschitz_bound(
     if group_kind == "trivial":
         return 3.0 * norm + 1.0
     if group_kind == "generic":
-        gradient_sq = 0
-        for _, exps in table.components():
-            gradient_sq += sum(int(e) ** 2 for e in exps)
+        gradient_sq = sum(int(e) ** 2 for _, exps in table.components() for e in exps)
         c = max(math.sqrt(gradient_sq), math.sqrt(table.total_dim))
         return 3.0 * norm * c + 1.0
     orders = table.group.orders

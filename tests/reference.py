@@ -52,15 +52,16 @@ def norm_scaled(table, x) -> np.ndarray:
 
 def phase_map(table, beta, x) -> np.ndarray:
     moduli = np.abs(x)
+    weights = [tuple(row) for block in beta.blocks for row in block]
     values = []
-    for idx, exps in table.components():
+    for (idx, exps), ws in zip(table.components(), weights, strict=True):
         if len(idx) == 1:
-            values.append(complex(moduli[idx[0]] ** beta.singles[idx[0]]))
+            values.append(complex(moduli[idx[0]] ** ws[0]))
         elif any(moduli[k] == 0 for k in idx):
             values.append(0j)
         else:
             value = complex(1.0)
-            for k, e, b in zip(idx, exps, beta.for_subset(idx)):
+            for k, e, b in zip(idx, exps, ws, strict=True):
                 value *= moduli[k] ** b * (x[k] / moduli[k]) ** int(e)
             values.append(value)
     return np.array(values)

@@ -207,9 +207,10 @@ def count_calls(monkeypatch, name):
     [
         (["compare"], "build_exponent_table"),
         (["bench", "--transform", "f", "--samples", "5"], "build_exponent_table"),
+        (["bench", "--transform", "phi", "--samples", "5"], "build_exponent_table"),
         (["compare", "--transform", "rational"], "hermite_multiplier"),
     ],
-    ids=["compare", "bench-f", "compare-rational"],
+    ids=["compare", "bench-f", "bench-phi", "compare-rational"],
 )
 def test_each_command_builds_its_data_once(capsys, monkeypatch, tmp_path, argv, builder):
     calls = count_calls(monkeypatch, builder)
@@ -222,6 +223,17 @@ def test_each_command_builds_its_data_once(capsys, monkeypatch, tmp_path, argv, 
         ]
     run_json(capsys, *argv, "--shift", "2x3", *inputs)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("command,svds", [("invariants", 0), ("bench", 1)])
+def test_operator_norm_only_when_the_bound_is_read(capsys, monkeypatch, tmp_path, command, svds):
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(a) or svd(*a, **k))
+    sig = write_signal(tmp_path, "x.json", np.arange(1, 7))
+    inputs = [str(sig)] if command == "invariants" else ["--samples", "5"]
+    run_json(capsys, command, "--shift", "2x3", "--transform", "phi", *inputs)
+    assert len(calls) == svds
 
 
 def test_invariants_dimension_mismatch(capsys, tmp_path):
@@ -282,6 +294,13 @@ def test_counterexample_payload(capsys):
     assert abs(np.linalg.norm(twisted) - 1.0) < 1e-9
 
 
+def test_counterexample_large_n_grid_overflow_is_silent(capsys):
+    # The root bracket grid overflows to inf at its far ends from n = 50 on.
+    payload = run_json(capsys, "counterexample", "--n", "50", "--seed", "3")
+    assert payload["g_gap"] <= 1e-8
+    assert payload["orbit_distance"] > 1e-3
+
+
 def test_counterexample_small_n_rejected(capsys):
     code, _, err = run(capsys, "counterexample", "--n", "3")
     assert code == 2
@@ -322,6 +341,33 @@ def test_out_flag_writes_file(capsys, tmp_path):
     assert code == 0
     assert out == ""
     assert json.loads(target.read_text())["table"]["total_dim"] >= 4
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["invariants", "--shift", "2x3", "--transform", "phi", "--seed", "-1"],
+        ["bench", "--shift", "2x3", "--seed", "-1"],
+        ["counterexample", "--seed", "-1"],
+    ],
+    ids=["invariants-phi", "bench", "counterexample"],
+)
+def test_negative_seed_exits_two(capsys, tmp_path, argv):
+    sig = write_signal(tmp_path, "x.json", np.ones(6))
+    inputs = [str(sig)] if argv[0] == "invariants" else []
+    code, _, err = run(capsys, *argv, *inputs)
+    assert code == 2
+    assert "--seed" in err
+
+
+@pytest.mark.parametrize(
+    "flag,value",
+    [("--samples", "0"), ("--samples", "-3"), ("--tol", "nan"), ("--tol", "-1")],
+)
+def test_bench_out_of_range_flag_exits_two(capsys, flag, value):
+    code, _, err = run(capsys, "bench", "--shift", "2x3", "--samples", "5", flag, value)
+    assert code == 2
+    assert flag in err
 
 
 def test_unknown_flag_exits_two(capsys):

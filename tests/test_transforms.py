@@ -75,10 +75,9 @@ def test_transforms_match_scalar_reference(group):
     rng = np.random.default_rng(17)
     table = build_exponent_table(group)
     # Weights of 0 make the zero rule visible: 0 ** 0 is 1, not 0.
+    singles, *rest = (exps.shape for _, exps in table.blocks)
     beta = BetaWeights(
-        singles=tuple(1.0 + rng.integers(0, 2, len(table.singles))),
-        pairs={idx: tuple(rng.integers(0, 3, 2) * 1.0) for idx in table.pairs},
-        triples={idx: tuple(rng.integers(0, 3, 3) * 1.0) for idx in table.triples},
+        (1.0 + rng.integers(0, 2, singles), *(rng.integers(0, 3, shape) * 1.0 for shape in rest))
     )
     ell = default_reduction(table, 5)
     for x in oracle_signals(rng, group.dim):
@@ -146,13 +145,21 @@ def test_phase_map_singles_never_power_the_phase():
 
 def test_beta_weight_validation():
     table = build_exponent_table(DIAG)
+    pair = np.zeros((1, 2))
     with pytest.raises(ConfigError):
-        BetaWeights(singles=(0.5, 1.0), pairs={}, triples={})
+        BetaWeights((np.array([[0.5], [1.0]]), pair, np.zeros((0, 3))))
     with pytest.raises(ConfigError):
-        BetaWeights(singles=(1.0, 1.0), pairs={(0, 1): (-1.0, 0.0)}, triples={})
+        BetaWeights((np.ones((2, 1)), np.array([[-1.0, 0.0]]), np.zeros((0, 3))))
     beta = default_beta(table)
-    assert beta.singles == (1.0, 1.0)
-    assert beta.pairs[(0, 1)] == (1.0, 1.0)
+    assert [w.shape for w in beta.blocks] == [(2, 1), (1, 2), (0, 3)]
+    assert all((w == 1.0).all() and w.dtype == float for w in beta.blocks)
+
+
+def test_phase_map_rejects_weights_of_another_table():
+    table = build_exponent_table(SHIFT)
+    other = default_beta(build_exponent_table(DIAG))
+    with pytest.raises(DimensionError):
+        eval_phase_map(table, other, np.ones(6, complex))
 
 
 def test_norm_scaled_positive_homogeneity():
@@ -167,13 +174,19 @@ def test_norm_scaled_positive_homogeneity():
     assert not eval_norm_scaled(table, np.zeros(6, complex)).values.any()
 
 
-def test_make_reduction_deterministic_with_cached_norm():
+def test_make_reduction_deterministic_with_cached_norm(monkeypatch):
+    svd_calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: svd_calls.append(a) or svd(*a, **k))
     r1 = make_reduction(42, 7, 3)
     r2 = make_reduction(42, 7, 3)
     np.testing.assert_array_equal(r1.matrix, r2.matrix)
     assert r1.matrix.shape == (3, 7)
     assert r1.in_dim == 7 and r1.out_dim == 3
-    assert abs(r1.operator_norm - np.linalg.norm(r1.matrix, 2)) < 1e-12
+    assert not svd_calls  # drawing the matrix needs no SVD
+    norm = r1.operator_norm
+    assert r1.operator_norm is norm and len(svd_calls) == 1
+    assert abs(norm - np.linalg.norm(r1.matrix, 2)) < 1e-12
     with pytest.raises(ConfigError):
         make_reduction(0, 0, 3)
 
