@@ -9,6 +9,7 @@ Exit codes: 0 ok, 2 config or input error, 3 dimension or domain error,
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from pathlib import Path
@@ -127,8 +128,17 @@ def _envelope(args) -> dict:
     }
 
 
+@functools.lru_cache(maxsize=8)
+def _table(group, max_tuple_size):
+    """The group's exponent table, built once per process while it stays
+    among the 8 most recently used.  build_exponent_table is looked up when
+    called, so wrappers on this module's globals see every real build."""
+    return build_exponent_table(group, max_tuple_size)
+
+
 def _transform(name, group, seed, mode):
-    """Build the named transform's exponent table or Hermite data once.
+    """Build the named transform's Hermite data once, or read its exponent
+    table from the process-wide cache.
 
     Returns (id, evaluate, bound): evaluate(x) gives one signal's payload
     fields in output order; bound() gives Phi's certified Lipschitz constant
@@ -155,7 +165,7 @@ def _transform(name, group, seed, mode):
         return "G", evaluate, None
     if name not in TRANSFORMS:
         raise ConfigError(f"unknown transform {name!r}; expected one of {TRANSFORMS}")
-    table = build_exponent_table(group)
+    table = _table(group, 3)
     bound = None
     if name == "f":
         tid, vector = "F", lambda x: eval_monomial_map(table, x)
@@ -180,7 +190,7 @@ def _transform(name, group, seed, mode):
 
 def cmd_exponents(args) -> dict:
     group, _ = _resolve_group(args)
-    table = build_exponent_table(group, args.max_tuple_size)
+    table = _table(group, args.max_tuple_size)
     return {
         **_envelope(args),
         "orders": list(group.orders),
@@ -296,7 +306,9 @@ def _add_run_flags(parser):
     parser.add_argument("--out", help="write JSON here instead of stdout")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and reused by every main()."""
     parser = argparse.ArgumentParser(
         prog="orbitsep",
         description="Orbit-separating invariant transforms for finite Abelian "

@@ -17,7 +17,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -196,42 +196,50 @@ def minimal_triple(group: GroupSpec, k1: int, k2: int, k3: int):
     return _minimal_of(group, (k1, k2, k3))
 
 
-@dataclass(frozen=True)
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False  # cached tables share their arrays
+    return array
+
+
+def _frozen(rows, size: int, dtype) -> np.ndarray:
+    """rows as a read-only (count, size) array; exponents that do not fit
+    int64 are kept as Python ints in an object array, never rounded."""
+    try:
+        array = np.array(rows, dtype=dtype)
+    except OverflowError:
+        array = np.array(rows, dtype=object)
+    return _read_only(array.reshape(-1, size))
+
+
+@dataclass(frozen=True, eq=False)
 class ExponentTable:
     """Minimal invariant exponents for every coordinate subset up to size 3.
 
-    Component order is fixed: singles by ascending coordinate, then pairs in
+    arrays holds one read-only (indices, exponents) pair per subset size 1,
+    2 and 3, each of shape (count, size): intp indices and exact integer
+    exponents (int64, or Python ints where int64 would overflow).  Component
+    order is fixed: singles by ascending coordinate, then pairs in
     lexicographic index order, then triples likewise.  All indices 0-based.
     """
 
     group: GroupSpec
-    singles: tuple
-    pairs: dict = field(default_factory=dict)
-    triples: dict = field(default_factory=dict)
+    arrays: tuple
 
     @property
     def total_dim(self) -> int:
-        return len(self.singles) + len(self.pairs) + len(self.triples)
+        return sum(len(indices) for indices, _ in self.arrays)
 
     def components(self):
-        """Yield (indices, exponents) per component, in the fixed output order."""
-        for k, m in enumerate(self.singles):
-            yield (k,), (m,)
-        for idx, exps in self.pairs.items():
-            yield idx, exps
-        for idx, exps in self.triples.items():
-            yield idx, exps
+        """Yield (indices, exponents) per component as tuples of Python ints,
+        in the fixed output order."""
+        for indices, exponents in self.arrays:
+            yield from zip(map(tuple, indices.tolist()), map(tuple, exponents.tolist()))
 
     @functools.cached_property
     def blocks(self) -> tuple:
-        """Singles, pairs and triples as (indices, exponents) array pairs of
-        shape (count, size), in component order; exponents are float64."""
-        singles = {(k,): (m,) for k, m in enumerate(self.singles)}
-        parts = (singles, self.pairs, self.triples)
+        """arrays with float64 exponents, the form the transform kernel takes."""
         return tuple(
-            (np.array(list(part), dtype=np.intp).reshape(-1, size),
-             np.array(list(part.values()), dtype=float).reshape(-1, size))
-            for size, part in enumerate(parts, start=1)
+            (indices, _read_only(exponents.astype(float))) for indices, exponents in self.arrays
         )
 
 
@@ -245,28 +253,29 @@ def build_exponent_table(group: GroupSpec, max_tuple_size: int = 3) -> ExponentT
     # Lambda of each suffix subset, computed once per table.
     basis = functools.cache(functools.partial(_basis, group))
     columns = tuple(zip(*group.exponents))
-    singles = tuple(minimal_single(group, k) for k in range(group.dim))
-    found = {
-        size: {
-            ks: _minimal(columns, ks, basis)
-            for ks in itertools.combinations(range(group.dim), size)
-        }
-        for size in range(2, max_tuple_size + 1)
-    }
-    return ExponentTable(
-        group=group, singles=singles, pairs=found.get(2, {}), triples=found.get(3, {})
-    )
+    arrays = []
+    for size in (1, 2, 3):
+        subsets = []
+        if size <= max_tuple_size:
+            subsets = list(itertools.combinations(range(group.dim), size))
+        if size == 1:
+            exponents = [(minimal_single(group, k),) for (k,) in subsets]
+        else:
+            exponents = [_minimal(columns, ks, basis) for ks in subsets]
+        arrays.append((_frozen(subsets, size, np.intp), _frozen(exponents, size, np.int64)))
+    return ExponentTable(group=group, arrays=tuple(arrays))
 
 
 def table_as_dict(table: ExponentTable) -> dict:
     """JSON-ready view: {"singles": [...], "pairs": {"k1,k2": [a, b]}, ...}."""
+    (_, singles), *tuples = table.arrays
+    pairs, triples = (
+        {",".join(map(str, ks)): exps for ks, exps in zip(indices.tolist(), exponents.tolist())}
+        for indices, exponents in tuples
+    )
     return {
-        "singles": list(table.singles),
-        "pairs": {
-            ",".join(map(str, idx)): list(exps) for idx, exps in table.pairs.items()
-        },
-        "triples": {
-            ",".join(map(str, idx)): list(exps) for idx, exps in table.triples.items()
-        },
+        "singles": singles[:, 0].tolist(),
+        "pairs": pairs,
+        "triples": triples,
         "total_dim": table.total_dim,
     }

@@ -24,8 +24,9 @@ def read_signal_json(path) -> np.ndarray:
     """Complex signal from a JSON array whose entries are finite numbers or
     [re, im] pairs of them."""
     try:
-        raw = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    # ValueError: invalid JSON or UTF-8; RecursionError: arrays nested too deep.
+    except (OSError, ValueError, RecursionError) as exc:
         raise ConfigError(f"cannot read signal {path}: {exc}") from exc
     if not isinstance(raw, list) or not raw:
         raise ConfigError(f"signal {path} must be a nonempty JSON array")
@@ -54,8 +55,8 @@ def read_signal_json(path) -> np.ndarray:
 def read_image_csv(path) -> np.ndarray:
     """Real image from comma-separated rows."""
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read image {path}: {exc}") from exc
     rows = []
     for line_no, line in enumerate(text.splitlines(), start=1):

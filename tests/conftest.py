@@ -1,6 +1,17 @@
 import pytest
 
+import orbitsep.cli
+
 ACCEPTANCE_LINES = []
+
+
+@pytest.fixture(autouse=True)
+def cold_caches():
+    """Start every test with no cached exponent table and no cached parser,
+    so build counts and patched command handlers do not depend on which
+    tests ran before."""
+    orbitsep.cli._table.cache_clear()
+    orbitsep.cli.build_parser.cache_clear()
 
 
 @pytest.fixture

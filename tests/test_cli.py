@@ -225,6 +225,84 @@ def test_each_command_builds_its_data_once(capsys, monkeypatch, tmp_path, argv, 
     assert len(calls) == 1
 
 
+def test_second_command_on_a_group_builds_nothing(capsys, monkeypatch, tmp_path):
+    calls = count_calls(monkeypatch, "build_exponent_table")
+    sig = str(write_signal(tmp_path, "x.json", np.arange(1, 7)))
+    run_json(capsys, "invariants", "--shift", "2x3", sig)
+    run_json(capsys, "invariants", "--shift", "2x3", "--transform", "theta", sig)
+    run_json(capsys, "bench", "--shift", "2x3", "--transform", "phif", "--samples", "2")
+    assert len(calls) == 1
+    run_json(capsys, "exponents", "--shift", "2x3", "--max-tuple-size", "2")
+    assert len(calls) == 2  # another tuple size is another table
+
+
+def test_table_cache_evicts_the_least_recently_used(capsys, monkeypatch):
+    calls = count_calls(monkeypatch, "build_exponent_table")
+    size = orbitsep.cli._table.cache_info().maxsize
+    orders = [str(p) for p in range(2, size + 3)]
+    for p in orders:
+        run_json(capsys, "exponents", "--orders", p, "--matrix", "1,1")
+    assert len(calls) == size + 1
+    run_json(capsys, "exponents", "--orders", orders[-1], "--matrix", "1,1")
+    assert len(calls) == size + 1
+    run_json(capsys, "exponents", "--orders", orders[0], "--matrix", "1,1")
+    assert len(calls) == size + 2
+
+
+def test_parser_built_once(capsys):
+    codes = [
+        run(capsys, *argv)[0]
+        for argv in (["exponents", "--shift", "2x2"], ["counterexample"], ["exponents", "--bad"])
+    ]
+    assert codes == [0, 0, 2]
+    assert orbitsep.cli.build_parser.cache_info().misses == 1
+    assert orbitsep.cli.build_parser() is orbitsep.cli.build_parser()
+
+
+def test_cached_table_arrays_are_read_only():
+    table = orbitsep.cli._table(orbitsep.shift_action_spec(2, 3), 3)
+    arrays = [a for pair in (*table.arrays, *table.blocks) for a in pair]
+    assert len(arrays) == 12
+    for array in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] = 0
+
+
+@pytest.mark.parametrize(
+    "group,signal",
+    [
+        (["--shift", "2x3"], [1 + 2j, -0.5, 3j, 0.25 - 1j, 2, 1e-3]),
+        (["--orders", "4,6", "--matrix", "1,2,3;5,0,1"], [0.5 - 1j, 2 + 0.5j, -1.5]),
+    ],
+    ids=["shift", "declared"],
+)
+def test_cold_and_warm_outputs_identical(capsys, tmp_path, group, signal):
+    sig = str(write_signal(tmp_path, "x.json", signal))
+    commands = [["exponents", *group]] + [
+        ["invariants", *group, "--transform", name, sig] for name in ("f", "theta", "phif", "phi")
+    ]
+    cold = []
+    for argv in commands:
+        orbitsep.cli._table.cache_clear()
+        cold.append(run(capsys, *argv))
+    warm = [run(capsys, *argv) for argv in commands]
+    assert orbitsep.cli._table.cache_info().hits == len(commands)
+    assert all(code == 0 for code, _, _ in cold)
+    assert warm == cold
+
+
+def test_exponents_beyond_float_precision_stay_exact(capsys):
+    # 2**53 + 1 has no float64; the table must keep it as an exact integer.
+    payload = run_json(
+        capsys, "exponents", "--orders", "18014398509481987", "--matrix", "1,2",
+        "--max-tuple-size", "2",
+    )
+    assert payload["table"]["pairs"] == {"0,1": [1, 2**53 + 1]}
+    table = orbitsep.build_exponent_table(orbitsep.make_group([2**70 + 25], [[1, 2]]), 2)
+    assert list(table.components()) == [((0,), (2**70 + 25,)), ((1,), (2**70 + 25,)),
+                                        ((0, 1), (1, 2**69 + 12))]
+
+
 @pytest.mark.parametrize("command,svds", [("invariants", 0), ("bench", 1)])
 def test_operator_norm_only_when_the_bound_is_read(capsys, monkeypatch, tmp_path, command, svds):
     calls = []
@@ -234,6 +312,23 @@ def test_operator_norm_only_when_the_bound_is_read(capsys, monkeypatch, tmp_path
     inputs = [str(sig)] if command == "invariants" else ["--samples", "5"]
     run_json(capsys, command, "--shift", "2x3", "--transform", "phi", *inputs)
     assert len(calls) == svds
+
+
+@pytest.mark.parametrize(
+    "name,blob",
+    [
+        ("deep.json", b"[" * 100000 + b"]" * 100000),
+        ("not-utf8.json", b"\xff\xfe[1,2,3]"),
+        ("not-utf8.csv", b"1,2,3\n\xff,4,5\n"),
+    ],
+    ids=["deeply-nested-json", "non-utf8-json", "non-utf8-csv"],
+)
+def test_undecodable_input_exits_2(capsys, tmp_path, name, blob):
+    path = tmp_path / name
+    path.write_bytes(blob)
+    code, _, err = run(capsys, "invariants", "--shift", "2x3", str(path))
+    assert code == 2, err
+    assert err.startswith("error: ")
 
 
 def test_invariants_dimension_mismatch(capsys, tmp_path):

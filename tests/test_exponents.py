@@ -222,21 +222,21 @@ def subsets(group):
 @settings(derandomize=True, max_examples=150, deadline=None)
 @given(small_lcm_groups())
 def test_table_matches_oracle_on_random_groups(group):
-    table = build_exponent_table(group)
-    found = {(k,): (m,) for k, m in enumerate(table.singles)}
-    found.update(table.pairs)
-    found.update(table.triples)
+    found = dict(build_exponent_table(group).components())
     assert found == {ks: oracle_minimal(group, ks) for ks in subsets(group)}
+    # exact Python ints, as the oracle gives, not numpy scalars or floats
+    assert all(type(e) is int for exps in found.values() for e in exps)
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(groups(10**5))
 def test_large_order_tuples_invariant_and_reduced(group):
     table = build_exponent_table(group)
+    singles = table.arrays[0][1][:, 0].tolist()
     for ks, exps in table.components():
         for row, p in zip(group.exponents, group.orders):
             assert sum(e * row[k] for k, e in zip(ks, exps)) % p == 0
         assert exps[0] >= 1
-        assert table.singles[ks[0]] % exps[0] == 0
+        assert singles[ks[0]] % exps[0] == 0
         for k, e in zip(ks[1:], exps[1:]):
-            assert 0 <= e < table.singles[k]
+            assert 0 <= e < singles[k]

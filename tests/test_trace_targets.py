@@ -1,7 +1,8 @@
 """The benchmark tracer wraps orbitsep functions by module and name; a
 refactor that renames or moves one would turn its per-layer metrics absent
-without failing anything else.  perfbench/tracing.py is loaded by path and
-only read."""
+without failing anything else, and a changed return type would break the
+counts it takes after each op.  perfbench/tracing.py is loaded by path and
+not modified."""
 
 import importlib
 import importlib.util
@@ -9,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import orbitsep.cli
 import orbitsep.exponents
 import orbitsep.hermite
 
@@ -34,3 +36,39 @@ def test_every_span_target_resolves(tracing):
 
 def test_one_hermite_normal_form_for_both_layers():
     assert orbitsep.hermite.hermite_normal_form is orbitsep.exponents.hermite_normal_form
+
+
+def test_traced_ops_of_every_command(tracing, tmp_path, monkeypatch):
+    # The benchmark takes each op's counts after the op, outside its error
+    # handling, so a counter that cannot read a changed return type would end
+    # the whole traced run.  One op per subcommand runs under the tracer here.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "a.json").write_text("[1, [0.5, -2], 0.25, 3, [-1, 1], 2]")
+    (tmp_path / "b.json").write_text("[2, 1, [0, 1], -0.5, 1.5, [1, -1]]")
+    group = ["--shift", "2x3"]
+    ops = [
+        ["exponents", "--orders", "4,6", "--matrix", "1,2,3;5,0,1"],
+        ["invariants", *group, "a.json"],
+        ["invariants", *group, "--transform", "theta", "b.json"],
+        ["invariants", "--orders", "6", "--matrix", "1,2,3,4,5,0", "--transform", "g", "a.json"],
+        ["compare", *group, "a.json", "b.json"],
+        ["compare", *group, "--transform", "rational", "a.json", "b.json"],
+        ["counterexample"],
+        ["bench", *group, "--samples", "3"],
+    ]
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        for op_id, argv in enumerate(ops):
+            tracer.begin_op(op_id)
+            assert orbitsep.cli.main([*argv, "--out", "out.json"]) == 0, argv
+            tracer.end_op()
+    finally:
+        tracer.uninstall()
+    metrics, absent = tracing.layer_metrics(tracer, [], len(ops))
+    assert tracer.missing == []
+    assert absent == []
+    builds = [span[tracing.OP] for span in tracer.spans if span[tracing.NAME] == "exponents.table"]
+    assert builds == [0, 1]  # ops 2, 4 and 7 reuse op 1's table
+    assert metrics["exponents.table.calls"] == 2
+    assert metrics["exponents.table.repeat_share"] == 0

@@ -106,7 +106,7 @@ def test_monomial_map_values_and_dim():
     assert out.transform_id == "F"
     assert out.dim == table.total_dim == 3
     m0, m1 = minimal_single(DIAG, 0), minimal_single(DIAG, 1)
-    a, b = table.pairs[(0, 1)]
+    a, b = dict(table.components())[(0, 1)]
     np.testing.assert_allclose(
         out.values, [x[0] ** m0, x[1] ** m1, x[0] ** a * x[1] ** b], atol=1e-12
     )
@@ -274,14 +274,15 @@ def test_root_scaled_signal_satisfies_single_identities():
     rng = np.random.default_rng(16)
     y = random_signal(rng, 6)
     lam = 1.7
-    roots = np.array([lam ** (1.0 / table.singles[k]) for k in range(6)])
+    singles = table.arrays[0][1][:, 0].tolist()
+    roots = np.array([lam ** (1.0 / singles[k]) for k in range(6)])
     fy = eval_monomial_map(table, y).values
     fscaled = eval_monomial_map(table, roots * y).values
     for pos, (idx, exps) in enumerate(table.components()):
         if len(idx) == 1:
             np.testing.assert_allclose(fscaled[pos], lam * fy[pos], rtol=1e-9)
         else:
-            power = sum(e / table.singles[k] for k, e in zip(idx, exps))
+            power = sum(e / singles[k] for k, e in zip(idx, exps))
             np.testing.assert_allclose(
                 fscaled[pos], lam**power * fy[pos], rtol=1e-9
             )
