@@ -1,5 +1,5 @@
 """Command-line surface: declare a group, evaluate invariants of signals or
-images, compare pairs against the brute-force orbit metric, run the scale
+images, compare pairs against the exact orbit metric, run the scale
 collision demo and the Lipschitz ratio benchmark.  JSON in, JSON out.
 
 Exit codes: 0 ok, 2 config or input error, 3 dimension or domain error,

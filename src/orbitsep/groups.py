@@ -12,7 +12,6 @@ diagonal action exactly.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -20,7 +19,8 @@ import numpy as np
 
 from .errors import ConfigError, DimensionError, DomainError
 
-# Brute-force enumeration guard; orbit_distance walks the full group.
+# Largest group enumerate_group lists.  orbit_distance holds the element rows
+# and an FFT grid of the group's order, so this also bounds its memory.
 ENUMERATION_CAP = 10**6
 
 
@@ -125,13 +125,16 @@ def act(group: GroupSpec, element, x) -> np.ndarray:
     return np.exp((2j * np.pi / L) * turns) * x
 
 
-def enumerate_group(group: GroupSpec, cap: int = ENUMERATION_CAP) -> list:
-    """All group elements as tuples, in lexicographic order."""
+def enumerate_group(group: GroupSpec, cap: int = ENUMERATION_CAP) -> np.ndarray:
+    """All group elements, one read-only int64 row each, in lexicographic order."""
     if group.group_order > cap:
         raise DomainError(
             f"group order {group.group_order} exceeds enumeration cap {cap}"
         )
-    return list(itertools.product(*(range(p) for p in group.orders)))
+    rows = np.indices(group.orders, dtype=np.int64)
+    rows = rows.reshape(group.num_generators, -1).T
+    rows.flags.writeable = False
+    return rows
 
 
 def shift_action_spec(n: int, m: int) -> GroupSpec:

@@ -1,9 +1,12 @@
-"""Brute-force orbit metric d(x, y) = min over g of ||x - g.y||, plus pair samplers.
+"""Orbit metric d(x, y) = min over g of ||x - g.y||, plus pair samplers.
 
-The metric walks the full group enumeration, so it is the ground truth every
-invariant transform is judged against.  Phase accumulation is integer-exact
-per element; distances for a chunk of elements are reduced with one matrix
-product, and the winning element's distance is recomputed directly so the
+The metric is the ground truth every invariant transform is judged against.
+For a diagonal action the overlap g -> <x, g.y> is the Fourier transform on
+G of x * conj(y) binned by character, so one FFT over an array of shape
+`orders` scores every element at once.  The elements whose FFT score lies
+within the FFT's error bound of the best are scored again with integer-exact
+phases, the witness is the lexicographically first element reaching the
+smallest exact score, and its distance is recomputed directly so the
 reported value matches ||x - act(witness, y)|| to machine precision.
 """
 
@@ -41,22 +44,34 @@ def orbit_distance(
     x = _check_signal(group, x)
     y = _check_signal(group, y)
     elements = enumerate_group(group, cap)
-    L = group.phase_lcm
-    steps = phase_steps(group)
-    # ||x - phi.y||^2 = ||x||^2 + ||y||^2 - 2 Re(conj(phi) . (x * conj(y)))
+    # ||x - g.y||^2 = ||x||^2 + ||y||^2 - 2 Re(conj(phi_g) . (x * conj(y)))
     cross = x * np.conj(y)
     const = float(np.vdot(x, x).real + np.vdot(y, y).real)
+    grid = np.zeros(group.orders, dtype=complex)
+    np.add.at(grid, tuple(np.array(group.exponents)), cross)
+    # In place: at |G| = 10^6 a fresh output per axis doubles the time.
+    overlap = np.fft.fftn(grid, out=grid).real
+    # Each entry of an FFT of size n errs by about eps * log2(n) * sqrt(n)
+    # * ||grid||_2 <= eps * log2(n) * sqrt(n) * const / 2, near 1e-12 * const
+    # at n = ENUMERATION_CAP, so the exact best element lies within twice
+    # that of the FFT's best, far inside the slack.  The floor keeps the
+    # slack above subnormal rounding; a non-finite overlap makes every
+    # element a candidate.
+    slack = 1e-9 * max(const, 1e-290)
+    candidates = np.flatnonzero(~(overlap < overlap.max() - slack))
+    L = group.phase_lcm
+    steps = phase_steps(group)
     best_val = np.inf
-    best_idx = 0
-    for start in range(0, len(elements), _CHUNK):
-        block = np.array(elements[start : start + _CHUNK], dtype=np.int64)
-        turns = block @ steps % L
-        overlap = np.exp((-2j * np.pi / L) * turns) @ cross
-        vals = const - 2.0 * overlap.real
+    best_idx = candidates[0]
+    # Two or more candidates never give a one-row block, whose product would
+    # round differently from the multi-row blocks it is compared with.
+    for block in np.array_split(candidates, -(-len(candidates) // _CHUNK)):
+        turns = elements[block] @ steps % L
+        vals = const - 2.0 * (np.exp((-2j * np.pi / L) * turns) @ cross).real
         i = int(np.argmin(vals))
         if vals[i] < best_val:
             best_val = float(vals[i])
-            best_idx = start + i
+            best_idx = block[i]
     witness = tuple(int(v) for v in elements[best_idx])
     distance = float(np.linalg.norm(x - act(group, witness, y)))
     return OrbitDistanceResult(distance=distance, witness=witness)

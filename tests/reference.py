@@ -1,9 +1,10 @@
 """Test-only references: scalar products for the vectorised transforms (one
 complex ** int product per component, multiplied left to right starting
-from 1), the exhaustive minimal-exponent oracle, and the empirical
-separation and proportionality checks."""
+from 1), the exhaustive minimal-exponent oracle, the chunked brute-force
+orbit metric, and the empirical separation and proportionality checks."""
 
 import cmath
+import itertools
 import math
 
 import numpy as np
@@ -20,6 +21,8 @@ from orbitsep import (
     sample_pair,
     shift_action_spec,
 )
+from orbitsep.groups import _check_signal, act, phase_steps
+from orbitsep.metric import OrbitDistanceResult
 
 EQUALITY_TOL = 1e-9
 
@@ -174,6 +177,33 @@ def oracle_minimal(group, subset):
     c, d = divmod(int(flat[0]), L)
     e = int(np.nonzero(need_keys == have_keys[c, d])[0][0])
     return (c, d, e)
+
+
+def brute_orbit_distance(group, x, y, chunk: int = 4096) -> OrbitDistanceResult:
+    """Orbit distance by scoring every element, in lexicographic order and in
+    blocks of `chunk` elements, with integer-exact phases; the first element
+    with the smallest score is the witness."""
+    x = _check_signal(group, x)
+    y = _check_signal(group, y)
+    elements = list(itertools.product(*(range(p) for p in group.orders)))
+    L = group.phase_lcm
+    steps = phase_steps(group)
+    cross = x * np.conj(y)
+    const = float(np.vdot(x, x).real + np.vdot(y, y).real)
+    best_val = np.inf
+    best_idx = 0
+    for start in range(0, len(elements), chunk):
+        block = np.array(elements[start : start + chunk], dtype=np.int64)
+        turns = block @ steps % L
+        overlap = np.exp((-2j * np.pi / L) * turns) @ cross
+        vals = const - 2.0 * overlap.real
+        i = int(np.argmin(vals))
+        if vals[i] < best_val:
+            best_val = float(vals[i])
+            best_idx = start + i
+    witness = tuple(int(v) for v in elements[best_idx])
+    distance = float(np.linalg.norm(x - act(group, witness, y)))
+    return OrbitDistanceResult(distance=distance, witness=witness)
 
 
 def check_npp(table, x, y, scale: float) -> bool:

@@ -87,7 +87,9 @@ def test_act_rejects_wrong_signal_length():
 def test_enumerate_group_is_lexicographic():
     g = make_group([2, 3], [[1, 0], [0, 1]])
     els = enumerate_group(g)
-    assert els == [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)]
+    assert els.shape == (6, 2)
+    assert els.dtype == np.int64
+    assert els.tolist() == [[0, 0], [0, 1], [0, 2], [1, 0], [1, 1], [1, 2]]
 
 
 def test_enumerate_group_cap():

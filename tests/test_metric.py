@@ -1,7 +1,12 @@
-"""Brute-force orbit metric, pair samplers, and the ratio scan."""
+"""FFT orbit metric against the brute-force scan, pair samplers, and the
+ratio scan."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orbitsep import (
     ConfigError,
@@ -17,6 +22,7 @@ from orbitsep import (
     shift_action_spec,
 )
 from orbitsep.metric import PAIR_KINDS
+from reference import brute_orbit_distance
 
 
 def random_signal(rng, n):
@@ -139,3 +145,75 @@ def test_ratio_scan_reproducible():
     r1, _ = lipschitz_ratio_scan(lambda z: np.abs(z).astype(complex), g, "random", 40, 9)
     r2, _ = lipschitz_ratio_scan(lambda z: np.abs(z).astype(complex), g, "random", 40, 9)
     assert r1 == r2
+
+
+def assert_same_result(got, want):
+    assert got.witness == want.witness
+    assert np.float64(got.distance).view(np.uint64) == np.float64(want.distance).view(np.uint64)
+
+
+@st.composite
+def metric_cases(draw):
+    """A group with s <= 3, orders <= 30 and N <= 8, and a signal pair.
+
+    A common factor on the characters gives the action a kernel, so several
+    elements tie; zero columns, same-orbit pairs and zero entries add more."""
+    s = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 8))
+    orders = draw(st.lists(st.integers(1, 30), min_size=s, max_size=s))
+    rows = st.lists(st.integers(0, 59), min_size=n, max_size=n)
+    matrix = np.array(draw(st.lists(rows, min_size=s, max_size=s)))
+    matrix *= draw(st.sampled_from([1, 2, 3, 5, 6]))
+    matrix[:, draw(st.lists(st.booleans(), min_size=n, max_size=n))] = 0
+    group = make_group(orders, matrix.tolist())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = random_signal(rng, n) * ~np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    if draw(st.booleans()):
+        y = act(group, [int(rng.integers(0, p)) for p in orders], x)
+    else:
+        y = random_signal(rng, n) * ~np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    return group, x, y
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(metric_cases())
+def test_fft_metric_matches_brute_force(case):
+    group, x, y = case
+    assert_same_result(orbit_distance(group, x, y), brute_orbit_distance(group, x, y))
+
+
+def test_exact_rescoring_breaks_near_ties():
+    # Both elements score within the FFT slack of each other; only the
+    # integer-exact scores see that the second is nearer, by 4e-12.
+    g = make_group([2], [[1, 0]])
+    x, y = np.array([1e-6, 1.0 + 0j]), np.array([-1e-6, 1.0 + 0j])
+    res = orbit_distance(g, x, y)
+    assert res.witness == (1,)
+    assert_same_result(res, brute_orbit_distance(g, x, y))
+
+
+def test_fft_metric_matches_brute_force_on_order_1e6():
+    # The largest orbit-pairs benchmark group: one same-orbit and one
+    # independent pair.
+    g = make_group((100, 100, 100), ((11, 45, 94, 65), (48, 68, 72, 52), (92, 88, 18, 76)))
+    rng = np.random.default_rng(6)
+    x = random_signal(rng, 4)
+    for y in (act(g, (3, 71, 40), x), random_signal(rng, 4)):
+        assert_same_result(orbit_distance(g, x, y), brute_orbit_distance(g, x, y))
+
+
+def test_all_tied_elements_rescored_in_bounded_memory():
+    # Every one of the 10^6 elements acts trivially, so every element is a
+    # candidate; scoring them in one block would take about 1.5 GB.
+    g = make_group([1000, 1000], [[0] * 64, [0] * 64])
+    rng = np.random.default_rng(7)
+    x, y = random_signal(rng, 64), random_signal(rng, 64)
+    tracemalloc.start()
+    try:
+        res = orbit_distance(g, x, y)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res.witness == (0, 0)
+    assert res.distance == float(np.linalg.norm(x - y))
+    assert peak < 128 * 2**20

@@ -72,3 +72,29 @@ def test_traced_ops_of_every_command(tracing, tmp_path, monkeypatch):
     assert builds == [0, 1]  # ops 2, 4 and 7 reuse op 1's table
     assert metrics["exponents.table.calls"] == 2
     assert metrics["exponents.table.repeat_share"] == 0
+
+
+def test_traced_metric_counts_every_element_it_scans(tracing, tmp_path, monkeypatch):
+    # metric.elements_scanned is read off the groups.enumerate spans under
+    # each orbit_distance call, so the metric must keep enumerating through
+    # enumerate_group and the result must keep a length.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "a.json").write_text("[1, [0.5, -2], 0.25]")
+    (tmp_path / "b.json").write_text("[[0, 1], -0.5, 1.5]")
+    group = ["--orders", "10,10,10", "--matrix", "1,2,3;4,0,6;7,8,5"]
+    ops = [["compare", *group, "a.json", "b.json"], ["bench", *group, "--samples", "3"]]
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        for op_id, argv in enumerate(ops):
+            tracer.begin_op(op_id)
+            assert orbitsep.cli.main([*argv, "--out", "out.json"]) == 0, argv
+            tracer.end_op()
+    finally:
+        tracer.uninstall()
+    metrics, absent = tracing.layer_metrics(tracer, [], len(ops))
+    assert tracer.missing == []
+    assert absent == []
+    calls = metrics["metric.orbit_distance.calls"]
+    assert calls == 4
+    assert metrics["metric.elements_scanned"] == metrics["groups.enumerate.elements"] == 1000 * calls
