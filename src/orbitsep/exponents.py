@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError
+from .errors import ConfigError, DimensionError, DomainError
 from .groups import GroupSpec
 
 
@@ -201,6 +201,15 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
+def float_exponents(exponents) -> np.ndarray:
+    """Exact integer exponents as a read-only float64 array, each rounded to
+    the nearest double; one beyond the double range raises DomainError."""
+    try:
+        return _read_only(np.array(exponents, dtype=float))
+    except OverflowError as exc:
+        raise DomainError(f"invariant exponent beyond the double range: {exc}") from exc
+
+
 def _frozen(rows, size: int, dtype) -> np.ndarray:
     """rows as a read-only (count, size) array; exponents that do not fit
     int64 are kept as Python ints in an object array, never rounded."""
@@ -238,9 +247,7 @@ class ExponentTable:
     @functools.cached_property
     def blocks(self) -> tuple:
         """arrays with float64 exponents, the form the transform kernel takes."""
-        return tuple(
-            (indices, _read_only(exponents.astype(float))) for indices, exponents in self.arrays
-        )
+        return tuple((indices, float_exponents(exponents)) for indices, exponents in self.arrays)
 
 
 def build_exponent_table(group: GroupSpec, max_tuple_size: int = 3) -> ExponentTable:

@@ -125,11 +125,11 @@ def act(group: GroupSpec, element, x) -> np.ndarray:
     return np.exp((2j * np.pi / L) * turns) * x
 
 
-def enumerate_group(group: GroupSpec, cap: int = ENUMERATION_CAP) -> np.ndarray:
+def enumerate_group(group: GroupSpec) -> np.ndarray:
     """All group elements, one read-only int64 row each, in lexicographic order."""
-    if group.group_order > cap:
+    if group.group_order > ENUMERATION_CAP:
         raise DomainError(
-            f"group order {group.group_order} exceeds enumeration cap {cap}"
+            f"group order {group.group_order} exceeds enumeration cap {ENUMERATION_CAP}"
         )
     rows = np.indices(group.orders, dtype=np.int64)
     rows = rows.reshape(group.num_generators, -1).T

@@ -1,13 +1,14 @@
 """The rational invariants on top of the exact column Hermite normal form.
 
 The Hermite normal form itself lives in exponents, the lattice core shared
-with the exponent solver.  Integer work is arbitrary precision, rational
-work is exact Fraction; floats appear only when a Laurent monomial is
-evaluated at a concrete signal.  The pipeline: stack the character exponents
-against the negated generator orders, reduce to column Hermite form, read
-the invariant Laurent exponents out of the kernel block of the unimodular
-multiplier, then solve for the rational scaling vector that makes the
-invariants jointly homogeneous of degree one.
+with the exponent solver.  All exact work is in integers: one fraction-free
+(Bareiss) elimination gives both the determinant and the scaling solve, and
+Fractions appear only in the solve's result; floats appear only when a
+Laurent monomial is evaluated at a concrete signal.  The pipeline: stack the
+character exponents against the negated generator orders, reduce to column
+Hermite form, read the invariant Laurent exponents out of the kernel block
+of the unimodular multiplier, then solve for the rational scaling vector
+that makes the invariants jointly homogeneous of degree one.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ConfigError, DimensionError, DomainError, InternalCheckError
-from .exponents import _as_int_rows, _stacked, hermite_normal_form
+from .exponents import _as_int_rows, _stacked, float_exponents, hermite_normal_form
 from .groups import GroupSpec, _check_signal, cyclic_shift_spec
 from .metric import orbit_distance
 from .transforms import monomials
@@ -28,47 +29,55 @@ COLLISION_TOL = 1e-8
 SEPARATION_FLOOR = 1e-3
 
 
-def integer_determinant(matrix) -> int:
-    """Exact determinant by Bareiss fraction-free elimination."""
-    a = _as_int_rows(matrix)
-    n = len(a)
-    if len(a[0]) != n:
-        raise DimensionError("determinant needs a square matrix")
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
+def _eliminate(rows) -> int:
+    """Bareiss fraction-free elimination, in place, of the square block at
+    the left of rows; columns to its right ride along.  On and above the
+    diagonal the block becomes an integer triangular factor.  Returns the
+    block's determinant, 0 when it is singular."""
+    sign, prev = 1, 1
+    for k in range(len(rows)):
+        if rows[k][k] == 0:
+            swap = next((i for i in range(k + 1, len(rows)) if rows[i][k] != 0), None)
             if swap is None:
                 return 0
-            a[k], a[swap] = a[swap], a[k]
+            rows[k], rows[swap] = rows[swap], rows[k]
             sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+        pivot = rows[k][k]
+        for row in rows[k + 1:]:
+            for j in range(k + 1, len(row)):
+                row[j] = (row[j] * pivot - row[k] * rows[k][j]) // prev
+        prev = pivot
+    return sign * prev
+
+
+def _square(matrix, what: str):
+    rows = _as_int_rows(matrix)
+    if len(rows[0]) != len(rows):
+        raise DimensionError(f"{what} needs a square matrix")
+    return rows
+
+
+def integer_determinant(matrix) -> int:
+    """Exact determinant by Bareiss fraction-free elimination."""
+    return _eliminate(_square(matrix, "determinant"))
 
 
 def scaling_vector(block):
-    """Exact rational solve of block @ c = (1, ..., 1); c as Fractions."""
-    rows = _as_int_rows(block)
+    """Exact rational solve of block @ c = (1, ..., 1); c as Fractions.
+
+    Eliminates [block | 1] fraction-free, then back-substitutes in integers
+    for det * c, which Cramer's rule makes integral, so every division is
+    exact and Fractions are built only for the result."""
+    rows = [row + [1] for row in _square(block, "scaling solve")]
+    det = _eliminate(rows)
+    if det == 0:
+        raise DomainError("invariant exponent block is singular")
     n = len(rows)
-    if len(rows[0]) != n:
-        raise DimensionError("scaling solve needs a square exponent block")
-    aug = [[Fraction(v) for v in row] + [Fraction(1)] for row in rows]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            raise DomainError("invariant exponent block is singular")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = aug[col][col]
-        aug[col] = [v / inv for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                factor = aug[r][col]
-                aug[r] = [v - factor * w for v, w in zip(aug[r], aug[col])]
-    return tuple(row[n] for row in aug)
+    y = [0] * n
+    for k in reversed(range(n)):
+        rest = sum(rows[k][j] * y[j] for j in range(k + 1, n))
+        y[k] = (det * rows[k][n] - rest) // rows[k][k]
+    return tuple(Fraction(v, det) for v in y)
 
 
 @dataclass(frozen=True)
@@ -106,6 +115,18 @@ def _column_invariance_exact(group: GroupSpec, block) -> None:
                 )
 
 
+def _package(group: GroupSpec, block, **reduction) -> HermiteData:
+    """Check that every column of block is invariant, solve its scaling
+    vector, and package both with the signature."""
+    _column_invariance_exact(group, block)
+    try:
+        scaling = scaling_vector(block)
+    except DomainError as exc:
+        raise InternalCheckError("invariant exponent block is singular") from exc
+    signature = tuple((c > 0) - (c < 0) for c in scaling)
+    return HermiteData(group, block, scaling, signature, **reduction)
+
+
 def hermite_multiplier(group: GroupSpec) -> HermiteData:
     """Hermite-reduce the stacked exponents/orders matrix and package the
     invariant exponent block, its exact scaling vector, and the signature.
@@ -122,20 +143,7 @@ def hermite_multiplier(group: GroupSpec) -> HermiteData:
     if abs(integer_determinant(u)) != 1:
         raise InternalCheckError("column-operations matrix is not unimodular")
     block = tuple(tuple(u[r][c] for c in range(s, s + n)) for r in range(n))
-    _column_invariance_exact(group, block)
-    try:
-        scaling = scaling_vector(block)
-    except DomainError as exc:
-        raise InternalCheckError("invariant exponent block is singular") from exc
-    signature = tuple((c > 0) - (c < 0) for c in scaling)
-    return HermiteData(
-        group=group,
-        inv_exponents=block,
-        scaling=scaling,
-        signature=signature,
-        multiplier=u,
-        hermite=hermite,
-    )
+    return _package(group, block, multiplier=u, hermite=hermite)
 
 
 def cyclic_fixture_block(n: int):
@@ -155,14 +163,7 @@ def cyclic_fixture_data(n: int) -> HermiteData:
 
     The exact solve gives scaling = ((3 - n)/2, 1, ..., 1), so the leading
     entry is 0 at n = 3 and negative for n >= 4."""
-    group = cyclic_shift_spec(n)
-    block = cyclic_fixture_block(n)
-    _column_invariance_exact(group, block)
-    scaling = scaling_vector(block)
-    signature = tuple((c > 0) - (c < 0) for c in scaling)
-    return HermiteData(
-        group=group, inv_exponents=block, scaling=scaling, signature=signature
-    )
+    return _package(cyclic_shift_spec(n), cyclic_fixture_block(n))
 
 
 @dataclass(frozen=True, eq=False)
@@ -180,7 +181,7 @@ def eval_rational_invariants(data: HermiteData, z) -> RationalInvariantResult:
     also clears domain_ok.
     """
     z = _check_signal(data.group, z)
-    exps = np.array(data.inv_exponents, dtype=float).T
+    exps = float_exponents(data.inv_exponents).T
     poled = ((z == 0) & (exps < 0)).any(axis=1)
     annihilated = ((z == 0) & (exps > 0)).any(axis=1)
     values = monomials(z, np.arange(data.dim), exps)
@@ -222,7 +223,7 @@ def eval_scaled_invariants(data: HermiteData, x):
             )
         sign = 1 if q > 0 else -1
         scale = math.sqrt(abs(q))
-    exps = np.array(data.inv_exponents, dtype=float).T
+    exps = float_exponents(data.inv_exponents).T
     return sign, scale * monomials(x / scale, np.arange(data.dim), exps)
 
 
@@ -307,7 +308,7 @@ def construct_counterexample(data: HermiteData, y) -> CounterexampleResult:
 
     def unsigned_map(w):
         norm = float(np.linalg.norm(w))
-        exps = np.array(data.inv_exponents, dtype=float)
+        exps = float_exponents(data.inv_exponents)
         return norm * monomials(w / norm, np.arange(data.dim), exps)
 
     g_gap = float(np.linalg.norm(unsigned_map(scaled) - unsigned_map(twisted)))

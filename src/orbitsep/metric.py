@@ -17,14 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .groups import (
-    ENUMERATION_CAP,
-    GroupSpec,
-    _check_signal,
-    act,
-    enumerate_group,
-    phase_steps,
-)
+from .groups import GroupSpec, _check_signal, act, enumerate_group, phase_steps
 
 _CHUNK = 4096
 
@@ -37,13 +30,11 @@ class OrbitDistanceResult:
     witness: tuple
 
 
-def orbit_distance(
-    group: GroupSpec, x, y, cap: int = ENUMERATION_CAP
-) -> OrbitDistanceResult:
+def orbit_distance(group: GroupSpec, x, y) -> OrbitDistanceResult:
     """Exact minimum of ||x - g.y|| over the whole (enumerable) group."""
     x = _check_signal(group, x)
     y = _check_signal(group, y)
-    elements = enumerate_group(group, cap)
+    elements = enumerate_group(group)
     # ||x - g.y||^2 = ||x||^2 + ||y||^2 - 2 Re(conj(phi_g) . (x * conj(y)))
     cross = x * np.conj(y)
     const = float(np.vdot(x, x).real + np.vdot(y, y).real)

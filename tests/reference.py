@@ -1,11 +1,13 @@
 """Test-only references: scalar products for the vectorised transforms (one
 complex ** int product per component, multiplied left to right starting
-from 1), the exhaustive minimal-exponent oracle, the chunked brute-force
-orbit metric, and the empirical separation and proportionality checks."""
+from 1), the exhaustive minimal-exponent oracle, the Fraction Gauss-Jordan
+solve, the chunked brute-force orbit metric, and the empirical separation
+and proportionality checks."""
 
 import cmath
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -111,6 +113,25 @@ def scaled_invariants(data, x) -> np.ndarray:
     scale = math.sqrt(abs(sum(s * abs(complex(v)) ** 2 for s, v in zip(signs, x))))
     columns = [[data.inv_exponents[k][j] for k in range(n)] for j in range(n)]
     return scale * np.array([monomial(x / scale, range(n), col) for col in columns])
+
+
+def fraction_solve(matrix):
+    """Exact solve of matrix @ c = (1, ..., 1) by Gauss-Jordan elimination
+    over Fractions; DomainError when the matrix is singular."""
+    n = len(matrix)
+    aug = [[Fraction(int(v)) for v in row] + [Fraction(1)] for row in matrix]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        if pivot is None:
+            raise DomainError("matrix is singular")
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        inv = aug[col][col]
+        aug[col] = [v / inv for v in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col]:
+                factor = aug[r][col]
+                aug[r] = [v - factor * w for v, w in zip(aug[r], aug[col])]
+    return tuple(row[n] for row in aug)
 
 
 def _packed_residues(rows, orders):

@@ -303,6 +303,31 @@ def test_exponents_beyond_float_precision_stay_exact(capsys):
                                         ((0, 1), (1, 2**69 + 12))]
 
 
+# Invariant exponents of this group reach 10**400, beyond the double range.
+HUGE_ORDER = ["--orders", str(10**400), "--matrix", "1,2,3"]
+
+
+@pytest.mark.parametrize("transform", orbitsep.cli.TRANSFORMS)
+def test_invariant_exponent_beyond_double_range_exits_3(capsys, tmp_path, transform):
+    sig = write_signal(tmp_path, "x.json", [1, 0.5 + 0.1j, 0.25 + 0.2j])
+    code, out, err = run(capsys, "invariants", *HUGE_ORDER, "--transform", transform, str(sig))
+    assert (code, out) == (3, "")
+    assert "beyond the double range" in err
+
+
+def test_compare_exponent_beyond_double_range_exits_3(capsys, tmp_path):
+    sig = write_signal(tmp_path, "x.json", [1, 0.5 + 0.1j, 0.25 + 0.2j])
+    code, out, err = run(capsys, "compare", *HUGE_ORDER, "--transform", "f", str(sig), str(sig))
+    assert (code, out) == (3, "")
+    assert "beyond the double range" in err
+
+
+def test_exponents_beyond_double_range_print_exactly(capsys):
+    payload = run_json(capsys, "exponents", *HUGE_ORDER)
+    assert payload["table"]["singles"] == [10**400, 10**400 // 2, 10**400]
+    assert len(str(payload["table"]["singles"][0])) == 401
+
+
 @pytest.mark.parametrize("command,svds", [("invariants", 0), ("bench", 1)])
 def test_operator_norm_only_when_the_bound_is_read(capsys, monkeypatch, tmp_path, command, svds):
     calls = []

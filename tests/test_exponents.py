@@ -3,6 +3,7 @@ and triples, the exhaustive oracle, and the assembled table."""
 
 import itertools
 import math
+import random
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from orbitsep import (
     ConfigError,
     DimensionError,
+    DomainError,
     act,
     build_exponent_table,
     cyclic_shift_spec,
@@ -22,6 +24,7 @@ from orbitsep import (
     shift_action_spec,
     table_as_dict,
 )
+from orbitsep.exponents import float_exponents
 from reference import oracle_minimal
 
 
@@ -240,3 +243,19 @@ def test_large_order_tuples_invariant_and_reduced(group):
         assert singles[ks[0]] % exps[0] == 0
         for k, e in zip(ks[1:], exps[1:]):
             assert 0 <= e < singles[k]
+
+
+def test_float_exponents_is_the_float64_cast():
+    rng = np.random.default_rng(25)
+    draw = random.Random(25).randrange
+    int64 = rng.integers(-(2**63), 2**63 - 1, size=(40, 3), endpoint=True)
+    huge = [draw(-(2**1023), 2**1023 + 1) >> draw(0, 1023) for _ in range(120)]
+    exact = np.array(huge + [2**1023, -(2**1023), 2**53 + 1, 0], dtype=object).reshape(-1, 2)
+    for exponents in (int64, exact, tuple(map(tuple, exact.tolist()))):
+        got = float_exponents(exponents)
+        want = np.array(exponents, dtype=float)
+        assert got.dtype == np.float64 and not got.flags.writeable
+        assert (got.view(np.uint64) == want.view(np.uint64)).all()
+    for beyond in (2**1024, -(2**1024), 10**400):
+        with pytest.raises(DomainError, match="double range"):
+            float_exponents(np.array([[1, beyond]], dtype=object))

@@ -7,6 +7,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import reference
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orbitsep import (
     ConfigError,
@@ -112,6 +115,34 @@ def test_scaling_vector_exact_fraction_solve():
         scaling_vector([[1, 1], [2, 2]])
     with pytest.raises(DimensionError):
         scaling_vector([[1, 2]])
+
+
+@st.composite
+def square_matrices(draw):
+    """Square integer matrices, N from 1 to 8, entries up to +-2**70 mixed
+    with small ones (so zero pivots force row swaps); about a third are made
+    singular by a zero row or a row that is a multiple of another."""
+    n = draw(st.integers(1, 8))
+    entry = st.one_of(st.integers(-2, 2), st.integers(-(2**70), 2**70))
+    m = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    if draw(st.integers(0, 2)) == 0:
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        factor = draw(st.integers(-3, 3)) if i != j else 0
+        m[i] = [factor * v for v in m[j]]
+    return m
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(square_matrices())
+def test_bareiss_solve_and_determinant_match_oracles(m):
+    assert integer_determinant(m) == sympy.Matrix(m).det()
+    try:
+        want = reference.fraction_solve(m)
+    except DomainError:
+        with pytest.raises(DomainError):
+            scaling_vector(m)
+        return
+    assert scaling_vector(m) == want
 
 
 @pytest.mark.parametrize(
