@@ -213,15 +213,14 @@ def cmd_compare(args) -> dict:
     tid, evaluate, _ = _transform(args.transform, group, args.seed, args.mode)
     values_a = evaluate(first)["values"]
     values_b = evaluate(second)["values"]
-    gap = float(np.linalg.norm(values_a - values_b))
+    with np.errstate(all="ignore"):  # non-finite values give a non-finite gap
+        gap = float(np.linalg.norm(values_a - values_b))
+        scale = max(1.0, float(np.linalg.norm(values_a)), float(np.linalg.norm(values_b)))
     payload = {**_envelope(args), "transform": tid, "transform_gap": gap}
     try:
         # Witness maps the first input onto the second under the action.
         oracle = orbit_distance(group, second, first)
     except DomainError:
-        scale = max(
-            1.0, float(np.linalg.norm(values_a)), float(np.linalg.norm(values_b))
-        )
         payload.update(
             {
                 "equivalent": gap <= args.tol * scale,

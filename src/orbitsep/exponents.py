@@ -47,6 +47,40 @@ def _extended_gcd(a: int, b: int):
     return old_r, old_u, old_v
 
 
+def _reduce(rows, height: int) -> None:
+    """Column Hermite reduction, in place, of the first height rows; every
+    column operation also acts on the rows below, which ride along.  Each one
+    is a Bezout step (det 1), a sign flip (det -1) or a shear (det 1)."""
+    num_cols = len(rows[0])
+    pivot_col = 0
+    for h_row in rows[:height]:
+        if pivot_col >= num_cols:
+            break
+        for j in range(pivot_col + 1, num_cols):
+            if h_row[j] == 0:
+                continue
+            a, b = h_row[pivot_col], h_row[j]
+            g, a11, a12 = _extended_gcd(a, b)
+            a21, a22 = -(b // g), a // g
+            # (pivot, j) <- (a11*pivot + a12*j, a21*pivot + a22*j), det 1.
+            for row in rows:
+                x, y = row[pivot_col], row[j]
+                row[pivot_col] = a11 * x + a12 * y
+                row[j] = a21 * x + a22 * y
+        if h_row[pivot_col] == 0:
+            continue  # rank-deficient row: pivot column stays available
+        if h_row[pivot_col] < 0:
+            for row in rows:
+                row[pivot_col] = -row[pivot_col]
+        pivot = h_row[pivot_col]
+        for j in range(pivot_col):
+            q = h_row[j] // pivot  # floor: remainder lands in [0, pivot)
+            if q:
+                for row in rows:
+                    row[j] -= q * row[pivot_col]
+        pivot_col += 1
+
+
 def hermite_normal_form(matrix):
     """Column-style Hermite normal form: returns (H, U) with M @ U = H.
 
@@ -55,38 +89,9 @@ def hermite_normal_form(matrix):
     Column operations only, so M @ U = H holds exactly at every step.
     """
     h = _as_int_rows(matrix)
-    num_rows, num_cols = len(h), len(h[0])
+    num_cols = len(h[0])
     u = [[1 if r == c else 0 for c in range(num_cols)] for r in range(num_cols)]
-    rows = h + u  # every column operation acts on M and U alike
-
-    pivot_col = 0
-    for row_idx in range(num_rows):
-        if pivot_col >= num_cols:
-            break
-        for j in range(pivot_col + 1, num_cols):
-            if h[row_idx][j] == 0:
-                continue
-            a, b = h[row_idx][pivot_col], h[row_idx][j]
-            g, a11, a12 = _extended_gcd(a, b)
-            a21, a22 = -(b // g), a // g
-            # (pivot, j) <- (a11*pivot + a12*j, a21*pivot + a22*j), det 1.
-            for row in rows:
-                x, y = row[pivot_col], row[j]
-                row[pivot_col] = a11 * x + a12 * y
-                row[j] = a21 * x + a22 * y
-        if h[row_idx][pivot_col] == 0:
-            continue  # rank-deficient row: pivot column stays available
-        if h[row_idx][pivot_col] < 0:
-            for row in rows:
-                row[pivot_col] = -row[pivot_col]
-        pivot = h[row_idx][pivot_col]
-        for j in range(pivot_col):
-            q = h[row_idx][j] // pivot  # floor: remainder lands in [0, pivot)
-            if q:
-                for row in rows:
-                    row[j] -= q * row[pivot_col]
-        pivot_col += 1
-
+    _reduce(h + u, len(h))  # U rides along under M
     freeze = lambda table: tuple(tuple(row) for row in table)
     return freeze(h), freeze(u)
 
@@ -104,9 +109,9 @@ def _stacked(group: GroupSpec, ks):
 def _basis(group: GroupSpec, ks):
     """Lambda(ks): the s x s lower-triangular Hermite basis, one lattice vector
     per column, of the lattice spanned by chi_ks and the order vectors."""
-    s = len(group.orders)
-    h, _ = hermite_normal_form(_stacked(group, ks))
-    return tuple(row[:s] for row in h)
+    rows = _stacked(group, ks)
+    _reduce(rows, len(rows))
+    return tuple(tuple(row[:len(rows)]) for row in rows)
 
 
 def _solve_congruence(w: int, r: int, p: int):
@@ -180,10 +185,7 @@ def _minimal_of(group: GroupSpec, ks) -> tuple:
 
 def minimal_single(group: GroupSpec, k: int) -> int:
     """Least m >= 1 making x_k^m invariant: lcm over rows of p_i / gcd(A[i][k], p_i)."""
-    k = _check_index(group, k)
-    return math.lcm(
-        *(p // math.gcd(row[k], p) for row, p in zip(group.exponents, group.orders))
-    )
+    return _minimal_of(group, (k,))[0]
 
 
 def minimal_pair(group: GroupSpec, k1: int, k2: int):
@@ -265,10 +267,7 @@ def build_exponent_table(group: GroupSpec, max_tuple_size: int = 3) -> ExponentT
         subsets = []
         if size <= max_tuple_size:
             subsets = list(itertools.combinations(range(group.dim), size))
-        if size == 1:
-            exponents = [(minimal_single(group, k),) for (k,) in subsets]
-        else:
-            exponents = [_minimal(columns, ks, basis) for ks in subsets]
+        exponents = [_minimal(columns, ks, basis) for ks in subsets]
         arrays.append((_frozen(subsets, size, np.intp), _frozen(exponents, size, np.int64)))
     return ExponentTable(group=group, arrays=tuple(arrays))
 

@@ -11,7 +11,6 @@ diagonal action exactly.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -80,7 +79,6 @@ def make_group(orders, exponents) -> GroupSpec:
     return GroupSpec(orders=orders, exponents=reduced)
 
 
-@functools.lru_cache(maxsize=None)
 def phase_steps(group: GroupSpec) -> np.ndarray:
     """Integer phase increments, one row per generator, in units of 1/lcm turns.
 

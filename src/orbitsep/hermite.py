@@ -132,16 +132,14 @@ def hermite_multiplier(group: GroupSpec) -> HermiteData:
     invariant exponent block, its exact scaling vector, and the signature.
 
     Raises InternalCheckError if any defining identity fails: the reduction
-    must leave a zero block of width N, a unimodular multiplier, exactly
-    invariant columns, and a nonsingular exponent block.
+    must leave a zero block of width N, exactly invariant columns, and a
+    nonsingular exponent block.  The multiplier is unimodular by construction.
     """
     n, s = group.dim, len(group.orders)
     h_full, u = hermite_normal_form(_stacked(group, range(n)))
     if any(h_full[i][j] != 0 for i in range(s) for j in range(s, s + n)):
         raise InternalCheckError("Hermite reduction left a nonzero tail block")
     hermite = tuple(tuple(row[:s]) for row in h_full)
-    if abs(integer_determinant(u)) != 1:
-        raise InternalCheckError("column-operations matrix is not unimodular")
     block = tuple(tuple(u[r][c] for c in range(s, s + n)) for r in range(n))
     return _package(group, block, multiplier=u, hermite=hermite)
 

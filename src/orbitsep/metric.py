@@ -135,9 +135,9 @@ def lipschitz_ratio_scan(
         d = orbit_distance(group, x, y).distance
         if d <= 1e-9:
             continue
-        gap = float(
-            np.linalg.norm(np.asarray(transform(x)) - np.asarray(transform(y)))
-        )
+        tx, ty = np.asarray(transform(x)), np.asarray(transform(y))
+        with np.errstate(all="ignore"):  # non-finite values give a non-finite gap
+            gap = float(np.linalg.norm(tx - ty))
         usable += 1
         ratio = gap / d
         if ratio > best:

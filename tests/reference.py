@@ -1,8 +1,8 @@
 """Test-only references: scalar products for the vectorised transforms (one
 complex ** int product per component, multiplied left to right starting
-from 1), the exhaustive minimal-exponent oracle, the Fraction Gauss-Jordan
-solve, the chunked brute-force orbit metric, and the empirical separation
-and proportionality checks."""
+from 1), the exhaustive minimal-exponent oracle, the closed form of the
+single exponents, the Fraction Gauss-Jordan solve, the chunked brute-force
+orbit metric, and the empirical separation and proportionality checks."""
 
 import cmath
 import itertools
@@ -198,6 +198,14 @@ def oracle_minimal(group, subset):
     c, d = divmod(int(flat[0]), L)
     e = int(np.nonzero(need_keys == have_keys[c, d])[0][0])
     return (c, d, e)
+
+
+def lcm_single(group, k: int) -> int:
+    """Least m >= 1 making x_k^m invariant, in closed form: the lcm over the
+    generators of p_i / gcd(A[i][k], p_i)."""
+    return math.lcm(
+        *(p // math.gcd(row[k], p) for row, p in zip(group.exponents, group.orders))
+    )
 
 
 def brute_orbit_distance(group, x, y, chunk: int = 4096) -> OrbitDistanceResult:

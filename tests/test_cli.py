@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -191,6 +192,52 @@ def test_invariants_power_overflow_is_non_finite(capsys, tmp_path):
         capsys, "invariants", "--orders", "101", "--matrix", "1", str(sig)
     )
     assert payload["values"][0][0] == "Infinity"
+
+
+# Valid inputs whose F values overflow, so their differences and norms are
+# non-finite; with the argv that reaches each path, and the payload fields
+# after the envelope.
+OVERFLOW_SIGNALS = {
+    "a.json": "[[3, 1], [2, 2], [0.5, 1]]",
+    "b.json": "[[1, 3], [2, -2], [4, 1]]",
+    "c.json": "[1, 2]",
+}
+OVERFLOW_CASES = {
+    "compare": (
+        ["compare", "--orders", "1000", "--matrix", "1,2,999", "--transform", "f",
+         "a.json", "b.json"],
+        {"transform": "F", "transform_gap": "NaN", "equivalent": False,
+         "distance": 5.3393109145739981, "witness": [305], "oracle": True},
+    ),
+    "compare-no-oracle": (
+        ["compare", "--orders", "1001,1000", "--matrix", "1,2;1,3", "--transform", "f",
+         "c.json", "c.json"],
+        {"transform": "F", "transform_gap": "NaN", "equivalent": False,
+         "distance": None, "witness": None, "oracle": False},
+    ),
+    "bench": (
+        ["bench", "--orders", "1000", "--matrix", "1,2,999", "--transform", "f",
+         "--samples", "5"],
+        {"transform": "F", "kind": "full_support", "samples": 5,
+         "max_ratio": "Infinity", "bound": None},
+    ),
+}
+
+
+def write_overflow_signals(directory):
+    for name, text in OVERFLOW_SIGNALS.items():
+        (directory / name).write_text(text)
+
+
+@pytest.mark.parametrize("case", OVERFLOW_CASES)
+def test_non_finite_transform_gap_warns_nothing(capsys, tmp_path, monkeypatch, case):
+    monkeypatch.chdir(tmp_path)
+    write_overflow_signals(tmp_path)
+    argv, fields = OVERFLOW_CASES[case]
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    envelope = {"seed": 0, "tolerance": 1e-9, "mode": "repaired", "version": orbitsep.__version__}
+    assert json.loads(out) == {**envelope, **fields}
 
 
 def count_calls(monkeypatch, name):
@@ -498,3 +545,33 @@ def test_unknown_flag_exits_two(capsys):
 def test_unknown_command_exits_two(capsys):
     code, _, _ = run(capsys, "frobnicate")
     assert code == 2
+
+
+def test_every_command_is_silent_in_dev_mode_with_warnings_as_errors(tmp_path):
+    # Each subcommand, invariants once per transform, and the overflow inputs,
+    # each in a child interpreter that turns every warning into an error.
+    write_overflow_signals(tmp_path)
+    write_signal(tmp_path, "x.json", np.arange(1, 7) * (1 - 0.5j))
+    write_signal(tmp_path, "y.json", np.arange(6, 0, -1) * (0.5 + 1j))
+    group = ["--shift", "2x3"]
+    runs = [
+        ["exponents", *group],
+        *(["invariants", *group, "--transform", t, "x.json"] for t in orbitsep.cli.TRANSFORMS),
+        ["compare", *group, "x.json", "y.json"],
+        ["counterexample"],
+        ["bench", *group, "--samples", "3"],
+        *(argv for argv, _ in OVERFLOW_CASES.values()),
+    ]
+    src = str(Path(orbitsep.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+    def child(argv):
+        return subprocess.run(
+            [sys.executable, "-X", "dev", "-W", "error", "-m", "orbitsep.cli", *argv],
+            capture_output=True, text=True, timeout=30, env=env, cwd=tmp_path,
+        )
+
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        done = list(pool.map(child, runs))
+    failed = [(argv, d.returncode, d.stderr) for argv, d in zip(runs, done) if d.returncode or d.stderr]
+    assert failed == []

@@ -1,5 +1,6 @@
-"""Minimal invariant exponents: closed-form singles, lattice-solved pairs
-and triples, the exhaustive oracle, and the assembled table."""
+"""Minimal invariant exponents: singles, pairs and triples from one lattice
+solver, checked against the closed form of the singles, the exhaustive
+oracle, and the assembled table."""
 
 import itertools
 import math
@@ -25,7 +26,7 @@ from orbitsep import (
     table_as_dict,
 )
 from orbitsep.exponents import float_exponents
-from reference import oracle_minimal
+from reference import lcm_single, oracle_minimal
 
 
 def naive_minimal(group, subset):
@@ -243,6 +244,26 @@ def test_large_order_tuples_invariant_and_reduced(group):
         assert singles[ks[0]] % exps[0] == 0
         for k, e in zip(ks[1:], exps[1:]):
             assert 0 <= e < singles[k]
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(groups(10**5) | groups(2**80))
+def test_singles_match_the_lcm_closed_form(group):
+    singles = build_exponent_table(group, 1).arrays[0][1][:, 0].tolist()
+    want = [lcm_single(group, k) for k in range(group.dim)]
+    assert [minimal_single(group, k) for k in range(group.dim)] == singles == want
+
+
+@pytest.mark.parametrize(
+    "orders,matrix",
+    [([10**400], [[1, 2, 3]]), ([2**64 + 13, 2**63 + 1, 6], [[1, 2, 3], [0, 3, 9], [5, 2, 0]])],
+    ids=["ten-to-the-400", "beyond-int64"],
+)
+def test_singles_match_the_lcm_closed_form_on_huge_orders(orders, matrix):
+    group = make_group(orders, matrix)
+    singles = [minimal_single(group, k) for k in range(group.dim)]
+    assert singles == [lcm_single(group, k) for k in range(group.dim)]
+    assert max(singles) > 2**63
 
 
 def test_float_exponents_is_the_float64_cast():

@@ -17,6 +17,7 @@ from orbitsep import (
     shift_image,
     to_fourier,
 )
+from orbitsep.groups import phase_steps
 
 
 def random_signal(rng, n):
@@ -68,6 +69,19 @@ def test_act_is_a_group_action():
             act(g, a, act(g, b, x)), act(g, ab, x), atol=1e-12
         )
     np.testing.assert_allclose(act(g, (0, 0), x), x, atol=0)
+
+
+def test_phase_steps_are_not_shared_between_callers():
+    # A caller that writes into its steps must not change later actions.
+    rng = np.random.default_rng(2)
+    g = make_group([4, 6], [[1, 2, 3], [5, 0, 1]])
+    x = random_signal(rng, 3)
+    moved = act(g, (1, 1), x)
+    steps = phase_steps(g)
+    want = steps.copy()
+    steps[0, 0] += 1
+    assert (phase_steps(g) == want).all()
+    assert (act(g, (1, 1), x).view(np.uint64) == moved.view(np.uint64)).all()
 
 
 def test_act_is_unitary():

@@ -34,6 +34,8 @@ from orbitsep import (
     shift_action_spec,
     signed_quadratic,
 )
+from orbitsep.errors import InternalCheckError
+from orbitsep.exponents import _reduce
 from orbitsep.hermite import hermite_as_dict
 
 
@@ -79,6 +81,59 @@ def test_hnf_random_property():
             assert all(h[r][c] == 0 for c in range(pivot_col + 1, cols))
             assert all(0 <= h[r][c] < pivot for c in range(pivot_col))
             pivot_col += 1
+
+
+@st.composite
+def wide_matrices(draw):
+    """Integer matrices up to 4 x 8, entries up to +-2**70 mixed with small
+    ones, some rows and columns zeroed."""
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 8))
+    entry = st.one_of(st.integers(-2, 2), st.integers(-(2**70), 2**70))
+    m = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
+    zero_rows = draw(st.sets(st.integers(0, rows - 1), max_size=rows))
+    zero_cols = draw(st.sets(st.integers(0, cols - 1), max_size=cols))
+    return [
+        [0 if r in zero_rows or c in zero_cols else v for c, v in enumerate(row)]
+        for r, row in enumerate(m)
+    ]
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(wide_matrices())
+def test_one_reduction_with_and_without_riding_rows(m):
+    h, u = hermite_normal_form(m)
+    assert (as_np(m) @ as_np(u) == as_np(h)).all()
+    assert abs(integer_determinant(u)) == 1
+    alone = [list(row) for row in m]
+    _reduce(alone, len(alone))
+    assert tuple(map(tuple, alone)) == h
+
+
+def test_hermite_multiplier_checks_still_raise(monkeypatch):
+    group = make_group([6], [[1, 2, 3]])
+    real = hermite_normal_form
+
+    def corrupted(edit):
+        def reduce(matrix):
+            h, u = ([list(row) for row in part] for part in real(matrix))
+            edit(h, u)
+            return h, u
+        return reduce
+
+    def tail(h, u):
+        h[0][1] = 1
+
+    def not_invariant(h, u):
+        u[0][1] += 1
+
+    def singular(h, u):
+        for row in u:
+            row[2] = row[1]
+
+    for edit, reason in [(tail, "tail"), (not_invariant, "congruence"), (singular, "singular")]:
+        monkeypatch.setattr("orbitsep.hermite.hermite_normal_form", corrupted(edit))
+        with pytest.raises(InternalCheckError, match=reason):
+            hermite_multiplier(group)
 
 
 def test_integer_determinant_matches_numpy_and_is_exact():

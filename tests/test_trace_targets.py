@@ -98,3 +98,29 @@ def test_traced_metric_counts_every_element_it_scans(tracing, tmp_path, monkeypa
     calls = metrics["metric.orbit_distance.calls"]
     assert calls == 4
     assert metrics["metric.elements_scanned"] == metrics["groups.enumerate.elements"] == 1000 * calls
+
+
+def test_hermite_spans_come_only_from_the_multiplier(tracing, tmp_path, monkeypatch):
+    # The exponent table reduces its lattice bases without a multiplier and
+    # outside the public hermite_normal_form, and hermite_multiplier does not
+    # re-prove |det U| = 1, so hermite.hnf and hermite.max_entry_bits cover
+    # multiplier reductions only and hermite.det stays empty.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "a.json").write_text("[1, [0.5, -2], 0.25, 3, [-1, 1], 2]")
+    ops = [
+        ["exponents", "--orders", "4,6", "--matrix", "1,2,3;5,0,1"],
+        ["invariants", "--orders", "6", "--matrix", "1,2,3,4,5,0", "--transform", "g", "a.json"],
+    ]
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        for op_id, argv in enumerate(ops):
+            tracer.begin_op(op_id)
+            assert orbitsep.cli.main([*argv, "--out", "out.json"]) == 0, argv
+            tracer.end_op()
+    finally:
+        tracer.uninstall()
+    names = [[span[tracing.NAME] for span in tracer.spans if span[tracing.OP] == op_id]
+             for op_id in range(len(ops))]
+    assert "exponents.table" in names[0] and "hermite.hnf" not in names[0]
+    assert names[1].count("hermite.hnf") == 1 and "hermite.det" not in names[1]
