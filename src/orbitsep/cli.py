@@ -27,7 +27,6 @@ from .hermite import (
     eval_scaled_invariants,
     hermite_as_dict,
     hermite_multiplier,
-    signed_quadratic,
 )
 from .io import emit_json, read_image_csv, read_pgm, read_signal_json, write_output
 from .metric import _full_support, child_seed, lipschitz_ratio_scan, orbit_distance
@@ -256,8 +255,6 @@ def cmd_counterexample(args) -> dict:
         attempts += 1
         y = _full_support(rng, args.n)
         y = y / np.linalg.norm(y)
-        if signed_quadratic(data, y) <= 0:
-            continue
         try:
             result = construct_counterexample(data, y)
         except DomainError:
@@ -351,9 +348,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_matrix(argv):
+    """argparse takes a word that starts with '-' for a flag unless the whole
+    word is one negative number, so join a matrix such as -1,2;3,-4 to its
+    --matrix flag with '='."""
+    words = []
+    for word in argv:
+        if words and words[-1] == "--matrix" and word.startswith("-") and word[1:2].isdigit():
+            words[-1] = f"--matrix={word}"
+        else:
+            words.append(word)
+    return words
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        argv = sys.argv[1:] if argv is None else argv
+        args = build_parser().parse_args(_attach_matrix(argv))
     except SystemExit as exc:  # argparse reports usage errors itself
         return int(exc.code or 0)
     try:

@@ -135,35 +135,22 @@ def read_pgm(path) -> np.ndarray:
     return data.reshape(height, width)
 
 
+_NON_FINITE = {"nan": '"NaN"', "inf": '"Infinity"', "-inf": '"-Infinity"'}
+
+
 def _float_text(x: float) -> str:
-    if math.isnan(x):
-        return '"NaN"'
-    if math.isinf(x):
-        return '"Infinity"' if x > 0 else '"-Infinity"'
-    return format(float(x), ".17g")
-
-
-_SCALAR_TYPES = (
-    bool,
-    int,
-    float,
-    complex,
-    str,
-    Fraction,
-    type(None),
-    np.integer,
-    np.floating,
-    np.complexfloating,
-)
+    text = "%.17g" % x
+    return _NON_FINITE.get(text, text)
 
 
 def _scalar_text(value) -> str:
+    """The one definition of a JSON scalar; any other type raises TypeError."""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
-        return _float_text(float(value))
+        return _float_text(value)
     if isinstance(value, (complex, np.complexfloating)):
         return f"[{_float_text(value.real)}, {_float_text(value.imag)}]"
     if isinstance(value, Fraction):
@@ -175,29 +162,28 @@ def _scalar_text(value) -> str:
     raise TypeError(f"not a scalar: {type(value)!r}")
 
 
+_CONTAINERS = (dict, list, tuple, np.ndarray)
+
+
 def _emit(value, depth: int) -> str:
-    if isinstance(value, _SCALAR_TYPES) or value is None:
+    if not isinstance(value, _CONTAINERS):
         return _scalar_text(value)
     if isinstance(value, np.ndarray):
-        value = value.tolist()
+        return _emit(value.tolist(), depth)
+    if not value:
+        return "{}" if isinstance(value, dict) else "[]"
     pad = "  " * (depth + 1)
     close = "  " * depth
     if isinstance(value, dict):
-        if not value:
-            return "{}"
         parts = [
             f"{pad}{json.dumps(str(key))}: {_emit(item, depth + 1)}"
             for key, item in value.items()
         ]
         return "{\n" + ",\n".join(parts) + "\n" + close + "}"
-    if isinstance(value, (list, tuple)):
-        if not len(value):
-            return "[]"
-        if all(isinstance(item, _SCALAR_TYPES) for item in value):
-            return "[" + ", ".join(_scalar_text(item) for item in value) + "]"
-        parts = [f"{pad}{_emit(item, depth + 1)}" for item in value]
-        return "[\n" + ",\n".join(parts) + "\n" + close + "]"
-    raise TypeError(f"cannot serialize {type(value)!r}")
+    if not any(isinstance(item, _CONTAINERS) for item in value):
+        return "[" + ", ".join(_scalar_text(item) for item in value) + "]"
+    parts = [f"{pad}{_emit(item, depth + 1)}" for item in value]
+    return "[\n" + ",\n".join(parts) + "\n" + close + "]"
 
 
 def emit_json(payload: dict) -> str:
@@ -208,6 +194,9 @@ def emit_json(payload: dict) -> str:
 def write_output(text: str, out_path=None) -> None:
     """Write to the given path, or stdout when no path is given."""
     if out_path:
-        Path(out_path).write_text(text)
+        try:
+            Path(out_path).write_text(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {out_path}: {exc}") from exc
     else:
         print(text, end="")

@@ -173,14 +173,9 @@ def eval_lowdim(
         return InvariantVector(
             transform_id="Phi", values=np.zeros(n + ell.out_dim, dtype=complex)
         )
-    phases = _unit_phases(x, moduli)
-    if mode == "repaired":
-        v = eval_monomial_map(table, phases).values
-    else:
-        support = (moduli > 0).astype(complex)
-        v = np.concatenate(
-            [support, *(monomials(phases, idx, exps) for idx, exps in table.blocks[1:])]
-        )
+    v = eval_monomial_map(table, _unit_phases(x, moduli)).values
+    if mode == "as_written":
+        v[:n] = moduli > 0
     mu = float(moduli[moduli > 0].min())
     return InvariantVector(
         transform_id="Phi",

@@ -2,10 +2,12 @@
 complex ** int product per component, multiplied left to right starting
 from 1), the exhaustive minimal-exponent oracle, the closed form of the
 single exponents, the Fraction Gauss-Jordan solve, the chunked brute-force
-orbit metric, and the empirical separation and proportionality checks."""
+orbit metric, the empirical separation and proportionality checks, and a
+JSON emitter that picks its layout from a registry of scalar types."""
 
 import cmath
 import itertools
+import json
 import math
 from fractions import Fraction
 
@@ -294,3 +296,75 @@ def ae_projection_check(
         "seed": seed,
         "tolerance": tol,
     }
+
+
+def _reference_float_text(x: float) -> str:
+    if math.isnan(x):
+        return '"NaN"'
+    if math.isinf(x):
+        return '"Infinity"' if x > 0 else '"-Infinity"'
+    return format(float(x), ".17g")
+
+
+_REFERENCE_SCALAR_TYPES = (
+    bool,
+    int,
+    float,
+    complex,
+    str,
+    Fraction,
+    type(None),
+    np.integer,
+    np.floating,
+    np.complexfloating,
+)
+
+
+def _reference_scalar_text(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return _reference_float_text(float(value))
+    if isinstance(value, (complex, np.complexfloating)):
+        return f"[{_reference_float_text(value.real)}, {_reference_float_text(value.imag)}]"
+    if isinstance(value, Fraction):
+        return json.dumps(str(value))
+    if isinstance(value, str):
+        return json.dumps(value)
+    if value is None:
+        return "null"
+    raise TypeError(f"not a scalar: {type(value)!r}")
+
+
+def _reference_emit(value, depth: int) -> str:
+    if isinstance(value, _REFERENCE_SCALAR_TYPES) or value is None:
+        return _reference_scalar_text(value)
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
+    pad = "  " * (depth + 1)
+    close = "  " * depth
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        parts = [
+            f"{pad}{json.dumps(str(key))}: {_reference_emit(item, depth + 1)}"
+            for key, item in value.items()
+        ]
+        return "{\n" + ",\n".join(parts) + "\n" + close + "}"
+    if isinstance(value, (list, tuple)):
+        if not len(value):
+            return "[]"
+        if all(isinstance(item, _REFERENCE_SCALAR_TYPES) for item in value):
+            return "[" + ", ".join(_reference_scalar_text(item) for item in value) + "]"
+        parts = [f"{pad}{_reference_emit(item, depth + 1)}" for item in value]
+        return "[\n" + ",\n".join(parts) + "\n" + close + "]"
+    raise TypeError(f"cannot serialize {type(value)!r}")
+
+
+def reference_emit_json(payload: dict) -> str:
+    """The emitter with a registry of scalar types deciding the layout and
+    non-finite floats sorted out before formatting; the package's emitter
+    must give the same text."""
+    return _reference_emit(payload, 0) + "\n"

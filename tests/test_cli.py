@@ -511,6 +511,28 @@ def test_out_flag_writes_file(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
+    "orders,matrix", [("4", "-1,-2"), ("4,6", "-1,2;3,-4")], ids=["one-row", "two-rows"]
+)
+def test_matrix_with_negative_first_entry_as_separate_word(capsys, orders, matrix):
+    attached = run(capsys, "exponents", "--orders", orders, f"--matrix={matrix}")
+    separate = run(capsys, "exponents", "--orders", orders, "--matrix", matrix)
+    assert attached[0] == 0, attached[2]
+    assert separate == attached
+    code, out, _ = run(capsys, "exponents", "--orders", orders, "--matrix")
+    assert (code, out) == (2, "")
+
+
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+def test_unwritable_out_path_exits_two(capsys, tmp_path, where):
+    target = tmp_path / "missing" / "x.json" if where == "missing-directory" else tmp_path
+    code, out, err = run(
+        capsys, "exponents", "--orders", "4", "--matrix", "1,2", "--out", str(target)
+    )
+    assert (code, out) == (2, "")
+    assert "cannot write" in err
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["invariants", "--shift", "2x3", "--transform", "phi", "--seed", "-1"],

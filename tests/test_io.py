@@ -2,10 +2,13 @@
 
 import json
 import math
+import struct
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orbitsep import ConfigError
 from orbitsep.io import (
@@ -15,6 +18,7 @@ from orbitsep.io import (
     read_signal_json,
     write_output,
 )
+from reference import reference_emit_json
 
 
 def test_signal_json_mixed_entries(tmp_path):
@@ -143,6 +147,8 @@ def test_emit_json_nonfinite_and_determinism():
     assert emit_json(payload) == text
     with pytest.raises(TypeError):
         emit_json({"bad": object()})
+    with pytest.raises(TypeError):
+        emit_json({"bad": [1, {2}]})
 
 
 def test_emit_json_preserves_key_order():
@@ -156,3 +162,75 @@ def test_write_output(tmp_path, capsys):
     assert target.read_text() == "hello\n"
     write_output("to stdout\n", None)
     assert capsys.readouterr().out == "to stdout\n"
+
+
+# Raw 64-bit patterns reach every double, NaNs of either sign and any
+# payload included; st.floats() adds the infinities, -0.0, subnormals and
+# round numbers often enough to be drawn in every run.
+doubles = st.one_of(
+    st.floats(),
+    st.integers(0, 2**64 - 1).map(lambda bits: struct.unpack("<d", struct.pack("<Q", bits))[0]),
+)
+complexes = st.builds(complex, doubles, doubles)
+scalars = st.one_of(
+    doubles,
+    doubles.map(np.float64),
+    complexes,
+    st.integers(-(2**200), 2**200),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.fractions(),
+    st.booleans(),
+    st.none(),
+    st.text(alphabet=st.sampled_from('ab"\\\n\u00e9\u03bb\u4e2d\U0001f600')),
+)
+arrays = st.one_of(
+    st.lists(doubles, max_size=6).map(lambda v: np.array(v, dtype=float)),
+    st.lists(complexes, max_size=6).map(lambda v: np.array(v, dtype=complex)),
+)
+payloads = st.dictionaries(
+    st.text(max_size=4),
+    st.recursive(
+        st.one_of(scalars, arrays),
+        lambda items: st.one_of(
+            st.lists(items, max_size=4),
+            st.lists(items, max_size=4).map(tuple),
+            st.dictionaries(st.text(max_size=4), items, max_size=4),
+        ),
+        max_leaves=20,
+    ),
+    max_size=4,
+)
+
+
+def decoded(value):
+    """What json.loads should give back for a payload value: every finite
+    float exactly, non-finite ones as their quoted names.  Integral floats
+    are spelled without a point, so they come back as ints of equal value
+    (-0.0 as 0)."""
+    if isinstance(value, dict):
+        return {str(key): decoded(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple, np.ndarray)):
+        return [decoded(item) for item in value]
+    if isinstance(value, (complex, np.complexfloating)):
+        return [decoded(value.real), decoded(value.imag)]
+    if isinstance(value, (float, np.floating)):
+        if math.isnan(value):
+            return "NaN"
+        return value if math.isfinite(value) else ("Infinity" if value > 0 else "-Infinity")
+    if isinstance(value, Fraction):
+        return str(value)
+    if isinstance(value, np.integer):
+        return int(value)
+    return value
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(payloads)
+def test_emit_json_matches_reference(payload):
+    assert emit_json(payload) == reference_emit_json(payload)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(payloads)
+def test_emit_json_round_trips(payload):
+    assert json.loads(emit_json(payload)) == decoded(payload)
