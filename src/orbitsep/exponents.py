@@ -114,6 +114,49 @@ def _basis(group: GroupSpec, ks):
     return tuple(tuple(row[:len(rows)]) for row in rows)
 
 
+def kernel_lattice(group: GroupSpec):
+    """K' = {v in Z^s : v @ phase_steps(group) = 0 (mod L)}, the elements
+    acting trivially plus the order lattice, as a Hermite basis like _basis:
+    per coordinate, one reduction clears the row [turns of each basis vector
+    | L], and the rows below become the Hermite basis of its kernel."""
+    s, L = len(group.orders), group.phase_lcm
+    basis = [[int(i == j) for j in range(s)] for i in range(s)]
+    for column in zip(*group.exponents):
+        steps = [(L // p) * a for a, p in zip(column, group.orders)]
+        turns = [sum(t * row[j] for t, row in zip(steps, basis)) % L for j in range(s)]
+        if any(turns):  # else the whole basis already fixes this coordinate
+            rows = [[*turns, L]] + [[*row, 0] for row in basis]
+            _reduce(rows, s + 1)
+            basis = [row[1:] for row in rows[1:]]
+    return tuple(map(tuple, basis))
+
+
+def smith_form(rows):
+    """(d, R, R_inv) for a nonsingular s x s integer matrix B: positive
+    d_1 | ... | d_s and unimodular R with U @ B @ R = diag(d) for some
+    unimodular U, so the rows d_j * R_inv[j] span B's row lattice.  Column
+    reductions of B (R rides below) alternate with those of its transpose
+    until B is diagonal; d_i not dividing a later d_j gets row j added,
+    which the next reduction turns into their gcd."""
+    s = len(rows)
+    identity = lambda: [[int(i == j) for j in range(s)] for i in range(s)]
+    t = [list(row) for row in rows] + identity()
+    while True:
+        if not any(t[i][j] for i in range(s) for j in range(s) if i != j):
+            pair = next(((i, j) for j in range(s) for i in range(j) if t[j][j] % t[i][i]), None)
+            if pair is None:
+                break
+            t[pair[0]][pair[1]] = t[pair[1]][pair[1]]  # row j added to row i
+        _reduce(t, s)
+        transposed = [list(col) for col in zip(*t[:s])]
+        _reduce(transposed, s)
+        t[:s] = [list(col) for col in zip(*transposed)]
+    inverse = [list(row) for row in t[s:]] + identity()
+    _reduce(inverse, s)  # R @ R_inv is R's Hermite form, the identity
+    freeze = lambda table: tuple(tuple(row) for row in table)
+    return tuple(t[i][i] for i in range(s)), freeze(t[s:]), freeze(inverse[s:])
+
+
 def _solve_congruence(w: int, r: int, p: int):
     """Solutions of w*t = r (mod p) as (t0, q) meaning t = t0 (mod q) with
     0 <= t0 < q, or None."""

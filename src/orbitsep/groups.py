@@ -18,8 +18,9 @@ import numpy as np
 
 from .errors import ConfigError, DimensionError, DomainError
 
-# Largest group enumerate_group lists.  orbit_distance holds the element rows
-# and an FFT grid of the group's order, so this also bounds its memory.
+# Largest group enumerate_group lists and orbit_distance accepts.  The metric
+# holds the element rows and an FFT grid of the order of the group's faithful
+# quotient, which is at most this.
 ENUMERATION_CAP = 10**6
 
 
@@ -123,12 +124,14 @@ def act(group: GroupSpec, element, x) -> np.ndarray:
     return np.exp((2j * np.pi / L) * turns) * x
 
 
+def _check_enumerable(group: GroupSpec) -> None:
+    if (order := group.group_order) > ENUMERATION_CAP:
+        raise DomainError(f"group order {order} exceeds enumeration cap {ENUMERATION_CAP}")
+
+
 def enumerate_group(group: GroupSpec) -> np.ndarray:
     """All group elements, one read-only int64 row each, in lexicographic order."""
-    if group.group_order > ENUMERATION_CAP:
-        raise DomainError(
-            f"group order {group.group_order} exceeds enumeration cap {ENUMERATION_CAP}"
-        )
+    _check_enumerable(group)
     rows = np.indices(group.orders, dtype=np.int64)
     rows = rows.reshape(group.num_generators, -1).T
     rows.flags.writeable = False

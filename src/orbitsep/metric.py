@@ -1,23 +1,28 @@
 """Orbit metric d(x, y) = min over g of ||x - g.y||, plus pair samplers.
 
 The metric is the ground truth every invariant transform is judged against.
-For a diagonal action the overlap g -> <x, g.y> is the Fourier transform on
-G of x * conj(y) binned by character, so one FFT over an array of shape
-`orders` scores every element at once.  The elements whose FFT score lies
-within the FFT's error bound of the best are scored again with integer-exact
-phases, the witness is the lexicographically first element reaching the
-smallest exact score, and its distance is recomputed directly so the
-reported value matches ||x - act(witness, y)|| to machine precision.
+An orbit depends only on the group the action sees, Q = G/K (K fixes every
+coordinate), compiled once per group into Z_{d_1} x ... x Z_{d_m} by a Smith
+form.  For a diagonal action the overlap q -> <x, q.y> is the Fourier
+transform on Q of x * conj(y) binned by Q's characters, so one FFT over an
+array of shape (d_1, ..., d_m) scores every coset of K at once.  The cosets
+within the FFT's error bound of the best are scored again with the
+integer-exact phases all their elements share; the witness is the
+lexicographically first element of G reaching the smallest exact score, and
+its distance is recomputed directly so the reported value matches
+||x - act(witness, y)|| to machine precision.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .groups import GroupSpec, _check_signal, act, enumerate_group, phase_steps
+from .exponents import _read_only, kernel_lattice, smith_form
+from .groups import GroupSpec, _check_enumerable, _check_signal, act, enumerate_group, phase_steps
 
 _CHUNK = 4096
 
@@ -30,41 +35,90 @@ class OrbitDistanceResult:
     witness: tuple
 
 
+@dataclass(frozen=True, eq=False)
+class Quotient:
+    """A group's faithful quotient Q = G/K, orders the Smith invariants d_j > 1
+    of K' (or just 1).  Row j of lift is an element of G over Q's generator j,
+    row j of turns its phase_steps(G) mod L.  kernel is K''s Hermite basis,
+    sheared its columns with entries below the diagonal, bins Q's exponent rows."""
+
+    group: GroupSpec
+    lift: np.ndarray
+    kernel: np.ndarray
+    sheared: tuple
+    turns: np.ndarray
+    bins: tuple
+
+    def least_member(self, rows) -> tuple:
+        """The least element of G in the cosets of K through the integer rows,
+        whose entry i lands in [0, kernel[i, i]) (unsheared columns at once)."""
+        rows = np.array(rows, dtype=np.int64)
+        for i in self.sheared:
+            rows -= (rows[:, i] // self.kernel[i, i])[:, None] * self.kernel[:, i]
+        rows %= self.kernel.diagonal()
+        return tuple(rows[np.lexsort(rows.T[::-1])[0]].tolist())
+
+
+@functools.lru_cache(maxsize=8)
+def faithful_quotient(group: GroupSpec) -> Quotient:
+    """Built once per process while among the 8 most recently used."""
+    L, kernel = group.phase_lcm, kernel_lattice(group)
+    orders, _, lift = smith_form(list(zip(*kernel)))
+    keep = [j for j, d in enumerate(orders) if d > 1] or [len(orders) - 1]
+    lift = np.array([lift[j] for j in keep], dtype=np.int64) % group.orders
+    turns = lift @ phase_steps(group) % L
+    exponents = [[t * orders[j] // L for t in row] for j, row in zip(keep, turns.tolist())]
+    return Quotient(
+        group=GroupSpec(tuple(orders[j] for j in keep), tuple(map(tuple, exponents))),
+        lift=_read_only(lift),
+        kernel=_read_only(np.array(kernel, dtype=np.int64)),
+        sheared=tuple(i for i, col in enumerate(zip(*kernel)) if any(col[i + 1:])),
+        turns=_read_only(turns),
+        bins=tuple(_read_only(np.array(exponents, dtype=np.int64))),
+    )
+
+
 def orbit_distance(group: GroupSpec, x, y) -> OrbitDistanceResult:
     """Exact minimum of ||x - g.y|| over the whole (enumerable) group."""
     x = _check_signal(group, x)
     y = _check_signal(group, y)
-    elements = enumerate_group(group)
+    _check_enumerable(group)
+    quotient = faithful_quotient(group)
+    elements = enumerate_group(quotient.group)
+    # One power of two brings every component into [-1, 1), so no product
+    # below overflows; the scaling is exact for normal values.
+    xy = np.concatenate([x, y]).view(float)
+    k = int(np.frexp(np.abs(xy).max())[1])
+    x, y = np.ldexp(xy, -k).view(complex).reshape(2, -1)
     # ||x - g.y||^2 = ||x||^2 + ||y||^2 - 2 Re(conj(phi_g) . (x * conj(y)))
     cross = x * np.conj(y)
     const = float(np.vdot(x, x).real + np.vdot(y, y).real)
-    grid = np.zeros(group.orders, dtype=complex)
-    np.add.at(grid, tuple(np.array(group.exponents)), cross)
-    # In place: at |G| = 10^6 a fresh output per axis doubles the time.
+    grid = np.zeros(quotient.group.orders, dtype=complex)
+    np.add.at(grid, quotient.bins, cross)
+    # In place: at |Q| = 10^6 a fresh output per axis doubles the time.
     overlap = np.fft.fftn(grid, out=grid).real
     # Each entry of an FFT of size n errs by about eps * log2(n) * sqrt(n)
     # * ||grid||_2 <= eps * log2(n) * sqrt(n) * const / 2, near 1e-12 * const
-    # at n = ENUMERATION_CAP, so the exact best element lies within twice
-    # that of the FFT's best, far inside the slack.  The floor keeps the
-    # slack above subnormal rounding; a non-finite overlap makes every
-    # element a candidate.
+    # at n = ENUMERATION_CAP, so the exact best coset lies within twice that
+    # of the FFT's best, far inside the slack.  The floor keeps the slack
+    # above subnormal rounding; a non-finite overlap makes every coset a
+    # candidate.
     slack = 1e-9 * max(const, 1e-290)
     candidates = np.flatnonzero(~(overlap < overlap.max() - slack))
-    L = group.phase_lcm
-    steps = phase_steps(group)
-    best_val = np.inf
-    best_idx = candidates[0]
-    # Two or more candidates never give a one-row block, whose product would
-    # round differently from the multi-row blocks it is compared with.
-    for block in np.array_split(candidates, -(-len(candidates) // _CHUNK)):
-        turns = elements[block] @ steps % L
-        vals = const - 2.0 * (np.exp((-2j * np.pi / L) * turns) @ cross).real
-        i = int(np.argmin(vals))
-        if vals[i] < best_val:
-            best_val = float(vals[i])
-            best_idx = block[i]
-    witness = tuple(int(v) for v in elements[best_idx])
-    distance = float(np.linalg.norm(x - act(group, witness, y)))
+    L, n = group.phase_lcm, len(candidates)
+    blocks = -(-n // _CHUNK)
+    # Even blocks, never one row for two or more candidates: a one-row
+    # product rounds differently from the multi-row blocks it is compared with.
+    exact = np.concatenate([
+        np.exp((-2j * np.pi / L) * (elements[block] @ quotient.turns % L)) @ cross
+        for block in (candidates[i * n // blocks:(i + 1) * n // blocks] for i in range(blocks))
+    ])
+    vals = const - 2.0 * exact.real
+    best = vals.min()  # not finite only for non-finite input: row 0, the identity, stands
+    tied = elements[candidates[vals == best]] if best < np.inf else elements[:1]
+    witness = quotient.least_member(tied @ quotient.lift)
+    with np.errstate(over="ignore"):  # a distance beyond the double range is inf
+        distance = float(np.ldexp(np.linalg.norm(x - act(group, witness, y)), k))
     return OrbitDistanceResult(distance=distance, witness=witness)
 
 

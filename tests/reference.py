@@ -2,8 +2,9 @@
 complex ** int product per component, multiplied left to right starting
 from 1), the exhaustive minimal-exponent oracle, the closed form of the
 single exponents, the Fraction Gauss-Jordan solve, the chunked brute-force
-orbit metric, the empirical separation and proportionality checks, and a
-JSON emitter that picks its layout from a registry of scalar types."""
+orbit metric, the distinct phase vectors of a group's elements, the
+empirical separation and proportionality checks, and a JSON emitter that
+picks its layout from a registry of scalar types."""
 
 import cmath
 import itertools
@@ -235,6 +236,23 @@ def brute_orbit_distance(group, x, y, chunk: int = 4096) -> OrbitDistanceResult:
     witness = tuple(int(v) for v in elements[best_idx])
     distance = float(np.linalg.norm(x - act(group, witness, y)))
     return OrbitDistanceResult(distance=distance, witness=witness)
+
+
+def brute_phase_vectors(group) -> set:
+    """The distinct phase vectors of the group's elements, each as its
+    integer turns mod L per coordinate, from every element in turn."""
+    L = group.phase_lcm
+    steps = phase_steps(group).tolist()
+    return {
+        tuple(sum(g * row[k] for g, row in zip(element, steps)) % L for k in range(group.dim))
+        for element in itertools.product(*(range(p) for p in group.orders))
+    }
+
+
+def brute_quotient_order(group) -> int:
+    """|G/K|: the number of distinct phase vectors, since two elements act
+    alike exactly when they differ by an element of the kernel K."""
+    return len(brute_phase_vectors(group))
 
 
 def check_npp(table, x, y, scale: float) -> bool:

@@ -570,16 +570,20 @@ def test_unknown_command_exits_two(capsys):
 
 
 def test_every_command_is_silent_in_dev_mode_with_warnings_as_errors(tmp_path):
-    # Each subcommand, invariants once per transform, and the overflow inputs,
-    # each in a child interpreter that turns every warning into an error.
+    # Each subcommand, invariants once per transform, the overflow inputs and
+    # a compare of signals near the top of the double range, each in a child
+    # interpreter that turns every warning into an error.
     write_overflow_signals(tmp_path)
     write_signal(tmp_path, "x.json", np.arange(1, 7) * (1 - 0.5j))
     write_signal(tmp_path, "y.json", np.arange(6, 0, -1) * (0.5 + 1j))
+    write_signal(tmp_path, "big_x.json", 1e300 * np.arange(1, 7) * (1 - 0.5j))
+    write_signal(tmp_path, "big_y.json", 1e300 * np.arange(6, 0, -1) * (0.5 + 1j))
     group = ["--shift", "2x3"]
     runs = [
         ["exponents", *group],
         *(["invariants", *group, "--transform", t, "x.json"] for t in orbitsep.cli.TRANSFORMS),
         ["compare", *group, "x.json", "y.json"],
+        ["compare", *group, "big_x.json", "big_y.json"],
         ["counterexample"],
         ["bench", *group, "--samples", "3"],
         *(argv for argv, _ in OVERFLOW_CASES.values()),

@@ -1,6 +1,8 @@
 """Minimal invariant exponents: singles, pairs and triples from one lattice
 solver, checked against the closed form of the singles, the exhaustive
-oracle, and the assembled table."""
+oracle, and the assembled table.  Also the lattice of elements acting
+trivially, its Smith form and the faithful quotient built from them,
+checked against brute force and sympy."""
 
 import itertools
 import math
@@ -8,6 +10,8 @@ import random
 
 import numpy as np
 import pytest
+import sympy
+from sympy.matrices.normalforms import smith_normal_form
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -25,8 +29,10 @@ from orbitsep import (
     shift_action_spec,
     table_as_dict,
 )
-from orbitsep.exponents import float_exponents
-from reference import lcm_single, oracle_minimal
+from orbitsep.exponents import float_exponents, kernel_lattice, smith_form
+from orbitsep.groups import enumerate_group, phase_steps
+from orbitsep.metric import faithful_quotient
+from reference import brute_phase_vectors, brute_quotient_order, lcm_single, oracle_minimal
 
 
 def naive_minimal(group, subset):
@@ -280,3 +286,97 @@ def test_float_exponents_is_the_float64_cast():
     for beyond in (2**1024, -(2**1024), 10**400):
         with pytest.raises(DomainError, match="double range"):
             float_exponents(np.array([[1, beyond]], dtype=object))
+
+
+@st.composite
+def acting_groups(draw):
+    """Groups drawn like test_metric.metric_cases: s <= 3, orders <= 30 and
+    N <= 8, with a common factor on the characters and some zero columns,
+    so that many actions have a kernel."""
+    s = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 8))
+    orders = draw(st.lists(st.integers(1, 30), min_size=s, max_size=s))
+    rows = st.lists(st.integers(0, 59), min_size=n, max_size=n)
+    matrix = np.array(draw(st.lists(rows, min_size=s, max_size=s)))
+    matrix *= draw(st.sampled_from([1, 2, 3, 5, 6]))
+    matrix[:, draw(st.lists(st.booleans(), min_size=n, max_size=n))] = 0
+    return make_group(orders, matrix.tolist())
+
+
+def acts_trivially(group, vectors) -> bool:
+    vectors = np.array(vectors, dtype=np.int64).reshape(-1, group.num_generators)
+    return not (vectors @ phase_steps(group) % group.phase_lcm).any()
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(acting_groups())
+def test_kernel_lattice_is_the_hermite_basis_of_the_trivial_elements(group):
+    kernel = np.array(kernel_lattice(group))
+    pivots = kernel.diagonal()
+    assert (pivots > 0).all() and not np.triu(kernel, 1).any()
+    assert all((0 <= kernel[i, :i]).all() and (kernel[i, :i] < pivots[i]).all() for i in range(len(pivots)))
+    assert acts_trivially(group, kernel.T)
+    # A full-rank sublattice of the trivial elements with index |G/K| is all of them.
+    assert math.prod(pivots.tolist()) == brute_quotient_order(group)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(acting_groups())
+def test_smith_form_of_the_kernel_matches_sympy(group):
+    kernel = kernel_lattice(group)
+    s = group.num_generators
+    d, R, R_inv = smith_form(list(zip(*kernel)))
+    want = smith_normal_form(sympy.Matrix(kernel))
+    assert list(d) == [abs(int(want[i, i])) for i in range(s)]
+    assert (np.array(R) @ np.array(R_inv) == np.eye(s, dtype=int)).all()
+    # The rows d_j * R_inv[j] act trivially and span a lattice of the
+    # kernel's index, so they span the kernel lattice.
+    assert acts_trivially(group, np.array(d)[:, None] * np.array(R_inv))
+    assert math.prod(d) == math.prod(kernel[i][i] for i in range(s))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(acting_groups())
+def test_faithful_quotient_acts_like_the_group(group):
+    quotient = faithful_quotient(group)
+    assert quotient.group.group_order == brute_quotient_order(group)
+    assert all(d > 1 for d in quotient.group.orders) or quotient.group.orders == (1,)
+    # Q's own characters and its lifts into G give each element of Q the
+    # same phases, and together exactly the phase vectors of G.
+    L, LQ = group.phase_lcm, quotient.group.phase_lcm
+    elements = enumerate_group(quotient.group)
+    own = elements @ phase_steps(quotient.group) % LQ * (L // LQ)
+    lifted = elements @ quotient.lift @ phase_steps(group) % L
+    assert (own == lifted).all()
+    assert {tuple(row) for row in own.tolist()} == brute_phase_vectors(group)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(acting_groups(), st.lists(st.integers(-100, 100), min_size=3, max_size=3))
+def test_least_member_is_the_least_element_of_the_coset(group, vector):
+    quotient = faithful_quotient(group)
+    v = np.array(vector[:group.num_generators])
+    coset = [
+        element for element in itertools.product(*(range(p) for p in group.orders))
+        if acts_trivially(group, np.array(element) - v)
+    ]
+    assert quotient.least_member([v]) == min(coset)
+
+
+def test_off_diagonal_kernel_of_a_group_with_kernel_of_order_four():
+    # The elements (5, 0, 5) and (0, 5, 0) fix every coordinate; the first
+    # gives the echelon its entry below the diagonal.
+    group = make_group((10, 10, 10), ((1, 2, 3), (4, 0, 6), (7, 8, 5)))
+    assert kernel_lattice(group) == ((5, 0, 0), (0, 5, 0), (5, 0, 10))
+    quotient = faithful_quotient(group)
+    assert quotient.group.orders == (5, 5, 10)
+    assert quotient.group.group_order == brute_quotient_order(group) == 250
+    assert quotient.least_member([[7, 9, 3], [5, 5, 5]]) == (0, 0, 0)
+    assert quotient.least_member([[7, 9, 3]]) == (2, 4, 8)
+
+
+def test_trivial_action_has_a_quotient_of_order_one():
+    quotient = faithful_quotient(make_group([4], [[0, 0, 0]]))
+    assert quotient.group.orders == (1,)
+    assert kernel_lattice(quotient.group) == ((1,),)
+    assert quotient.least_member([[3]]) == (0,)

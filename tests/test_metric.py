@@ -217,3 +217,76 @@ def test_all_tied_elements_rescored_in_bounded_memory():
     assert res.witness == (0, 0)
     assert res.distance == float(np.linalg.norm(x - y))
     assert peak < 128 * 2**20
+
+
+ORDER_1E6 = make_group((100, 100, 100), ((11, 45, 94, 65), (48, 68, 72, 52), (92, 88, 18, 76)))
+
+
+def test_trivial_action_witness_is_the_identity():
+    g = make_group([4], [[0, 0, 0]])
+    rng = np.random.default_rng(8)
+    x, y = random_signal(rng, 3), random_signal(rng, 3)
+    res = orbit_distance(g, x, y)
+    assert res.witness == (0,)
+    assert_same_result(res, brute_orbit_distance(g, x, y))
+
+
+def test_exact_ties_across_cosets_take_the_least_element():
+    # Generator 2 acts trivially and coordinate 0 of both signals is zero, so
+    # the cosets of 2 and of 5 under generator 1 score exactly alike.
+    g = make_group([6, 2], [[1, 2], [0, 0]])
+    x = np.array([0, 1.0 + 0.5j])
+    y = act(g, (4, 1), x)
+    res = orbit_distance(g, x, y)
+    assert res.witness == (2, 0)
+    assert_same_result(res, brute_orbit_distance(g, x, y))
+
+
+def test_non_finite_overlap_keeps_the_identity_witness():
+    g = make_group([6, 2], [[1, 2], [0, 0]])
+    for bad in (np.inf, np.nan):
+        x, y = np.array([bad, 1.0 + 0j]), np.array([1j, 1.0 + 0j])
+        with np.errstate(all="ignore"):  # non-finite input makes numpy warn
+            res = orbit_distance(g, x, y)
+        assert res.witness == (0, 0)
+
+
+def test_signals_near_the_top_of_the_double_range():
+    # Scaling both signals by a power of two scales every score exactly, so
+    # the witness stays and the distance scales exactly; unscaled, x * conj(y)
+    # overflows.
+    rng = np.random.default_rng(9)
+    x, y = random_signal(rng, 4), random_signal(rng, 4)
+    small = orbit_distance(ORDER_1E6, x, y)
+    big = orbit_distance(ORDER_1E6, 2.0**996 * x, 2.0**996 * y)
+    assert big.witness == small.witness
+    assert big.distance == 2.0**996 * small.distance
+    tiny = orbit_distance(ORDER_1E6, 2.0**-1000 * x, 2.0**-1000 * y)
+    assert tiny.witness == small.witness
+    assert tiny.distance == 2.0**-1000 * small.distance
+
+
+def test_near_ties_rescored_over_several_blocks_match_brute_force():
+    # Coordinate 1 is too weak to move any FFT score beyond the slack, so all
+    # 10^4 cosets with generator 1 at 0 are candidates, scored in three
+    # blocks; the exact scores pick the best of them.
+    g = make_group([2, 10000], [[1, 0], [0, 1]])
+    x, y = np.array([1.0, 1e-6 + 2e-6j]), np.array([1.0 + 0j, 3e-6 - 1e-6j])
+    res = orbit_distance(g, x, y)
+    assert res.witness[0] == 0
+    assert_same_result(res, brute_orbit_distance(g, x, y))
+
+
+def test_warm_distance_on_order_1e6_peaks_below_8_mb():
+    # The FFT grid and the element rows cover G/K (125000 cosets, |K| = 8),
+    # not the 10^6 elements of G.
+    rng = np.random.default_rng(10)
+    x, y = random_signal(rng, 4), random_signal(rng, 4)
+    orbit_distance(ORDER_1E6, x, y)
+    tracemalloc.start()
+    try:
+        orbit_distance(ORDER_1E6, x, y)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20

@@ -13,6 +13,8 @@ import pytest
 import orbitsep.cli
 import orbitsep.exponents
 import orbitsep.hermite
+from orbitsep import make_group
+from reference import brute_quotient_order
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -77,7 +79,8 @@ def test_traced_ops_of_every_command(tracing, tmp_path, monkeypatch):
 def test_traced_metric_counts_every_element_it_scans(tracing, tmp_path, monkeypatch):
     # metric.elements_scanned is read off the groups.enumerate spans under
     # each orbit_distance call, so the metric must keep enumerating through
-    # enumerate_group and the result must keep a length.
+    # enumerate_group and the result must keep a length.  It enumerates the
+    # faithful quotient G/K: one element per distinct phase vector.
     monkeypatch.chdir(tmp_path)
     (tmp_path / "a.json").write_text("[1, [0.5, -2], 0.25]")
     (tmp_path / "b.json").write_text("[[0, 1], -0.5, 1.5]")
@@ -97,7 +100,9 @@ def test_traced_metric_counts_every_element_it_scans(tracing, tmp_path, monkeypa
     assert absent == []
     calls = metrics["metric.orbit_distance.calls"]
     assert calls == 4
-    assert metrics["metric.elements_scanned"] == metrics["groups.enumerate.elements"] == 1000 * calls
+    cosets = brute_quotient_order(make_group((10, 10, 10), ((1, 2, 3), (4, 0, 6), (7, 8, 5))))
+    assert cosets == 250
+    assert metrics["metric.elements_scanned"] == metrics["groups.enumerate.elements"] == cosets * calls
 
 
 def test_hermite_spans_come_only_from_the_multiplier(tracing, tmp_path, monkeypatch):
