@@ -1,5 +1,5 @@
 """Minimal invariant monomial exponents, and the exact lattice core they share
-with the Hermite code.
+with the Hermite code and the orbit metric.
 
 For a diagonal action the monomial x_{k1}^{e1} * ... * x_{kt}^{et} is invariant
 exactly when sum_j e_j * chi_{k_j} lies in the order lattice P spanned by the
@@ -10,6 +10,10 @@ which together define the separating monomial map.  The tuple is the first
 column of the column Hermite form of the subset's invariant lattice, read off
 the Hermite bases of the lattices Lambda(ks) = span(chi_ks) + P, so the cost
 depends on N and s but not on the size of the orders.
+
+The orbit metric needs G/K, the image of G in the unitary group (K fixes every
+coordinate); phase_generators splits it into cyclic factors by diagonalizing
+the phase-step matrix with the same reduction.
 """
 
 from __future__ import annotations
@@ -114,47 +118,25 @@ def _basis(group: GroupSpec, ks):
     return tuple(tuple(row[:len(rows)]) for row in rows)
 
 
-def kernel_lattice(group: GroupSpec):
-    """K' = {v in Z^s : v @ phase_steps(group) = 0 (mod L)}, the elements
-    acting trivially plus the order lattice, as a Hermite basis like _basis:
-    per coordinate, one reduction clears the row [turns of each basis vector
-    | L], and the rows below become the Hermite basis of its kernel."""
-    s, L = len(group.orders), group.phase_lcm
-    basis = [[int(i == j) for j in range(s)] for i in range(s)]
-    for column in zip(*group.exponents):
-        steps = [(L // p) * a for a, p in zip(column, group.orders)]
-        turns = [sum(t * row[j] for t, row in zip(steps, basis)) % L for j in range(s)]
-        if any(turns):  # else the whole basis already fixes this coordinate
-            rows = [[*turns, L]] + [[*row, 0] for row in basis]
-            _reduce(rows, s + 1)
-            basis = [row[1:] for row in rows[1:]]
-    return tuple(map(tuple, basis))
-
-
-def smith_form(rows):
-    """(d, R, R_inv) for a nonsingular s x s integer matrix B: positive
-    d_1 | ... | d_s and unimodular R with U @ B @ R = diag(d) for some
-    unimodular U, so the rows d_j * R_inv[j] span B's row lattice.  Column
-    reductions of B (R rides below) alternate with those of its transpose
-    until B is diagonal; d_i not dividing a later d_j gets row j added,
-    which the next reduction turns into their gcd."""
-    s = len(rows)
-    identity = lambda: [[int(i == j) for j in range(s)] for i in range(s)]
-    t = [list(row) for row in rows] + identity()
+def phase_generators(group: GroupSpec):
+    """(sigma, R): integers sigma and a unimodular s x s R whose column g_j
+    has the phase vector g_j @ phase_steps(group) = sigma_j * w_j, the w_j of
+    nonzero sigma_j distinct columns of one unimodular N x N matrix.  So the
+    g_j split G/K into cyclic factors of orders L / gcd(L, sigma_j).  Column
+    reductions of phase_steps(group).T (R rides below) alternate with those
+    of its transpose until every row and column holds at most one nonzero."""
+    s, n, L = len(group.orders), group.dim, group.phase_lcm
+    t = [[(L // p) * a for a, p in zip(column, group.orders)] for column in zip(*group.exponents)]
+    t += [[int(i == j) for j in range(s)] for i in range(s)]
     while True:
-        if not any(t[i][j] for i in range(s) for j in range(s) if i != j):
-            pair = next(((i, j) for j in range(s) for i in range(j) if t[j][j] % t[i][i]), None)
-            if pair is None:
-                break
-            t[pair[0]][pair[1]] = t[pair[1]][pair[1]]  # row j added to row i
-        _reduce(t, s)
-        transposed = [list(col) for col in zip(*t[:s])]
+        _reduce(t, n)
+        if all(sum(map(bool, line)) <= 1 for line in (*t[:n], *zip(*t[:n]))):
+            break
+        transposed = [list(col) for col in zip(*t[:n])]
         _reduce(transposed, s)
-        t[:s] = [list(col) for col in zip(*transposed)]
-    inverse = [list(row) for row in t[s:]] + identity()
-    _reduce(inverse, s)  # R @ R_inv is R's Hermite form, the identity
-    freeze = lambda table: tuple(tuple(row) for row in table)
-    return tuple(t[i][i] for i in range(s)), freeze(t[s:]), freeze(inverse[s:])
+        t[:n] = [list(col) for col in zip(*transposed)]
+    sigma = tuple(next(filter(None, col), 0) for col in zip(*t[:n]))
+    return sigma, tuple(map(tuple, t[n:]))
 
 
 def _solve_congruence(w: int, r: int, p: int):

@@ -2,26 +2,27 @@
 
 The metric is the ground truth every invariant transform is judged against.
 An orbit depends only on the group the action sees, Q = G/K (K fixes every
-coordinate), compiled once per group into Z_{d_1} x ... x Z_{d_m} by a Smith
-form.  For a diagonal action the overlap q -> <x, q.y> is the Fourier
-transform on Q of x * conj(y) binned by Q's characters, so one FFT over an
-array of shape (d_1, ..., d_m) scores every coset of K at once.  The cosets
-within the FFT's error bound of the best are scored again with the
-integer-exact phases all their elements share; the witness is the
-lexicographically first element of G reaching the smallest exact score, and
-its distance is recomputed directly so the reported value matches
-||x - act(witness, y)|| to machine precision.
+coordinate), compiled once per group into Z_{d_1} x ... x Z_{d_m} by one
+diagonalization of the phase-step matrix.  For a diagonal action the overlap
+q -> <x, q.y> is the Fourier transform on Q of x * conj(y) binned by Q's
+characters, so one FFT over an array of shape (d_1, ..., d_m) scores every
+coset of K at once.  The cosets within the FFT's error bound of the best are
+scored again with the integer-exact phases all their elements share; the
+witness is the lexicographically first element of G reaching the smallest
+exact score, and its distance is recomputed directly so the reported value
+matches ||x - act(witness, y)|| to machine precision.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .exponents import _read_only, kernel_lattice, smith_form
+from .exponents import _read_only, _reduce, phase_generators
 from .groups import GroupSpec, _check_enumerable, _check_signal, act, enumerate_group, phase_steps
 
 _CHUNK = 4096
@@ -37,44 +38,50 @@ class OrbitDistanceResult:
 
 @dataclass(frozen=True, eq=False)
 class Quotient:
-    """A group's faithful quotient Q = G/K, orders the Smith invariants d_j > 1
-    of K' (or just 1).  Row j of lift is an element of G over Q's generator j,
-    row j of turns its phase_steps(G) mod L.  kernel is K''s Hermite basis,
-    sheared its columns with entries below the diagonal, bins Q's exponent rows."""
+    """A group's faithful quotient Q = G/K, split into cyclic factors of
+    orders d_j > 1 (or just 1), ascending.  Row j of lift is an element of G
+    generating factor j, row j of turns its phase_steps(G) mod L.  kernel is
+    the Hermite basis of K', the elements of Z^s acting trivially; bins holds
+    Q's exponent rows."""
 
     group: GroupSpec
     lift: np.ndarray
     kernel: np.ndarray
-    sheared: tuple
     turns: np.ndarray
     bins: tuple
 
     def least_member(self, rows) -> tuple:
         """The least element of G in the cosets of K through the integer rows,
-        whose entry i lands in [0, kernel[i, i]) (unsheared columns at once)."""
+        whose entry i lands in [0, kernel[i, i])."""
         rows = np.array(rows, dtype=np.int64)
-        for i in self.sheared:
-            rows -= (rows[:, i] // self.kernel[i, i])[:, None] * self.kernel[:, i]
-        rows %= self.kernel.diagonal()
+        for i, column in enumerate(self.kernel.T):
+            rows -= (rows[:, i] // column[i])[:, None] * column
         return tuple(rows[np.lexsort(rows.T[::-1])[0]].tolist())
 
 
 @functools.lru_cache(maxsize=8)
 def faithful_quotient(group: GroupSpec) -> Quotient:
-    """Built once per process while among the 8 most recently used."""
-    L, kernel = group.phase_lcm, kernel_lattice(group)
-    orders, _, lift = smith_form(list(zip(*kernel)))
-    keep = [j for j, d in enumerate(orders) if d > 1] or [len(orders) - 1]
-    lift = np.array([lift[j] for j in keep], dtype=np.int64) % group.orders
+    """Built once per process while among the 8 most recently used.  With
+    (sigma, R) = phase_generators(group), G/K is the direct sum of the cyclic
+    groups generated by the columns g_j of R, of orders d_j = L / gcd(L,
+    sigma_j), and K' is spanned by the vectors d_j * g_j."""
+    L, s = group.phase_lcm, group.num_generators
+    sigma, R = phase_generators(group)
+    d = [L // math.gcd(L, x) for x in sigma]
+    kernel = [[x * d_j for x, d_j in zip(row, d)] for row in R]
+    _reduce(kernel, s)
+    keep = sorted((j for j in range(s) if d[j] > 1), key=d.__getitem__) or [0]
+    # R's entries can exceed int64: reduce them mod the orders first.
+    lift = np.array([[R[i][j] % p for i, p in enumerate(group.orders)] for j in keep], dtype=np.int64)
+    orders = np.array([d[j] for j in keep], dtype=np.int64)
     turns = lift @ phase_steps(group) % L
-    exponents = [[t * orders[j] // L for t in row] for j, row in zip(keep, turns.tolist())]
+    exponents = turns * orders[:, None] // L
     return Quotient(
-        group=GroupSpec(tuple(orders[j] for j in keep), tuple(map(tuple, exponents))),
+        group=GroupSpec(tuple(orders.tolist()), tuple(map(tuple, exponents.tolist()))),
         lift=_read_only(lift),
         kernel=_read_only(np.array(kernel, dtype=np.int64)),
-        sheared=tuple(i for i, col in enumerate(zip(*kernel)) if any(col[i + 1:])),
         turns=_read_only(turns),
-        bins=tuple(_read_only(np.array(exponents, dtype=np.int64))),
+        bins=tuple(_read_only(exponents)),
     )
 
 
@@ -179,11 +186,11 @@ def lipschitz_ratio_scan(
     """Max of ||T(x) - T(y)|| / d(x, y) over sampled pairs with d > 1e-9.
 
     transform: callable from signal to a complex vector.  Returns
-    (max_ratio, (x, y)) for the maximizing pair.
+    (max_ratio, (x, y)) for the maximizing pair.  A NaN ratio, from a
+    transform that overflowed, makes the maximum NaN, as np.max does, and
+    the first such pair is returned, as np.argmax picks it.
     """
-    best = -np.inf
-    best_pair = None
-    usable = 0
+    best, best_pair = -np.inf, None
     for i in range(int(samples)):
         x, y = sample_pair(group, kind, child_seed(seed, i))
         d = orbit_distance(group, x, y).distance
@@ -192,12 +199,12 @@ def lipschitz_ratio_scan(
         tx, ty = np.asarray(transform(x)), np.asarray(transform(y))
         with np.errstate(all="ignore"):  # non-finite values give a non-finite gap
             gap = float(np.linalg.norm(tx - ty))
-        usable += 1
         ratio = gap / d
+        if np.isnan(ratio):
+            return ratio, (x, y)
         if ratio > best:
-            best = ratio
-            best_pair = (x, y)
-    if usable == 0:
+            best, best_pair = ratio, (x, y)
+    if best_pair is None:
         raise DomainError(
             "every sampled pair was orbit-equivalent; use another kind or seed"
         )

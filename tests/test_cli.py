@@ -4,12 +4,15 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import orbitsep
 import orbitsep.cli
@@ -196,7 +199,8 @@ def test_invariants_power_overflow_is_non_finite(capsys, tmp_path):
 
 # Valid inputs whose F values overflow, so their differences and norms are
 # non-finite; with the argv that reaches each path, and the payload fields
-# after the envelope.
+# after the envelope.  One NaN ratio makes bench's maximum NaN, as np.max
+# does: its second pair's ratio is NaN, its first 5.5e108.
 OVERFLOW_SIGNALS = {
     "a.json": "[[3, 1], [2, 2], [0.5, 1]]",
     "b.json": "[[1, 3], [2, -2], [4, 1]]",
@@ -219,6 +223,12 @@ OVERFLOW_CASES = {
         ["bench", "--orders", "1000", "--matrix", "1,2,999", "--transform", "f",
          "--samples", "5"],
         {"transform": "F", "kind": "full_support", "samples": 5,
+         "max_ratio": "NaN", "bound": None},
+    ),
+    "bench-infinite": (
+        ["bench", "--orders", "997", "--matrix", "1,1,1,1,1,1,1,1,1,1,1,1", "--transform", "f",
+         "--samples", "1"],
+        {"transform": "F", "kind": "full_support", "samples": 1,
          "max_ratio": "Infinity", "bound": None},
     ),
 }
@@ -498,6 +508,39 @@ def test_bench_deterministic(capsys):
     _, out1, _ = run(capsys, *args)
     _, out2, _ = run(capsys, *args)
     assert out1 == out2
+
+
+@st.composite
+def argv_groups(draw):
+    """(orders, matrix) of small random groups, some prone to overflow:
+    orders near 1000 and up to 12 coordinates put F's powers beyond the
+    double range.  Negative entries exercise the --matrix words."""
+    s = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 12))
+    orders = draw(st.lists(st.one_of(st.integers(1, 12), st.integers(990, 1000)), min_size=s, max_size=s))
+    rows = draw(st.lists(st.lists(st.integers(-5, 2000), min_size=n, max_size=n), min_size=s, max_size=s))
+    return orders, rows
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(argv_groups(), st.sampled_from(orbitsep.cli.TRANSFORMS), st.integers(0, 2**31), st.integers(1, 3))
+@example(([997], [[1] * 12]), "f", 3, 1)
+def test_compare_and_bench_exit_zero_two_or_three(group, transform, seed, samples):
+    # Valid input never exits 4, and bench never prints the scan's start value.
+    orders, rows = group
+    flags = ["--orders", ",".join(map(str, orders)), "--matrix", ";".join(",".join(map(str, row)) for row in rows)]
+    bench = transform if transform in orbitsep.cli.BENCH_TRANSFORMS else "f"
+    rng = np.random.default_rng(seed)
+    n = len(rows[0])
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        a, b = (write_signal(tmp, name, rng.standard_normal(n) + 1j * rng.standard_normal(n)) for name in ("a.json", "b.json"))
+        out = str(tmp / "out.json")
+        assert main(["compare", *flags, "--transform", transform, str(a), str(b), "--out", out]) in (0, 2, 3)
+        code = main(["bench", *flags, "--transform", bench, "--samples", str(samples), "--seed", str(seed), "--out", out])
+        assert code in (0, 2, 3)
+        if code == 0:
+            assert json.loads(Path(out).read_text())["max_ratio"] != "-Infinity"
 
 
 def test_out_flag_writes_file(capsys, tmp_path):

@@ -1,8 +1,8 @@
 """Minimal invariant exponents: singles, pairs and triples from one lattice
 solver, checked against the closed form of the singles, the exhaustive
-oracle, and the assembled table.  Also the lattice of elements acting
-trivially, its Smith form and the faithful quotient built from them,
-checked against brute force and sympy."""
+oracle, and the assembled table.  Also the diagonalization of the phase
+steps, the lattice of elements acting trivially and the faithful quotient
+built from them, checked against brute force and sympy."""
 
 import itertools
 import math
@@ -29,7 +29,7 @@ from orbitsep import (
     shift_action_spec,
     table_as_dict,
 )
-from orbitsep.exponents import float_exponents, kernel_lattice, smith_form
+from orbitsep.exponents import float_exponents, phase_generators
 from orbitsep.groups import enumerate_group, phase_steps
 from orbitsep.metric import faithful_quotient
 from reference import brute_phase_vectors, brute_quotient_order, lcm_single, oracle_minimal
@@ -291,15 +291,17 @@ def test_float_exponents_is_the_float64_cast():
 @st.composite
 def acting_groups(draw):
     """Groups drawn like test_metric.metric_cases: s <= 3, orders <= 30 and
-    N <= 8, with a common factor on the characters and some zero columns,
-    so that many actions have a kernel."""
+    N <= 8, with a common factor on the characters, some zero columns and
+    zero rows, and some N < s, so that many actions have a kernel and some
+    generators act trivially."""
     s = draw(st.integers(1, 3))
-    n = draw(st.integers(1, 8))
+    n = draw(st.one_of(st.integers(1, 8), st.integers(1, s)))
     orders = draw(st.lists(st.integers(1, 30), min_size=s, max_size=s))
     rows = st.lists(st.integers(0, 59), min_size=n, max_size=n)
     matrix = np.array(draw(st.lists(rows, min_size=s, max_size=s)))
     matrix *= draw(st.sampled_from([1, 2, 3, 5, 6]))
     matrix[:, draw(st.lists(st.booleans(), min_size=n, max_size=n))] = 0
+    matrix[draw(st.lists(st.booleans(), min_size=s, max_size=s))] = 0
     return make_group(orders, matrix.tolist())
 
 
@@ -311,7 +313,7 @@ def acts_trivially(group, vectors) -> bool:
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(acting_groups())
 def test_kernel_lattice_is_the_hermite_basis_of_the_trivial_elements(group):
-    kernel = np.array(kernel_lattice(group))
+    kernel = faithful_quotient(group).kernel
     pivots = kernel.diagonal()
     assert (pivots > 0).all() and not np.triu(kernel, 1).any()
     assert all((0 <= kernel[i, :i]).all() and (kernel[i, :i] < pivots[i]).all() for i in range(len(pivots)))
@@ -322,17 +324,26 @@ def test_kernel_lattice_is_the_hermite_basis_of_the_trivial_elements(group):
 
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(acting_groups())
-def test_smith_form_of_the_kernel_matches_sympy(group):
-    kernel = kernel_lattice(group)
-    s = group.num_generators
-    d, R, R_inv = smith_form(list(zip(*kernel)))
-    want = smith_normal_form(sympy.Matrix(kernel))
-    assert list(d) == [abs(int(want[i, i])) for i in range(s)]
-    assert (np.array(R) @ np.array(R_inv) == np.eye(s, dtype=int)).all()
-    # The rows d_j * R_inv[j] act trivially and span a lattice of the
-    # kernel's index, so they span the kernel lattice.
-    assert acts_trivially(group, np.array(d)[:, None] * np.array(R_inv))
-    assert math.prod(d) == math.prod(kernel[i][i] for i in range(s))
+def test_phase_generators_split_the_quotient_into_cyclic_factors(group):
+    sigma, R = phase_generators(group)
+    L, s = group.phase_lcm, group.num_generators
+    # sympy's exact determinant: R's entries outgrow a float determinant.
+    assert abs(sympy.Matrix(R).det()) == 1
+    d = [L // math.gcd(L, x) for x in sigma]
+    multiples = np.arange(1, L + 1)[:, None]
+    for j, order in enumerate(d):
+        g = [R[i][j] % p for i, p in enumerate(group.orders)]
+        phases = np.array(g) @ phase_steps(group) % L
+        assert np.flatnonzero(~(multiples * phases % L).any(axis=1))[0] + 1 == order
+    assert math.prod(d) == brute_quotient_order(group)
+    # The quotient keeps the factors above 1, ascending, so that its longest
+    # axis is the contiguous one.
+    quotient = faithful_quotient(group)
+    assert quotient.group.orders == (tuple(sorted(x for x in d if x > 1)) or (1,))
+    # The sum of the Z_{d_j} is Z^s / K': equal invariant factors.
+    invariants = lambda matrix: sorted(abs(int(matrix[i, i])) for i in range(s))
+    want = smith_normal_form(sympy.Matrix(quotient.kernel.tolist()))
+    assert invariants(smith_normal_form(sympy.diag(*d))) == invariants(want)
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
@@ -367,8 +378,8 @@ def test_off_diagonal_kernel_of_a_group_with_kernel_of_order_four():
     # The elements (5, 0, 5) and (0, 5, 0) fix every coordinate; the first
     # gives the echelon its entry below the diagonal.
     group = make_group((10, 10, 10), ((1, 2, 3), (4, 0, 6), (7, 8, 5)))
-    assert kernel_lattice(group) == ((5, 0, 0), (0, 5, 0), (5, 0, 10))
     quotient = faithful_quotient(group)
+    assert quotient.kernel.tolist() == [[5, 0, 0], [0, 5, 0], [5, 0, 10]]
     assert quotient.group.orders == (5, 5, 10)
     assert quotient.group.group_order == brute_quotient_order(group) == 250
     assert quotient.least_member([[7, 9, 3], [5, 5, 5]]) == (0, 0, 0)
@@ -378,5 +389,5 @@ def test_off_diagonal_kernel_of_a_group_with_kernel_of_order_four():
 def test_trivial_action_has_a_quotient_of_order_one():
     quotient = faithful_quotient(make_group([4], [[0, 0, 0]]))
     assert quotient.group.orders == (1,)
-    assert kernel_lattice(quotient.group) == ((1,),)
+    assert quotient.kernel.tolist() == [[1]]
     assert quotient.least_member([[3]]) == (0,)

@@ -140,6 +140,21 @@ def test_ratio_scan_rejects_all_equivalent():
         lipschitz_ratio_scan(lambda z: z, g, "same_orbit", 10, 0)
 
 
+def test_ratio_scan_nan_ratio_is_the_maximum():
+    # The third pair's ratios would beat the first's, but the second's NaN
+    # is the maximum, as np.max makes it, and np.argmax picks its pair.
+    g = shift_action_spec(2, 3)
+    seen = []
+
+    def transform(z):
+        seen.append(z)
+        return z * (np.nan if len(seen) == 3 else 1e6 * len(seen))
+
+    ratio, (x, y) = lipschitz_ratio_scan(transform, g, "random", 3, 4)
+    assert np.isnan(ratio)
+    assert x is seen[2] and y is seen[3]
+
+
 def test_ratio_scan_reproducible():
     g = shift_action_spec(2, 3)
     r1, _ = lipschitz_ratio_scan(lambda z: np.abs(z).astype(complex), g, "random", 40, 9)
