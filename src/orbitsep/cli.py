@@ -176,9 +176,7 @@ def _transform(name, group, seed, mode):
     else:
         ell = default_reduction(table, seed)
         tid, vector = "Phi", lambda x: eval_lowdim(table, ell, x, mode)
-        p = group.orders
-        kind = "generic" if len(p) != 2 else "image" if group.dim == p[0] * p[1] else "two_factor"
-        bound = lambda: lipschitz_bound(table, ell, kind)
+        bound = lambda: lipschitz_bound(table, ell)
 
     def evaluate(x):
         values = vector(x).values

@@ -104,6 +104,17 @@ def _check_signal(group: GroupSpec, x) -> np.ndarray:
     return x
 
 
+def _unit_scaled(z: np.ndarray):
+    """(z * 2**-k, k) for a complex array z, one k per row of its last axis:
+    the least integer putting every real and imaginary part of the row in
+    (-1, 1), 0 for a zero row.  The scaling is exact while results stay
+    normal, so norms and quotients of the scaled rows rescale exactly to
+    those of z, without squares or reciprocals beyond the double range."""
+    parts = z.view(float)
+    k = np.frexp(np.abs(parts).max(axis=-1))[1]
+    return np.ldexp(parts, -k[..., None]).view(complex), k
+
+
 def act(group: GroupSpec, element, x) -> np.ndarray:
     """Apply one group element to a signal.
 

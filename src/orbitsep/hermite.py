@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ConfigError, DimensionError, DomainError, InternalCheckError
 from .exponents import _as_int_rows, _stacked, float_exponents, hermite_normal_form
-from .groups import GroupSpec, _check_signal, cyclic_shift_spec
+from .groups import GroupSpec, _check_signal, _unit_scaled, cyclic_shift_spec
 from .metric import orbit_distance
 from .transforms import monomials
 
@@ -210,6 +210,7 @@ def eval_scaled_invariants(data: HermiteData, x):
     x = _check_signal(data.group, x)
     if np.any(np.abs(x) == 0):
         raise DomainError("scaled invariants need a fully supported signal")
+    x, k = _unit_scaled(x)  # so no square leaves the double range
     if min(data.scaling) >= 0:
         sign = 1
         scale = float(np.linalg.norm(x))
@@ -222,7 +223,9 @@ def eval_scaled_invariants(data: HermiteData, x):
         sign = 1 if q > 0 else -1
         scale = math.sqrt(abs(q))
     exps = float_exponents(data.inv_exponents).T
-    return sign, scale * monomials(x / scale, np.arange(data.dim), exps)
+    unit = monomials(x / scale, np.arange(data.dim), exps)
+    with np.errstate(all="ignore"):  # beyond the double range: inf or nan, as monomials give
+        return sign, float(np.ldexp(scale, k)) * unit
 
 
 @dataclass(frozen=True, eq=False)

@@ -23,7 +23,9 @@ import numpy as np
 
 from .errors import ConfigError, DomainError
 from .exponents import _read_only, _reduce, phase_generators
-from .groups import GroupSpec, _check_enumerable, _check_signal, act, enumerate_group, phase_steps
+from .groups import (
+    GroupSpec, _check_enumerable, _check_signal, _unit_scaled, act, enumerate_group, phase_steps,
+)
 
 _CHUNK = 4096
 
@@ -92,11 +94,9 @@ def orbit_distance(group: GroupSpec, x, y) -> OrbitDistanceResult:
     _check_enumerable(group)
     quotient = faithful_quotient(group)
     elements = enumerate_group(quotient.group)
-    # One power of two brings every component into [-1, 1), so no product
-    # below overflows; the scaling is exact for normal values.
-    xy = np.concatenate([x, y]).view(float)
-    k = int(np.frexp(np.abs(xy).max())[1])
-    x, y = np.ldexp(xy, -k).view(complex).reshape(2, -1)
+    # One power of two puts every part in (-1, 1): no product below overflows.
+    xy, k = _unit_scaled(np.concatenate([x, y]))
+    x, y = xy.reshape(2, -1)
     # ||x - g.y||^2 = ||x||^2 + ||y||^2 - 2 Re(conj(phi_g) . (x * conj(y)))
     cross = x * np.conj(y)
     const = float(np.vdot(x, x).real + np.vdot(y, y).real)

@@ -12,7 +12,6 @@ All four are exactly invariant under the group action by construction:
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -20,7 +19,7 @@ import numpy as np
 
 from .errors import ConfigError, DimensionError
 from .exponents import ExponentTable
-from .groups import _check_signal
+from .groups import _check_signal, _unit_scaled
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,7 +78,7 @@ def eval_phase_map(table: ExponentTable, beta: BetaWeights, x) -> InvariantVecto
     if [w.shape for w in beta.blocks] != [exps.shape for _, exps in table.blocks]:
         raise DimensionError("beta weights are not laid out in this table's blocks")
     moduli = np.abs(x)
-    phases = _unit_phases(x, moduli)
+    phases = _unit_phases(x)
     with np.errstate(all="ignore"):
         values = [(moduli ** beta.blocks[0][:, 0]).astype(complex)]
         for (idx, exps), w in zip(table.blocks[1:], beta.blocks[1:]):
@@ -92,37 +91,20 @@ def eval_norm_scaled(table: ExponentTable, x) -> InvariantVector:
     """||x|| times the monomial map of x/||x||; zero maps to zero.
 
     Positively homogeneous of degree 1, hence linear growth in the moduli.
+    Norm and quotient are taken on x * 2**-k, where no square leaves the double range.
     """
-    x = _check_signal(table.group, x)
+    x, k = _unit_scaled(_check_signal(table.group, x))
     norm = float(np.linalg.norm(x))
     if norm == 0.0:
         values = np.zeros(table.total_dim, dtype=complex)
     else:
-        values = norm * eval_monomial_map(table, x / norm).values
+        unit = eval_monomial_map(table, x / norm).values
+        with np.errstate(all="ignore"):  # beyond the double range: inf or nan, as F gives
+            values = float(np.ldexp(norm, k)) * unit
     return InvariantVector(transform_id="PhiF", values=values)
 
 
-@dataclass(frozen=True, eq=False)
-class LinearReduction:
-    """Seeded complex Gaussian matrix; its operator norm is computed on first use."""
-
-    matrix: np.ndarray
-    seed: int
-
-    @functools.cached_property
-    def operator_norm(self) -> float:
-        return float(np.linalg.svd(self.matrix, compute_uv=False)[0])
-
-    @property
-    def out_dim(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def in_dim(self) -> int:
-        return self.matrix.shape[1]
-
-
-def make_reduction(seed: int, in_dim: int, out_dim: int) -> LinearReduction:
+def make_reduction(seed: int, in_dim: int, out_dim: int) -> np.ndarray:
     """Deterministic iid standard complex Gaussian out_dim x in_dim matrix.
 
     A fixed random draw realizes a generic linear map: the separating
@@ -131,28 +113,28 @@ def make_reduction(seed: int, in_dim: int, out_dim: int) -> LinearReduction:
     if in_dim < 1 or out_dim < 1:
         raise ConfigError(f"reduction dims must be positive, got {out_dim}x{in_dim}")
     rng = np.random.default_rng(seed)
-    matrix = (
+    return (
         rng.standard_normal((out_dim, in_dim))
         + 1j * rng.standard_normal((out_dim, in_dim))
     ) / math.sqrt(2.0)
-    return LinearReduction(matrix=matrix, seed=int(seed))
 
 
-def default_reduction(table: ExponentTable, seed: int) -> LinearReduction:
-    """Reduction to the default 2N+1 output dimensions for this table."""
+def default_reduction(table: ExponentTable, seed: int) -> np.ndarray:
+    """The seeded reduction to the default 2N+1 output dimensions for this table."""
     return make_reduction(seed, table.total_dim, 2 * table.group.dim + 1)
 
 
-def _unit_phases(x, moduli) -> np.ndarray:
-    # N(x): x_k/|x_k| on the support, exactly 0 elsewhere.
-    safe = np.where(moduli > 0, moduli, 1.0)
-    return np.where(moduli > 0, x / safe, 0j)
+def _unit_phases(x) -> np.ndarray:
+    # N(x): x_k/|x_k| on the support, exactly 0 elsewhere; on x_k * 2**-e_k, 1/|x_k| is finite.
+    x = _unit_scaled(x[:, None])[0][:, 0]
+    moduli = np.abs(x)
+    return np.where(moduli > 0, x / np.where(moduli > 0, moduli, 1.0), 0j)
 
 
 def eval_lowdim(
-    table: ExponentTable, ell: LinearReduction, x, mode: str = "repaired"
+    table: ExponentTable, ell: np.ndarray, x, mode: str = "repaired"
 ) -> InvariantVector:
-    """Low-dimensional Lipschitz map: (|x_1|, ..., |x_N|, mu(x) * ell(v)).
+    """Low-dimensional Lipschitz map: (|x_1|, ..., |x_N|, mu(x) * ell @ v).
 
     mu(x) is the smallest nonzero modulus.  In mode "repaired" v is the full
     monomial map of the unit-phase vector (diagonal entries are phase powers),
@@ -163,60 +145,43 @@ def eval_lowdim(
     if mode not in ("as_written", "repaired"):
         raise ConfigError(f"mode must be 'as_written' or 'repaired', got {mode!r}")
     x = _check_signal(table.group, x)
-    if ell.in_dim != table.total_dim:
+    if ell.shape[1] != table.total_dim:
         raise DimensionError(
-            f"reduction expects input dim {ell.in_dim}, table has {table.total_dim}"
+            f"reduction expects input dim {ell.shape[1]}, table has {table.total_dim}"
         )
     n = table.group.dim
     moduli = np.abs(x)
     if not moduli.any():
-        return InvariantVector(
-            transform_id="Phi", values=np.zeros(n + ell.out_dim, dtype=complex)
-        )
-    v = eval_monomial_map(table, _unit_phases(x, moduli)).values
+        return InvariantVector(transform_id="Phi", values=np.zeros(n + len(ell), dtype=complex))
+    v = eval_monomial_map(table, _unit_phases(x)).values
     if mode == "as_written":
         v[:n] = moduli > 0
     mu = float(moduli[moduli > 0].min())
     return InvariantVector(
         transform_id="Phi",
-        values=np.concatenate([moduli.astype(complex), mu * (ell.matrix @ v)]),
+        values=np.concatenate([moduli.astype(complex), mu * (ell @ v)]),
     )
 
 
-GROUP_KINDS = ("generic", "two_factor", "image", "trivial")
-
-
-def lipschitz_bound(
-    table: ExponentTable, ell: LinearReduction, group_kind: str = "generic"
-) -> float:
+def lipschitz_bound(table: ExponentTable, ell: np.ndarray) -> float:
     """Certified Lipschitz constant 3*||ell||*C + 1 for the low-dimensional map
-    on matching supports.
+    on matching supports, in the closed form the table's group admits;
+    ||ell||, the largest singular value, is computed on each call.
 
-    generic: C = max(sqrt(sum over components of sum e_j^2), sqrt(dim)); on
-        the closed unit polydisc each monomial partial has modulus at most its
-        exponent, so this C is the exact sup bound.
-    two_factor: closed form 3*sqrt(6)*(p1*p2)*N^(3/2)*||ell|| + 1 for
-        two-generator groups.
-    image: closed form 3*sqrt(6)*(p1*p2)^(5/2)*||ell|| + 1 when N = p1*p2
-        (the shift action on images).
-    trivial: 3*||ell|| + 1.
+    image, two generators of orders p1, p2 on N = p1*p2 coordinates (the
+        shift action on images): 3*sqrt(6)*(p1*p2)^(5/2)*||ell|| + 1.
+    two_factor, other two-generator groups: 3*sqrt(6)*(p1*p2)*N^(3/2)*||ell|| + 1.
+    generic, all others: C = max(sqrt(sum over components of sum e_j^2),
+        sqrt(dim)); on the closed unit polydisc each monomial partial has
+        modulus at most its exponent, so this C is the exact sup bound.
     """
-    norm = ell.operator_norm
-    if group_kind == "trivial":
-        return 3.0 * norm + 1.0
-    if group_kind == "generic":
-        gradient_sq = sum(int(e) ** 2 for _, exps in table.components() for e in exps)
-        c = max(math.sqrt(gradient_sq), math.sqrt(table.total_dim))
-        return 3.0 * norm * c + 1.0
+    norm = float(np.linalg.svd(ell, compute_uv=False)[0])
     orders = table.group.orders
-    if group_kind == "two_factor":
-        if len(orders) != 2:
-            raise ConfigError("two_factor bound needs exactly two generator orders")
+    if len(orders) == 2:
         nm = orders[0] * orders[1]
+        if table.group.dim == nm:
+            return 3.0 * math.sqrt(6.0) * nm**2.5 * norm + 1.0
         return 3.0 * math.sqrt(6.0) * nm * table.group.dim ** 1.5 * norm + 1.0
-    if group_kind == "image":
-        if len(orders) != 2 or table.group.dim != orders[0] * orders[1]:
-            raise ConfigError("image bound needs a shift action with N = n*m")
-        nm = orders[0] * orders[1]
-        return 3.0 * math.sqrt(6.0) * nm**2.5 * norm + 1.0
-    raise ConfigError(f"unknown group_kind {group_kind!r}; expected one of {GROUP_KINDS}")
+    gradient_sq = sum(int(e) ** 2 for _, exps in table.components() for e in exps)
+    c = max(math.sqrt(gradient_sq), math.sqrt(table.total_dim))
+    return 3.0 * norm * c + 1.0

@@ -78,7 +78,7 @@ def phase_map(table, beta, x) -> np.ndarray:
 def lowdim(table, ell, x, mode) -> np.ndarray:
     moduli = np.abs(x)
     if not moduli.any():
-        return np.zeros(table.group.dim + ell.out_dim, dtype=complex)
+        return np.zeros(table.group.dim + len(ell), dtype=complex)
     phases = np.where(moduli > 0, x / np.where(moduli > 0, moduli, 1.0), 0j)
     if mode == "repaired":
         v = monomial_map(table, phases)
@@ -88,7 +88,7 @@ def lowdim(table, ell, x, mode) -> np.ndarray:
         ]
         v = np.concatenate([(moduli > 0).astype(complex), np.array(off_diagonal, dtype=complex)])
     mu = float(moduli[moduli > 0].min())
-    return np.concatenate([moduli.astype(complex), mu * (ell.matrix @ v)])
+    return np.concatenate([moduli.astype(complex), mu * (ell @ v)])
 
 
 def rational_invariants(data, z):
@@ -296,8 +296,8 @@ def ae_projection_check(
     violations = 0
     for i in range(samples):
         x, y = sample_pair(group, kind, child_seed(seed, i))
-        px = ell.matrix @ np.asarray(polymap(x))
-        py = ell.matrix @ np.asarray(polymap(y))
+        px = ell @ np.asarray(polymap(x))
+        py = ell @ np.asarray(polymap(y))
         ref = max(1.0, float(np.linalg.norm(px)), float(np.linalg.norm(py)))
         if float(np.linalg.norm(px - py)) <= tol * ref:
             collisions += 1

@@ -139,7 +139,7 @@ def test_transform_equality_matches_orbit_oracle(criterion):
 def test_lowdim_ratio_within_certified_bound(criterion):
     table = build_exponent_table(SHIFT23)
     ell = default_reduction(table, 11)
-    bound = lipschitz_bound(table, ell, "image")
+    bound = lipschitz_bound(table, ell)
     transform = lambda x: eval_lowdim(table, ell, x).values
     ratio, _ = lipschitz_ratio_scan(transform, SHIFT23, "full_support", 1000, SEED + 3)
     assert ratio <= bound

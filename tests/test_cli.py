@@ -523,24 +523,41 @@ def argv_groups(draw):
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
-@given(argv_groups(), st.sampled_from(orbitsep.cli.TRANSFORMS), st.integers(0, 2**31), st.integers(1, 3))
-@example(([997], [[1] * 12]), "f", 3, 1)
-def test_compare_and_bench_exit_zero_two_or_three(group, transform, seed, samples):
+@given(
+    argv_groups(), st.sampled_from(orbitsep.cli.TRANSFORMS), st.integers(0, 2**31),
+    st.integers(1, 3), st.sampled_from([0, -1070, -560, 520]), st.integers(4, 12),
+)
+@example(([997], [[1] * 12]), "f", 3, 1, 0, 4)
+def test_valid_argv_exits_zero_two_or_three(group, transform, seed, samples, scale, n):
     # Valid input never exits 4, and bench never prints the scan's start value.
+    # Signals are drawn at the scale 2**scale, from subnormal to just above
+    # the square root of the largest double, with some entries exactly zero.
     orders, rows = group
     flags = ["--orders", ",".join(map(str, orders)), "--matrix", ";".join(",".join(map(str, row)) for row in rows)]
     bench = transform if transform in orbitsep.cli.BENCH_TRANSFORMS else "f"
     rng = np.random.default_rng(seed)
-    n = len(rows[0])
+    dim = len(rows[0])
+
+    def signal():
+        z = (rng.standard_normal(dim) + 1j * rng.standard_normal(dim)) * (rng.random(dim) < 0.8)
+        return np.ldexp(z.view(float), scale).view(complex)
+
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        a, b = (write_signal(tmp, name, rng.standard_normal(n) + 1j * rng.standard_normal(n)) for name in ("a.json", "b.json"))
-        out = str(tmp / "out.json")
-        assert main(["compare", *flags, "--transform", transform, str(a), str(b), "--out", out]) in (0, 2, 3)
-        code = main(["bench", *flags, "--transform", bench, "--samples", str(samples), "--seed", str(seed), "--out", out])
+        a, b = (write_signal(tmp, name, signal()) for name in ("a.json", "b.json"))
+        out = ["--out", str(tmp / "out.json")]
+        runs = [
+            ["exponents", *flags],
+            *(["invariants", *flags, "--transform", t, str(a)] for t in orbitsep.cli.TRANSFORMS),
+            ["compare", *flags, "--transform", transform, str(a), str(b)],
+            ["counterexample", "--n", str(n), "--seed", str(seed)],
+        ]
+        codes = {" ".join(argv): main([*argv, *out]) for argv in runs}
+        assert set(codes.values()) <= {0, 2, 3}, codes
+        code = main(["bench", *flags, "--transform", bench, "--samples", str(samples), "--seed", str(seed), *out])
         assert code in (0, 2, 3)
         if code == 0:
-            assert json.loads(Path(out).read_text())["max_ratio"] != "-Infinity"
+            assert json.loads(Path(out[1]).read_text())["max_ratio"] != "-Infinity"
 
 
 def test_out_flag_writes_file(capsys, tmp_path):

@@ -1,6 +1,7 @@
-"""tools/compare_outputs.py runs the benchmark's op lists through two source
-trees and reports the ops whose exit code or output bytes differ; a tree
-compared with itself must show no difference."""
+"""tools/compare_outputs.py runs the benchmark's op lists, and any --argv
+command lines after them, through two source trees and reports the ops
+whose exit code or output bytes differ; a tree compared with itself must
+show no difference."""
 
 import subprocess
 import sys
@@ -12,8 +13,19 @@ ROOT = Path(__file__).resolve().parents[1]
 def test_compare_outputs_of_a_tree_with_itself():
     done = subprocess.run(
         [sys.executable, str(ROOT / "tools" / "compare_outputs.py"), "--base", str(ROOT / "src"),
-         "--workload", "fresh-groups", "--seconds", "1"],
+         "--workload", "fresh-groups", "--seconds", "1",
+         "--argv", "bench --shift 2x3 --transform phi --samples 5", "--argv", "counterexample --n 5"],
         capture_output=True, text=True, timeout=120, cwd=ROOT,
     )
     assert done.returncode == 0, done.stdout + done.stderr
-    assert done.stdout.splitlines() == ["0 of 32 ops differ in exit code or output bytes"]
+    assert done.stdout.splitlines() == ["0 of 34 ops differ in exit code or output bytes"]
+
+
+def test_compare_outputs_argv_reads_no_input_file():
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "compare_outputs.py"), "--base", str(ROOT / "src"),
+         "--argv", "invariants --shift 2x3 x.json"],
+        capture_output=True, text=True, timeout=120, cwd=ROOT,
+    )
+    assert done.returncode == 2
+    assert "--argv must start with one of" in done.stderr

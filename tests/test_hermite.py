@@ -377,6 +377,20 @@ def test_scaled_invariants_invariance_and_separation():
     assert s3 != sign or np.abs(other - base).max() > 1e-6
 
 
+@pytest.mark.parametrize("k", [-600, -540, 520, 600])
+@pytest.mark.parametrize(
+    "data", [hermite_multiplier(shift_action_spec(2, 3)), cyclic_fixture_data(5)],
+    ids=["norm", "signed-quadratic"],
+)
+def test_scaled_invariants_power_of_two_homogeneity_is_exact(data, k):
+    # Squares of these signals leave the double range; the values must not.
+    x = [1, 1j] @ np.random.default_rng(30).standard_normal((2, data.dim)) + 0.3 * (1 + 1j)
+    sign, base = eval_scaled_invariants(data, x)
+    scaled_sign, scaled = eval_scaled_invariants(data, np.ldexp(x.view(float), k).view(complex))
+    assert scaled_sign == sign
+    assert np.array_equal(scaled.view(np.uint64), np.ldexp(base.view(float), k).view(np.uint64))
+
+
 def test_scaled_invariants_domain_errors():
     data = cyclic_fixture_data(4)
     with pytest.raises(DomainError):

@@ -3,11 +3,15 @@
 
     python3 tools/compare_outputs.py --base ../parent/src
     python3 tools/compare_outputs.py --base ../parent/src --workload fresh-groups --seconds 1
+    python3 tools/compare_outputs.py --base ../parent/src --workload fresh-groups --seconds 1 \
+        --argv "bench --shift 2x3 --transform phi --samples 5"
 
 Run from the repository root.  The op lists are built by
 perfbench/workloads.py (imported, never changed) for the given seed and
 length, and their inputs are written once into a temporary directory.
-Each tree then runs every op, in benchmark order, through its own
+Each --argv command line (exponents, bench or counterexample: commands
+that read no input file) is one more op, run after them in the order
+given.  Each tree then runs every op, in that order, through its own
 orbitsep.cli.main in one child process, so caches warm as they do in a
 benchmark run.  Prints how many ops differ in exit code or output bytes
 and the first few of them; exits 1 on any difference.
@@ -21,6 +25,7 @@ import importlib.util
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -29,6 +34,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ROOT / "perfbench" / "workloads.py"
 SHOW = 5  # differing ops printed
+ARGV_COMMANDS = ("exponents", "bench", "counterexample")  # the commands that read no input file
 
 
 def load_workloads():
@@ -50,8 +56,8 @@ def run_child(src: Path, workdir: Path, tag: str) -> None:
     out = workdir / tag
     out.mkdir()
     codes = {}
-    for workload, key, argv in json.loads((workdir / "ops.json").read_text()):
-        os.chdir(workdir / workload)  # op inputs are relative to their workload's directory
+    for directory, key, argv in json.loads((workdir / "ops.json").read_text()):
+        os.chdir(workdir / directory)  # op inputs are relative to their workload's directory
         with contextlib.redirect_stderr(io.StringIO()):
             try:
                 codes[key] = orbitsep.cli.main([*argv, "--out", str(out / f"{key}.json")])
@@ -79,6 +85,8 @@ def main(argv=None) -> int:
                         help="repeatable; default: all three")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--seconds", type=float, default=20)
+    parser.add_argument("--argv", action="append", default=[], metavar="COMMAND_LINE",
+                        help=f"repeatable; one orbitsep command line, its command one of {ARGV_COMMANDS}")
     parser.add_argument("--child", type=Path, help=argparse.SUPPRESS)
     parser.add_argument("--workdir", type=Path, help=argparse.SUPPRESS)
     parser.add_argument("--tag", help=argparse.SUPPRESS)
@@ -88,6 +96,9 @@ def main(argv=None) -> int:
         return 0
     if args.base is None:
         parser.error("--base is required")
+    lines = [shlex.split(line) for line in args.argv]
+    if any(not words or words[0] not in ARGV_COMMANDS for words in lines):
+        parser.error(f"each --argv must start with one of {ARGV_COMMANDS}")
 
     with tempfile.TemporaryDirectory(prefix="compare-outputs-") as tmp:
         workdir = Path(tmp)
@@ -97,6 +108,8 @@ def main(argv=None) -> int:
             # Op ids restart per workload, so each gets its own input directory.
             workloads.write_inputs(pool, workdir / workload)
             ops += [(workload, f"{workload}-{op.op_id}", op.argv) for round_ops in pool for op in round_ops]
+        (workdir / "argv").mkdir()
+        ops += [("argv", f"argv-{i}", words) for i, words in enumerate(lines)]
         (workdir / "ops.json").write_text(json.dumps(ops))
         base = outcomes(args.base.resolve(), workdir, "base")
         head = outcomes(ROOT / "src", workdir, "head")
