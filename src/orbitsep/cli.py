@@ -19,7 +19,7 @@ import numpy as np
 from . import __version__
 from .errors import ConfigError, DimensionError, DomainError, OrbitsepError
 from .exponents import build_exponent_table, table_as_dict
-from .groups import make_group, shift_action_spec, to_fourier
+from .groups import _norm, make_group, shift_action_spec, to_fourier
 from .hermite import (
     cyclic_fixture_data,
     construct_counterexample,
@@ -211,8 +211,8 @@ def cmd_compare(args) -> dict:
     values_a = evaluate(first)["values"]
     values_b = evaluate(second)["values"]
     with np.errstate(all="ignore"):  # non-finite values give a non-finite gap
-        gap = float(np.linalg.norm(values_a - values_b))
-        scale = max(1.0, float(np.linalg.norm(values_a)), float(np.linalg.norm(values_b)))
+        gap = _norm(values_a - values_b)
+        scale = max(1.0, _norm(values_a), _norm(values_b))
     payload = {**_envelope(args), "transform": tid, "transform_gap": gap}
     try:
         # Witness maps the first input onto the second under the action.

@@ -115,6 +115,13 @@ def _unit_scaled(z: np.ndarray):
     return np.ldexp(parts, -k[..., None]).view(complex), k
 
 
+def _norm(z) -> float:
+    """Euclidean norm of a complex vector, taken on its _unit_scaled row and
+    rescaled, so it is finite whenever the norm is a finite double."""
+    scaled, k = _unit_scaled(np.asarray(z, dtype=complex))
+    return float(np.ldexp(np.linalg.norm(scaled), k))
+
+
 def act(group: GroupSpec, element, x) -> np.ndarray:
     """Apply one group element to a signal.
 

@@ -4,7 +4,10 @@ The JSON emitter is hand rolled so the output bytes are a pure function of
 the payload: insertion-ordered keys, floats at 17 significant digits
 (round-trip safe), complex numbers as [re, im] pairs, exact rationals as
 quoted strings, non-finite floats as quoted names (strict JSON has no
-Infinity literal).
+Infinity literal).  One float rule serves scalars and whole 1-D float64 or
+complex128 arrays: one %-format of "%.17g" items, whose non-finite
+spellings are mapped through the one _NON_FINITE table.  Lists of plain
+ints are joined in one pass; keys and strings are quoted as json.dumps does.
 """
 
 from __future__ import annotations
@@ -12,7 +15,9 @@ from __future__ import annotations
 import cmath
 import json
 import math
+import re
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -136,11 +141,17 @@ def read_pgm(path) -> np.ndarray:
 
 
 _NON_FINITE = {"nan": '"NaN"', "inf": '"Infinity"', "-inf": '"-Infinity"'}
+_NON_FINITE_SPELLING = re.compile("-?inf|nan")
+_FLOAT, _COMPLEX = "%.17g", "[%.17g, %.17g]"
+_ARRAY_ITEM = {np.dtype(np.float64): _FLOAT, np.dtype(np.complex128): _COMPLEX}
 
 
-def _float_text(x: float) -> str:
-    text = "%.17g" % x
-    return _NON_FINITE.get(text, text)
+def _float_text(template: str, values: tuple) -> str:
+    """template % values, each "%.17g" spelled as JSON; a finite one has no "n"."""
+    text = template % values
+    if "n" not in text:
+        return text
+    return _NON_FINITE_SPELLING.sub(lambda m: _NON_FINITE[m[0]], text)
 
 
 def _scalar_text(value) -> str:
@@ -150,13 +161,11 @@ def _scalar_text(value) -> str:
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
-        return _float_text(value)
+        return _float_text(_FLOAT, (value,))
     if isinstance(value, (complex, np.complexfloating)):
-        return f"[{_float_text(value.real)}, {_float_text(value.imag)}]"
-    if isinstance(value, Fraction):
-        return json.dumps(str(value))
-    if isinstance(value, str):
-        return json.dumps(value)
+        return _float_text(_COMPLEX, (value.real, value.imag))
+    if isinstance(value, (str, Fraction)):
+        return encode_basestring_ascii(str(value))
     if value is None:
         return "null"
     raise TypeError(f"not a scalar: {type(value)!r}")
@@ -169,17 +178,23 @@ def _emit(value, depth: int) -> str:
     if not isinstance(value, _CONTAINERS):
         return _scalar_text(value)
     if isinstance(value, np.ndarray):
-        return _emit(value.tolist(), depth)
+        item = _ARRAY_ITEM.get(value.dtype) if value.ndim == 1 else None
+        if item is None:
+            return _emit(value.tolist(), depth)
+        values = np.ascontiguousarray(value).view(np.float64).tolist()
+        return "[" + _float_text(", ".join([item] * len(value)), tuple(values)) + "]"
     if not value:
         return "{}" if isinstance(value, dict) else "[]"
     pad = "  " * (depth + 1)
     close = "  " * depth
     if isinstance(value, dict):
         parts = [
-            f"{pad}{json.dumps(str(key))}: {_emit(item, depth + 1)}"
+            f"{pad}{encode_basestring_ascii(str(key))}: {_emit(item, depth + 1)}"
             for key, item in value.items()
         ]
         return "{\n" + ",\n".join(parts) + "\n" + close + "}"
+    if all(type(item) is int for item in value):  # not bool, not np.int64
+        return "[" + ", ".join(map(str, value)) + "]"
     if not any(isinstance(item, _CONTAINERS) for item in value):
         return "[" + ", ".join(_scalar_text(item) for item in value) + "]"
     parts = [f"{pad}{_emit(item, depth + 1)}" for item in value]

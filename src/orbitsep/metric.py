@@ -24,7 +24,8 @@ import numpy as np
 from .errors import ConfigError, DomainError
 from .exponents import _read_only, _reduce, phase_generators
 from .groups import (
-    GroupSpec, _check_enumerable, _check_signal, _unit_scaled, act, enumerate_group, phase_steps,
+    GroupSpec, _check_enumerable, _check_signal, _norm, _unit_scaled, act, enumerate_group,
+    phase_steps,
 )
 
 _CHUNK = 4096
@@ -198,7 +199,7 @@ def lipschitz_ratio_scan(
             continue
         tx, ty = np.asarray(transform(x)), np.asarray(transform(y))
         with np.errstate(all="ignore"):  # non-finite values give a non-finite gap
-            gap = float(np.linalg.norm(tx - ty))
+            gap = _norm(tx - ty)
         ratio = gap / d
         if np.isnan(ratio):
             return ratio, (x, y)

@@ -360,7 +360,7 @@ def _reference_emit(value, depth: int) -> str:
     if isinstance(value, _REFERENCE_SCALAR_TYPES) or value is None:
         return _reference_scalar_text(value)
     if isinstance(value, np.ndarray):
-        value = value.tolist()
+        return _reference_emit(value.tolist(), depth)
     pad = "  " * (depth + 1)
     close = "  " * depth
     if isinstance(value, dict):

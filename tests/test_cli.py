@@ -1,6 +1,7 @@
 """End-to-end command-line checks through main(argv)."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -17,6 +18,8 @@ from hypothesis import strategies as st
 import orbitsep
 import orbitsep.cli
 from orbitsep.cli import main
+from orbitsep.io import emit_json
+from reference import reference_emit_json
 
 
 def run(capsys, *argv):
@@ -200,7 +203,9 @@ def test_invariants_power_overflow_is_non_finite(capsys, tmp_path):
 # Valid inputs whose F values overflow, so their differences and norms are
 # non-finite; with the argv that reaches each path, and the payload fields
 # after the envelope.  One NaN ratio makes bench's maximum NaN, as np.max
-# does: its second pair's ratio is NaN, its first 5.5e108.
+# does: its second pair's ratio is NaN, its first 5.5e108.  In
+# bench-infinite every difference is finite, below 1.4e308, but the gap
+# itself, about 2.4e308, is beyond the largest double.
 OVERFLOW_SIGNALS = {
     "a.json": "[[3, 1], [2, 2], [0.5, 1]]",
     "b.json": "[[1, 3], [2, -2], [4, 1]]",
@@ -226,9 +231,9 @@ OVERFLOW_CASES = {
          "max_ratio": "NaN", "bound": None},
     ),
     "bench-infinite": (
-        ["bench", "--orders", "997", "--matrix", "1,1,1,1,1,1,1,1,1,1,1,1", "--transform", "f",
-         "--samples", "1"],
-        {"transform": "F", "kind": "full_support", "samples": 1,
+        ["bench", "--orders", "991", "--matrix", "1,1,1,1,1,1", "--transform", "f",
+         "--samples", "1", "--seed", "175"],
+        {"seed": 175, "transform": "F", "kind": "full_support", "samples": 1,
          "max_ratio": "Infinity", "bound": None},
     ),
 }
@@ -248,6 +253,47 @@ def test_non_finite_transform_gap_warns_nothing(capsys, tmp_path, monkeypatch, c
     assert (code, err) == (0, "")
     envelope = {"seed": 0, "tolerance": 1e-9, "mode": "repaired", "version": orbitsep.__version__}
     assert json.loads(out) == {**envelope, **fields}
+
+
+def test_every_payload_kind_matches_the_reference_emitter(capsys, monkeypatch, tmp_path):
+    # The payloads of each command, each transform and the non-finite
+    # overflow cases, emitted by the package and by the per-item oracle.
+    monkeypatch.chdir(tmp_path)
+    write_overflow_signals(tmp_path)
+    write_signal(tmp_path, "x.json", np.arange(1, 7) * (1 - 0.5j))
+    write_signal(tmp_path, "y.json", np.arange(6, 0, -1) * (0.5 + 1j))
+    payloads = []
+    monkeypatch.setattr(orbitsep.cli, "emit_json", lambda payload: payloads.append(payload) or emit_json(payload))
+    group = ["--shift", "2x3"]
+    runs = [
+        ["exponents", "--shift", "4x4"],
+        ["exponents", "--orders", "2,3,5", "--matrix", "1,0,1;0,1,2;1,1,1"],
+        *(["invariants", *group, "--transform", t, "x.json"] for t in orbitsep.cli.TRANSFORMS),
+        ["compare", *group, "x.json", "y.json"],
+        ["bench", *group, "--samples", "3"],
+        ["counterexample", "--n", "5"],
+        *(argv for argv, _ in OVERFLOW_CASES.values()),
+    ]
+    for argv in runs:
+        assert run(capsys, *argv)[0] == 0, argv
+    assert len(payloads) == len(runs)
+    for argv, payload in zip(runs, payloads):
+        assert emit_json(payload) == reference_emit_json(payload), argv
+
+
+@pytest.mark.parametrize("transform", ["phi", "phif"])
+def test_compare_gap_stays_finite_above_the_square_root_of_the_largest_double(capsys, tmp_path, transform):
+    # Phi and PhiF are homogeneous of degree one, so scaling both signals by
+    # 2**520 scales the gap by exactly 2**520, though its squares overflow.
+    rng = np.random.default_rng(34)
+    x, y = rng.standard_normal((2, 12)).view(complex)
+    gaps = []
+    for k in (0, 520):
+        a, b = (write_signal(tmp_path, f"{name}{k}.json", np.ldexp(z.view(float), k).view(complex))
+                for name, z in (("a", x), ("b", y)))
+        gaps.append(run_json(capsys, "compare", "--shift", "2x3", "--transform", transform, str(a), str(b))["transform_gap"])
+    assert 0 < gaps[0] < 1e3
+    assert gaps[1] == math.ldexp(gaps[0], 520)
 
 
 def count_calls(monkeypatch, name):

@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+import orbitsep.io
 from orbitsep import ConfigError
 from orbitsep.io import (
     emit_json,
@@ -183,14 +185,32 @@ scalars = st.one_of(
     st.none(),
     st.text(alphabet=st.sampled_from('ab"\\\n\u00e9\u03bb\u4e2d\U0001f600')),
 )
+# Each value that spells differently from a plain finite "%.17g", drawn
+# often: NaN of either sign, the infinities, both zeros, subnormals.
+NEGATIVE_NAN = struct.unpack("<d", struct.pack("<Q", 0xFFF8000000000000))[0]
+edge_doubles = st.one_of(
+    doubles,
+    st.sampled_from([math.nan, NEGATIVE_NAN, math.inf, -math.inf, 0.0, -0.0, 5e-324, -2.5e-310]),
+)
+edge_complexes = st.builds(complex, edge_doubles, edge_doubles)
+strides = st.sampled_from([slice(None), slice(None, None, 2), slice(None, None, -1)])
 arrays = st.one_of(
-    st.lists(doubles, max_size=6).map(lambda v: np.array(v, dtype=float)),
-    st.lists(complexes, max_size=6).map(lambda v: np.array(v, dtype=complex)),
+    st.builds(lambda v, step: np.array(v, dtype=float)[step], st.lists(edge_doubles, max_size=64), strides),
+    st.builds(lambda v, step: np.array(v, dtype=complex)[step], st.lists(edge_complexes, max_size=64), strides),
+    hnp.arrays(
+        st.sampled_from([np.float64, np.complex128, np.int64, np.bool_, np.float32]),
+        hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=4),
+    ),
+)
+# Lists mixing bool, int and np.int64: only all-int ones may be joined as ints.
+int_lists = st.lists(
+    st.one_of(st.booleans(), st.integers(-(2**70), 2**70), st.integers(-(2**63), 2**63 - 1).map(np.int64)),
+    max_size=6,
 )
 payloads = st.dictionaries(
     st.text(max_size=4),
     st.recursive(
-        st.one_of(scalars, arrays),
+        st.one_of(scalars, arrays, int_lists, int_lists.map(tuple)),
         lambda items: st.one_of(
             st.lists(items, max_size=4),
             st.lists(items, max_size=4).map(tuple),
@@ -207,9 +227,11 @@ def decoded(value):
     float exactly, non-finite ones as their quoted names.  Integral floats
     are spelled without a point, so they come back as ints of equal value
     (-0.0 as 0)."""
+    if isinstance(value, np.ndarray):
+        return decoded(value.tolist())
     if isinstance(value, dict):
         return {str(key): decoded(item) for key, item in value.items()}
-    if isinstance(value, (list, tuple, np.ndarray)):
+    if isinstance(value, (list, tuple)):
         return [decoded(item) for item in value]
     if isinstance(value, (complex, np.complexfloating)):
         return [decoded(value.real), decoded(value.imag)]
@@ -234,3 +256,18 @@ def test_emit_json_matches_reference(payload):
 @given(payloads)
 def test_emit_json_round_trips(payload):
     assert json.loads(emit_json(payload)) == decoded(payload)
+
+
+@pytest.mark.parametrize("dtype,width", [(float, 1), (complex, 2)])
+def test_float_arrays_are_emitted_without_the_scalar_rule(monkeypatch, dtype, width):
+    # A 1-D float64 or complex128 array is one %-format, non-finite entries
+    # included, not one _scalar_text call per entry.
+    calls = []
+    scalar_text = orbitsep.io._scalar_text
+    monkeypatch.setattr(orbitsep.io, "_scalar_text", lambda value: calls.append(value) or scalar_text(value))
+    values = np.random.default_rng(0).standard_normal(width * 10**4).view(dtype)  # 10**4 entries
+    values[[3, 5, 7]] = [math.nan, math.inf, -math.inf]
+    payload = {"values": values}
+    text = emit_json(payload)
+    assert calls == []
+    assert text == reference_emit_json(payload)

@@ -1,6 +1,7 @@
 """FFT orbit metric against the brute-force scan, pair samplers, and the
 ratio scan."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -153,6 +154,15 @@ def test_ratio_scan_nan_ratio_is_the_maximum():
     ratio, (x, y) = lipschitz_ratio_scan(transform, g, "random", 3, 4)
     assert np.isnan(ratio)
     assert x is seen[2] and y is seen[3]
+
+
+def test_ratio_scan_gap_stays_finite_above_the_square_root_of_the_largest_double():
+    # Scaling the transform by 2**600 scales every ratio by exactly 2**600,
+    # though the squares of the gap's entries overflow.
+    g = shift_action_spec(2, 3)
+    ratio, _ = lipschitz_ratio_scan(lambda z: z, g, "random", 5, 6)
+    scaled, _ = lipschitz_ratio_scan(lambda z: np.ldexp(z.view(float), 600).view(complex), g, "random", 5, 6)
+    assert scaled == math.ldexp(ratio, 600)
 
 
 def test_ratio_scan_reproducible():
