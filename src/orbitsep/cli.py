@@ -218,9 +218,13 @@ def cmd_compare(args) -> dict:
         # Witness maps the first input onto the second under the action.
         oracle = orbit_distance(group, second, first)
     except DomainError:
+        # An infinite scale makes the tolerance infinite, and a nonzero
+        # signal whose values all underflowed to zero has lost them: in
+        # both cases the values cannot show that the orbits match.
+        lost = any(x.any() and not values.any() for x, values in ((first, values_a), (second, values_b)))
         payload.update(
             {
-                "equivalent": gap <= args.tol * scale,
+                "equivalent": None if lost or (scale == math.inf and gap > 0) else gap <= args.tol * scale,
                 "distance": None,
                 "witness": None,
                 "oracle": False,

@@ -6,13 +6,26 @@ exactly when sum_j e_j * chi_{k_j} lies in the order lattice P spanned by the
 vectors p_i * e_i, where chi_k is column k of the character matrix.  Per
 coordinate subset of size <= 3 this module computes the minimal such exponent
 tuple (minimal leading exponent, then lexicographically smallest completion),
-which together define the separating monomial map.  The tuple is the first
-column of the column Hermite form of the subset's invariant lattice, read off
-the Hermite bases of the lattices Lambda(ks) = span(chi_ks) + P, so the cost
-depends on N and s but not on the size of the orders.
+which together define the separating monomial map.  Two paths build the same
+table:
 
-The orbit metric needs G/K, the image of G in the unitary group (K fixes every
-coordinate); phase_generators splits it into cyclic factors by diagonalizing
+- The lattice path, exact for any orders.  The tuple is the first column of
+  the column Hermite form of the subset's invariant lattice, read off the
+  Hermite bases of the lattices Lambda(ks) = span(chi_ks) + P.  Its cost, one
+  congruence step per basis row per subset member, depends on N and s but
+  not on the size of the orders.
+- The discrete-log path.  K, the elements of G fixing every coordinate, acts
+  trivially, so a monomial is invariant under G exactly when it is invariant
+  under Q = G/K, and the tuple becomes discrete logarithms in Q, numpy
+  gathers over its |Q| elements.  Its cost grows with |Q| and with the
+  number of divisors of Q's exponent.
+
+build_exponent_table picks the cheaper path from counts in Python ints,
+before any int64 array is built.  Groups too small to repay the fixed cost of
+the discrete-log path stay on the lattice without compiling Q.
+
+faithful_quotient compiles Q once per group, for the table and the orbit
+metric alike: phase_generators splits it into cyclic factors by diagonalizing
 the phase-step matrix with the same reduction.
 """
 
@@ -139,6 +152,68 @@ def phase_generators(group: GroupSpec):
     return sigma, tuple(map(tuple, t[n:]))
 
 
+@dataclass(frozen=True, eq=False)
+class Quotient:
+    """A group's faithful quotient Q = G/K, split into cyclic factors of
+    orders d_j > 1 (or just 1), ascending.  group is Q in exact integers.
+    exact holds, as rows of Python ints, lift (row j an element of G
+    generating factor j), turns (row j its phase_steps(G) mod L) and kernel
+    (the Hermite basis of K', the elements of Z^s acting trivially); the
+    attributes of the same names are those rows as read-only int64 arrays,
+    built on first use, and bins holds Q's exponent rows likewise."""
+
+    group: GroupSpec
+    exact: dict
+
+    @functools.cached_property
+    def lift(self) -> np.ndarray:
+        return _int64(self.exact["lift"])
+
+    @functools.cached_property
+    def turns(self) -> np.ndarray:
+        return _int64(self.exact["turns"])
+
+    @functools.cached_property
+    def kernel(self) -> np.ndarray:
+        return _int64(self.exact["kernel"])
+
+    @functools.cached_property
+    def bins(self) -> tuple:
+        return tuple(_int64(self.group.exponents))
+
+    def least_member(self, rows) -> tuple:
+        """The least element of G in the cosets of K through the integer rows,
+        whose entry i lands in [0, kernel[i, i])."""
+        rows = np.array(rows, dtype=np.int64)
+        for i, column in enumerate(self.kernel.T):
+            rows -= (rows[:, i] // column[i])[:, None] * column
+        return tuple(rows[np.lexsort(rows.T[::-1])[0]].tolist())
+
+
+@functools.lru_cache(maxsize=8)
+def faithful_quotient(group: GroupSpec) -> Quotient:
+    """Built once per process while among the 8 most recently used, in exact
+    integers, so any group compiles.  With (sigma, R) = phase_generators(group),
+    G/K is the direct sum of the cyclic groups generated by the columns g_j
+    of R, of orders d_j = L / gcd(L, sigma_j), and K' is spanned by the
+    vectors d_j * g_j."""
+    L, s = group.phase_lcm, group.num_generators
+    sigma, R = phase_generators(group)
+    d = [L // math.gcd(L, x) for x in sigma]
+    kernel = [[x * d_j for x, d_j in zip(row, d)] for row in R]
+    _reduce(kernel, s)
+    keep = sorted((j for j in range(s) if d[j] > 1), key=d.__getitem__) or [0]
+    # R's entries can exceed int64: reduce them mod the orders first.
+    lift = [[R[i][j] % p for i, p in enumerate(group.orders)] for j in keep]
+    steps = [[(L // p) * a % L for a in row] for row, p in zip(group.exponents, group.orders)]
+    turns = [[sum(x * y for x, y in zip(g, column)) % L for column in zip(*steps)] for g in lift]
+    orders = [d[j] for j in keep]
+    return Quotient(
+        group=GroupSpec(tuple(orders), tuple(tuple(t * p // L for t in row) for row, p in zip(turns, orders))),
+        exact={"lift": lift, "turns": turns, "kernel": kernel},
+    )
+
+
 def _solve_congruence(w: int, r: int, p: int):
     """Solutions of w*t = r (mod p) as (t0, q) meaning t = t0 (mod q) with
     0 <= t0 < q, or None."""
@@ -228,6 +303,10 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
+def _int64(rows) -> np.ndarray:
+    return _read_only(np.array(rows, dtype=np.int64))
+
+
 def float_exponents(exponents) -> np.ndarray:
     """Exact integer exponents as a read-only float64 array, each rounded to
     the nearest double; one beyond the double range raises DomainError."""
@@ -277,13 +356,46 @@ class ExponentTable:
         return tuple((indices, float_exponents(exponents)) for indices, exponents in self.arrays)
 
 
-def build_exponent_table(group: GroupSpec, max_tuple_size: int = 3) -> ExponentTable:
-    """Solve every subset of size <= max_tuple_size (1, 2, or 3)."""
-    if max_tuple_size not in (1, 2, 3):
-        raise ConfigError(
-            f"max_tuple_size must be 1, 2, or 3, got {max_tuple_size}; "
-            "larger tuple sizes are not supported"
-        )
+# Triples, or table entries, handled per numpy pass of the discrete-log
+# path; larger blocks raised the peak RSS of shift 8x8 and ran no faster.
+_BLOCK = 1 << 13
+# The route, fitted to timings of both paths on 650 tables: the fresh-groups
+# tables of seeds 1 and 2, shift 2x3 to 8x8 and cyclic 16 to 64 (2 cores,
+# Python 3.11, numpy 2.4).  The lattice path took about 3.6 us per congruence
+# step, one per basis row per subset member, s * (N + 2P + 3T) in all.  The
+# discrete-log path took about 0.3 ms plus 5 to 30 ns per gather.  So one
+# step is worth about _GATHERS_PER_STEP gathers, and the fixed cost about
+# _SETUP_STEPS steps; without it the groups with N <= 4 went to the slower path.
+_GATHERS_PER_STEP = 50
+_SETUP_STEPS = 60
+
+
+def _divisors(n: int) -> list:
+    low = [x for x in range(1, math.isqrt(n) + 1) if n % x == 0]
+    return sorted({*low, *(n // x for x in low)})
+
+
+def _by_discrete_logs(group: GroupSpec) -> bool:
+    """Whether build_exponent_table takes the discrete-log path, from counts
+    in Python ints: its gathers, about (N + P)|Q|s + (P + T)tau(E) with tau(E)
+    the number of divisors of Q's exponent E, against the lattice path's
+    congruence steps less the discrete-log path's fixed cost.  E, the lcm of
+    the orders of the characters, bounds |Q| from below, so Q is compiled
+    only when the estimate at |Q| = E is within budget."""
+    n, s = group.dim, group.num_generators
+    pairs, triples = math.comb(n, 2), math.comb(n, 3)
+    budget = _GATHERS_PER_STEP * (s * (n + 2 * pairs + 3 * triples) - _SETUP_STEPS)
+    if budget <= 0:
+        return False
+    exponent = math.lcm(*(p // math.gcd(a, p) for row, p in zip(group.exponents, group.orders) for a in row))
+    if (n + pairs) * exponent * s >= budget:
+        return False
+    tables = (n + pairs) * faithful_quotient(group).group.group_order * s
+    return tables + (pairs + triples) * len(_divisors(exponent)) < budget
+
+
+def _lattice_arrays(group: GroupSpec, max_tuple_size: int) -> tuple:
+    """The table's arrays from one lattice solve per subset, exact for any orders."""
     # Lambda of each suffix subset, computed once per table.
     basis = functools.cache(functools.partial(_basis, group))
     columns = tuple(zip(*group.exponents))
@@ -294,7 +406,113 @@ def build_exponent_table(group: GroupSpec, max_tuple_size: int = 3) -> ExponentT
             subsets = list(itertools.combinations(range(group.dim), size))
         exponents = [_minimal(columns, ks, basis) for ks in subsets]
         arrays.append((_frozen(subsets, size, np.intp), _frozen(exponents, size, np.int64)))
-    return ExponentTable(group=group, arrays=tuple(arrays))
+    return tuple(arrays)
+
+
+def _subsets(n: int):
+    """The pairs and triples of range(n) in lexicographic order: pairs
+    (p1[i], p2[i]), and triples (t1[i], p1[u[i]], p2[u[i]])."""
+    p1, p2 = np.triu_indices(n, 1)
+    k = np.arange(n)
+    counts = (n - 1 - k) * (n - 2 - k) // 2  # triples led by k
+    # The triples led by k run over the pairs after those led by k or less.
+    shift = (k + 1) * n - (k + 1) * (k + 2) // 2 - (np.cumsum(counts) - counts)
+    t1 = np.repeat(k, counts)
+    return p1, p2, t1, np.arange(len(t1)) + np.repeat(shift, counts)
+
+
+def _least_divisor(divisors, member, count: int) -> np.ndarray:
+    """For each of count items, the first of the ascending divisors x with
+    member(x, items) true; the last divisor must hold for every item."""
+    least = np.empty(count, dtype=np.int64)
+    todo = np.arange(count)
+    for x in divisors:
+        hit = member(x, todo)
+        least[todo[hit]] = x
+        todo = todo[~hit]
+        if not len(todo):
+            break
+    return least
+
+
+def _discrete_log_arrays(quotient: GroupSpec, max_tuple_size: int) -> tuple:
+    """The table's arrays by group arithmetic in the quotient Q, whose order
+    the route keeps far inside int64.  Coordinate k carries the element c_k of Q, column k
+    of its exponents; an element is kept as its mixed-radix index.
+
+    Singles: the order of c_k.  The least t >= 1 with t*c in a subgroup H
+    divides the exponent E of Q, so only the divisors of E are tried.
+    Pairs: a is the least t with t*c_k1 in <c_k2>, b the discrete log of
+    -a*c_k1 to the base c_k2.  Triples: per pair (k2, k3) one table over Q
+    holds, for x in <c_k2, c_k3>, the least d >= 0 with x + d*c_k2 in
+    <c_k3>; c is the least t with t*c_k1 in the table, d its entry, and e
+    the discrete log of -(c*c_k1 + d*c_k2) to the base c_k3."""
+    n, orders = quotient.dim, quotient.orders
+    size, exponent = math.prod(orders), math.lcm(*orders)
+    rows = np.array(quotient.exponents, dtype=np.int64)
+    strides = [math.prod(orders[j + 1:]) for j in range(len(orders))]
+    # Logs and table entries are below E, so the narrowest type holding -E fits them.
+    small = np.min_scalar_type(-exponent)
+
+    def element(*terms):
+        """Index of sum(t * c_k) over the (t, k) terms, elementwise."""
+        index = 0
+        for row, p, stride in zip(rows, orders, strides):
+            index = index + sum(t * row[k] for t, k in terms) % p * stride
+        return index
+
+    k = np.arange(n, dtype=np.intp)
+    multiples = element((np.arange(exponent), k[:, None]))  # [k, t]: t*c_k
+    column = np.array(orders)[:, None]
+    order = np.lcm.reduce(column // np.gcd(rows, column), axis=0)
+    # logs[k * size + x]: the discrete log of x to the base c_k, or -1.
+    logs = np.full(n * size, -1, dtype=small)
+    kt = np.nonzero(np.arange(exponent) < order[:, None])
+    logs[kt[0] * size + multiples[kt]] = kt[1]
+    divisors = _divisors(exponent)
+    p1, p2, t1, u = _subsets(n)
+
+    a = _least_divisor(divisors, lambda x, i: logs[p2[i] * size + multiples[p1[i], x % exponent]] >= 0, len(p1))
+    b = logs[p2 * size + multiples[p1, -a % exponent]]
+    arrays = [(k[:, None], order[:, None]), (np.stack([p1, p2], 1), np.stack([a, b], 1))][:max_tuple_size]
+    if max_tuple_size == 3:
+        # steps[u * size + x]: for the pair u = (k2, k3), the least d >= 0
+        # with x + d*c_k2 in <c_k3>, or -1.  The cosets x = -d*c_k2 + <c_k3>,
+        # d < a[u], are distinct and make up <c_k2, c_k3>.
+        steps = np.full(len(p1) * size, -1, dtype=small)
+        per_block = max(1, _BLOCK // size)
+        for lo in range(0, len(p1), per_block):
+            pair = np.arange(lo, min(lo + per_block, len(p1)))
+            cosets = a[pair] * order[p2[pair]]
+            pair = np.repeat(pair, cosets)
+            offset = np.arange(len(pair)) - np.repeat(np.cumsum(cosets) - cosets, cosets)
+            d, h = np.divmod(offset, order[p2[pair]])
+            steps[pair * size + element((-d, p1[pair]), (h, p2[pair]))] = d
+        triples = np.empty((len(t1), 3), dtype=np.int64)
+        for lo in range(0, len(t1), _BLOCK):
+            k1, v = t1[lo:lo + _BLOCK], u[lo:lo + _BLOCK]
+            c = _least_divisor(divisors, lambda x, i: steps[v[i] * size + multiples[k1[i], x % exponent]] >= 0, len(v))
+            d = steps[v * size + multiples[k1, c % exponent]]
+            e = logs[p2[v] * size + element((-c, k1), (-d, p1[v]))]
+            triples[lo:lo + _BLOCK] = np.stack([c, d, e], 1)
+        arrays.append((np.stack([t1, p1[u], p2[u]], 1), triples))
+    arrays = [(_read_only(indices), _read_only(exps.astype(np.int64, copy=False))) for indices, exps in arrays]
+    empty = [(_frozen([], width, np.intp), _frozen([], width, np.int64)) for width in range(len(arrays) + 1, 4)]
+    return tuple(arrays + empty)
+
+
+def build_exponent_table(group: GroupSpec, max_tuple_size: int = 3) -> ExponentTable:
+    """Solve every subset of size <= max_tuple_size (1, 2, or 3)."""
+    if max_tuple_size not in (1, 2, 3):
+        raise ConfigError(
+            f"max_tuple_size must be 1, 2, or 3, got {max_tuple_size}; "
+            "larger tuple sizes are not supported"
+        )
+    if _by_discrete_logs(group):
+        arrays = _discrete_log_arrays(faithful_quotient(group).group, max_tuple_size)
+    else:
+        arrays = _lattice_arrays(group, max_tuple_size)
+    return ExponentTable(group=group, arrays=arrays)
 
 
 def table_as_dict(table: ExponentTable) -> dict:

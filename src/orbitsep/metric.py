@@ -15,17 +15,14 @@ matches ||x - act(witness, y)|| to machine precision.
 
 from __future__ import annotations
 
-import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .exponents import _read_only, _reduce, phase_generators
+from .exponents import faithful_quotient
 from .groups import (
     GroupSpec, _check_enumerable, _check_signal, _norm, _unit_scaled, act, enumerate_group,
-    phase_steps,
 )
 
 _CHUNK = 4096
@@ -37,55 +34,6 @@ PAIR_KINDS = ("same_orbit", "random", "matched_support", "full_support")
 class OrbitDistanceResult:
     distance: float
     witness: tuple
-
-
-@dataclass(frozen=True, eq=False)
-class Quotient:
-    """A group's faithful quotient Q = G/K, split into cyclic factors of
-    orders d_j > 1 (or just 1), ascending.  Row j of lift is an element of G
-    generating factor j, row j of turns its phase_steps(G) mod L.  kernel is
-    the Hermite basis of K', the elements of Z^s acting trivially; bins holds
-    Q's exponent rows."""
-
-    group: GroupSpec
-    lift: np.ndarray
-    kernel: np.ndarray
-    turns: np.ndarray
-    bins: tuple
-
-    def least_member(self, rows) -> tuple:
-        """The least element of G in the cosets of K through the integer rows,
-        whose entry i lands in [0, kernel[i, i])."""
-        rows = np.array(rows, dtype=np.int64)
-        for i, column in enumerate(self.kernel.T):
-            rows -= (rows[:, i] // column[i])[:, None] * column
-        return tuple(rows[np.lexsort(rows.T[::-1])[0]].tolist())
-
-
-@functools.lru_cache(maxsize=8)
-def faithful_quotient(group: GroupSpec) -> Quotient:
-    """Built once per process while among the 8 most recently used.  With
-    (sigma, R) = phase_generators(group), G/K is the direct sum of the cyclic
-    groups generated by the columns g_j of R, of orders d_j = L / gcd(L,
-    sigma_j), and K' is spanned by the vectors d_j * g_j."""
-    L, s = group.phase_lcm, group.num_generators
-    sigma, R = phase_generators(group)
-    d = [L // math.gcd(L, x) for x in sigma]
-    kernel = [[x * d_j for x, d_j in zip(row, d)] for row in R]
-    _reduce(kernel, s)
-    keep = sorted((j for j in range(s) if d[j] > 1), key=d.__getitem__) or [0]
-    # R's entries can exceed int64: reduce them mod the orders first.
-    lift = np.array([[R[i][j] % p for i, p in enumerate(group.orders)] for j in keep], dtype=np.int64)
-    orders = np.array([d[j] for j in keep], dtype=np.int64)
-    turns = lift @ phase_steps(group) % L
-    exponents = turns * orders[:, None] // L
-    return Quotient(
-        group=GroupSpec(tuple(orders.tolist()), tuple(map(tuple, exponents.tolist()))),
-        lift=_read_only(lift),
-        kernel=_read_only(np.array(kernel, dtype=np.int64)),
-        turns=_read_only(turns),
-        bins=tuple(_read_only(exponents)),
-    )
 
 
 def orbit_distance(group: GroupSpec, x, y) -> OrbitDistanceResult:

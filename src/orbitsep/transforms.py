@@ -157,10 +157,9 @@ def eval_lowdim(
     if mode == "as_written":
         v[:n] = moduli > 0
     mu = float(moduli[moduli > 0].min())
-    return InvariantVector(
-        transform_id="Phi",
-        values=np.concatenate([moduli.astype(complex), mu * (ell @ v)]),
-    )
+    with np.errstate(all="ignore"):  # beyond the double range: inf or nan, as PhiF gives
+        reduced = mu * (ell @ v)
+    return InvariantVector(transform_id="Phi", values=np.concatenate([moduli.astype(complex), reduced]))
 
 
 def lipschitz_bound(table: ExponentTable, ell: np.ndarray) -> float:

@@ -255,6 +255,39 @@ def test_non_finite_transform_gap_warns_nothing(capsys, tmp_path, monkeypatch, c
     assert json.loads(out) == {**envelope, **fields}
 
 
+# Groups above ENUMERATION_CAP have no oracle, so compare reads equivalence
+# off the transform gap alone.  In these cases the values tell nothing: Phi's
+# reduced block overflows, so gap and scale are both infinite; every PhiF
+# value of a nonzero signal underflows to zero, so the gap is 0.
+NO_ORACLE = ["compare", "--orders", "1009,1013", "--matrix", "1,2,5;1,3,7"]
+NO_ORACLE_CASES = {
+    "infinite-scale": ("phi", "[1e308, 1e308, 1e308]", "[-1e308, [0, 1e308], 5e307]", "Infinity"),
+    "underflow": ("phif", "[1, 2, 3]", "[3, 1, 2]", 0),
+}
+
+
+@pytest.mark.parametrize("case", NO_ORACLE_CASES)
+def test_compare_without_oracle_leaves_equivalence_open_when_the_values_tell_nothing(capsys, tmp_path, monkeypatch, case):
+    monkeypatch.chdir(tmp_path)
+    transform, a, b, gap = NO_ORACLE_CASES[case]
+    (tmp_path / "a.json").write_text(a)
+    (tmp_path / "b.json").write_text(b)
+    payload = run_json(capsys, *NO_ORACLE, "--transform", transform, "a.json", "b.json")
+    assert payload["transform_gap"] == gap
+    assert (payload["equivalent"], payload["oracle"]) == (None, False)
+
+
+def test_phi_values_beyond_the_double_range_warn_nothing(capsys, tmp_path, monkeypatch):
+    # The suite turns a RuntimeWarning into an error, which main reports as exit 4.
+    monkeypatch.chdir(tmp_path)
+    _, a, b, _ = NO_ORACLE_CASES["infinite-scale"]
+    (tmp_path / "a.json").write_text(a)
+    (tmp_path / "b.json").write_text(b)
+    code, out, err = run(capsys, *NO_ORACLE, "--transform", "phi", "a.json", "b.json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["transform_gap"] == "Infinity"
+
+
 def test_every_payload_kind_matches_the_reference_emitter(capsys, monkeypatch, tmp_path):
     # The payloads of each command, each transform and the non-finite
     # overflow cases, emitted by the package and by the per-item oracle.

@@ -1,8 +1,9 @@
 """Minimal invariant exponents: singles, pairs and triples from one lattice
 solver, checked against the closed form of the singles, the exhaustive
-oracle, and the assembled table.  Also the diagonalization of the phase
-steps, the lattice of elements acting trivially and the faithful quotient
-built from them, checked against brute force and sympy."""
+oracle, and the assembled table; the discrete-log builder checked against
+the lattice builder, and the route between them.  Also the diagonalization
+of the phase steps, the lattice of elements acting trivially and the
+faithful quotient built from them, checked against brute force and sympy."""
 
 import itertools
 import math
@@ -29,7 +30,10 @@ from orbitsep import (
     shift_action_spec,
     table_as_dict,
 )
-from orbitsep.exponents import float_exponents, phase_generators
+import orbitsep.exponents
+from orbitsep.exponents import (
+    _by_discrete_logs, _discrete_log_arrays, _lattice_arrays, float_exponents, phase_generators,
+)
 from orbitsep.groups import enumerate_group, phase_steps
 from orbitsep.metric import faithful_quotient
 from reference import brute_phase_vectors, brute_quotient_order, lcm_single, oracle_minimal
@@ -391,3 +395,104 @@ def test_trivial_action_has_a_quotient_of_order_one():
     assert quotient.group.orders == (1,)
     assert quotient.kernel.tolist() == [[1]]
     assert quotient.least_member([[3]]) == (0,)
+
+
+def assert_both_builders_agree(group, max_tuple_size=3):
+    lattice = _lattice_arrays(group, max_tuple_size)
+    logs = _discrete_log_arrays(faithful_quotient(group).group, max_tuple_size)
+    assert len(lattice) == len(logs) == 3
+    for want, got in zip((a for pair in lattice for a in pair), (a for pair in logs for a in pair)):
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert (got == want).all()
+        assert not got.flags.writeable
+
+
+@st.composite
+def table_groups(draw):
+    """acting_groups with some characters repeated: columns drawn, with
+    repetition, from the drawn matrix."""
+    group = draw(acting_groups())
+    columns = draw(st.lists(st.integers(0, group.dim - 1), min_size=1, max_size=9))
+    return make_group(group.orders, [[row[k] for k in columns] for row in group.exponents])
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(table_groups(), st.sampled_from([1, 2, 3]))
+def test_discrete_logs_build_the_lattice_table(group, max_tuple_size):
+    assert_both_builders_agree(group, max_tuple_size)
+
+
+@pytest.mark.parametrize(
+    "group",
+    [
+        make_group([4], [[0, 0, 0, 0]]),  # trivial action: |Q| = 1
+        make_group([6, 10], [[1, 2], [3, 4]]),  # N < s
+        make_group([12], [[5, 5, 5, 0, 5]]),  # repeated characters and a zero column
+        make_group((10, 10, 10), ((1, 2, 3), (4, 0, 6), (7, 8, 5))),  # kernel of order 4
+        make_group([1], [[0]]),
+        shift_action_spec(4, 4),
+        cyclic_shift_spec(16),
+    ],
+    ids=["trivial", "n-below-s", "repeated", "kernel", "one-coordinate", "shift4x4", "cyclic16"],
+)
+def test_discrete_logs_build_the_lattice_table_on_fixed_groups(group):
+    for max_tuple_size in (1, 2, 3):
+        assert_both_builders_agree(group, max_tuple_size)
+
+
+def orbit_pairs_group():
+    return make_group((100, 100, 100), ((11, 45, 94, 65), (48, 68, 72, 52), (92, 88, 18, 76)))
+
+
+@pytest.mark.parametrize(
+    "group,by_logs",
+    [
+        (shift_action_spec(8, 8), True),
+        (cyclic_shift_spec(64), True),
+        (make_group([2**70 + 25], [[1, 2]]), False),
+        (orbit_pairs_group(), False),
+        (cyclic_shift_spec(3), False),
+    ],
+    ids=["shift8x8", "cyclic64", "beyond-int64", "orbit-pairs-1e6", "cyclic3"],
+)
+def test_route_between_the_two_builders(group, by_logs):
+    assert _by_discrete_logs(group) is by_logs
+
+
+@pytest.mark.parametrize("n", [2, 7])
+def test_orders_beyond_int64_never_compile_the_quotient(monkeypatch, n):
+    # At N = 2 the lattice is too small to repay the discrete-log path; at
+    # N = 7 the exponent of Q, read off the characters, already rules it out.
+    def no_quotient(group):
+        raise AssertionError("faithful_quotient called")
+
+    p = 2**70 + 25
+    group = make_group([p], [list(range(1, n + 1))])
+    monkeypatch.setattr(orbitsep.exponents, "faithful_quotient", no_quotient)
+    table = build_exponent_table(group)
+    assert table_as_dict(table)["singles"] == [p] * n
+    # 1 + 2b = 0 mod p for the odd p.
+    assert table_as_dict(table)["pairs"]["0,1"] == [1, (p - 1) // 2]
+
+
+def test_orders_beyond_int64_with_a_small_quotient_take_discrete_logs():
+    # Q = Z_2, but its generator turns coordinates by 2**69 units of
+    # 1/2**70, beyond int64: the quotient compiles in exact integers, and
+    # the table never builds the int64 arrays the metric reads.
+    group = make_group([2**70], [[2**69, 0, 2**69, 2**69, 0, 2**69]])
+    assert _by_discrete_logs(group)
+    assert faithful_quotient(group).group.orders == (2,)
+    got = [a for pair in build_exponent_table(group).arrays for a in pair]
+    want = [a for pair in _lattice_arrays(group, 3) for a in pair]
+    assert [(a.dtype, a.tolist()) for a in got] == [(a.dtype, a.tolist()) for a in want]
+
+
+def test_large_quotient_of_few_coordinates_keeps_the_lattice(monkeypatch):
+    # The orbit-pairs group of order 10^6 acts through a quotient of order
+    # 125000 on 4 coordinates: its table stays on the lattice path, and the
+    # discrete-log builder is not called.
+    group = orbit_pairs_group()
+    assert faithful_quotient(group).group.group_order == 125000
+    monkeypatch.setattr(orbitsep.exponents, "_discrete_log_arrays", None)
+    table = build_exponent_table(group)
+    assert dict(table.components()) == {ks: oracle_minimal(group, ks) for ks in subsets(group)}
