@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError, DimensionError, DomainError, OrbitsepError
-from .exponents import build_exponent_table, table_as_dict
+from .exponents import build_exponent_table
 from .groups import _norm, make_group, shift_action_spec, to_fourier
 from .hermite import (
     cyclic_fixture_data,
@@ -28,7 +28,7 @@ from .hermite import (
     hermite_as_dict,
     hermite_multiplier,
 )
-from .io import emit_json, read_image_csv, read_pgm, read_signal_json, write_output
+from .io import KeyedRows, emit_json, read_image_csv, read_pgm, read_signal_json, write_output
 from .metric import _full_support, child_seed, lipschitz_ratio_scan, orbit_distance
 from .transforms import (
     default_beta,
@@ -188,11 +188,13 @@ def _transform(name, group, seed, mode):
 def cmd_exponents(args) -> dict:
     group, _ = _resolve_group(args)
     table = _table(group, args.max_tuple_size)
+    (_, singles), pairs, triples = table.arrays
     return {
         **_envelope(args),
         "orders": list(group.orders),
         "matrix": [list(row) for row in group.exponents],
-        "table": table_as_dict(table),
+        "table": {"singles": singles[:, 0].tolist(), "pairs": KeyedRows(*pairs),
+                  "triples": KeyedRows(*triples), "total_dim": table.total_dim},
     }
 
 
@@ -218,13 +220,14 @@ def cmd_compare(args) -> dict:
         # Witness maps the first input onto the second under the action.
         oracle = orbit_distance(group, second, first)
     except DomainError:
-        # An infinite scale makes the tolerance infinite, and a nonzero
-        # signal whose values all underflowed to zero has lost them: in
-        # both cases the values cannot show that the orbits match.
+        # A NaN gap says nothing, an infinite scale makes the tolerance
+        # infinite, and a nonzero signal whose values all underflowed to
+        # zero has lost them: in each case the values cannot decide.
         lost = any(x.any() and not values.any() for x, values in ((first, values_a), (second, values_b)))
+        undecided = lost or math.isnan(gap) or (scale == math.inf and gap > 0)
         payload.update(
             {
-                "equivalent": None if lost or (scale == math.inf and gap > 0) else gap <= args.tol * scale,
+                "equivalent": None if undecided else gap <= args.tol * scale,
                 "distance": None,
                 "witness": None,
                 "oracle": False,

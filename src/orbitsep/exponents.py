@@ -514,17 +514,3 @@ def build_exponent_table(group: GroupSpec, max_tuple_size: int = 3) -> ExponentT
         arrays = _lattice_arrays(group, max_tuple_size)
     return ExponentTable(group=group, arrays=arrays)
 
-
-def table_as_dict(table: ExponentTable) -> dict:
-    """JSON-ready view: {"singles": [...], "pairs": {"k1,k2": [a, b]}, ...}."""
-    (_, singles), *tuples = table.arrays
-    pairs, triples = (
-        {",".join(map(str, ks)): exps for ks, exps in zip(indices.tolist(), exponents.tolist())}
-        for indices, exponents in tuples
-    )
-    return {
-        "singles": singles[:, 0].tolist(),
-        "pairs": pairs,
-        "triples": triples,
-        "total_dim": table.total_dim,
-    }

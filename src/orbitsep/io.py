@@ -7,7 +7,8 @@ quoted strings, non-finite floats as quoted names (strict JSON has no
 Infinity literal).  One float rule serves scalars and whole 1-D float64 or
 complex128 arrays: one %-format of "%.17g" items, whose non-finite
 spellings are mapped through the one _NON_FINITE table.  Lists of plain
-ints are joined in one pass; keys and strings are quoted as json.dumps does.
+ints are joined in one pass, KeyedRows by one %-format per block of rows;
+keys and strings are quoted as json.dumps does.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import re
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -171,12 +173,33 @@ def _scalar_text(value) -> str:
     raise TypeError(f"not a scalar: {type(value)!r}")
 
 
+class KeyedRows(NamedTuple):
+    """The JSON object {"k1,k2": [a, b], ...}: one entry per row of the
+    integer arrays keys and values, the row of keys joined by commas."""
+
+    keys: np.ndarray
+    values: np.ndarray
+
+
+_ROWS_PER_PASS = 1 << 13  # one block's argument tuple is held at a time, not the table's
 _CONTAINERS = (dict, list, tuple, np.ndarray)
+
+
+def _keyed_rows_text(rows: KeyedRows, depth: int) -> str:
+    (count, key_width), value_width = rows.keys.shape, rows.values.shape[1]
+    row = "  " * (depth + 1) + '"' + ",".join(["%d"] * key_width) + '": [' + ", ".join(["%d"] * value_width) + "]"
+    parts = []
+    for lo in range(0, count, _ROWS_PER_PASS):
+        block = np.hstack([rows.keys[lo:lo + _ROWS_PER_PASS], rows.values[lo:lo + _ROWS_PER_PASS]])
+        parts.append(",\n".join([row] * len(block)) % tuple(block.ravel().tolist()))
+    return "{\n" + ",\n".join(parts) + "\n" + "  " * depth + "}" if parts else "{}"
 
 
 def _emit(value, depth: int) -> str:
     if not isinstance(value, _CONTAINERS):
         return _scalar_text(value)
+    if isinstance(value, KeyedRows):
+        return _keyed_rows_text(value, depth)
     if isinstance(value, np.ndarray):
         item = _ARRAY_ITEM.get(value.dtype) if value.ndim == 1 else None
         if item is None:

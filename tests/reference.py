@@ -3,8 +3,9 @@ complex ** int product per component, multiplied left to right starting
 from 1), the exhaustive minimal-exponent oracle, the closed form of the
 single exponents, the Fraction Gauss-Jordan solve, the chunked brute-force
 orbit metric, the distinct phase vectors of a group's elements, the
-empirical separation and proportionality checks, and a JSON emitter that
-picks its layout from a registry of scalar types."""
+empirical separation and proportionality checks, a JSON emitter that
+picks its layout from a registry of scalar types, and the exponent table
+as a dict of string keys, the payload that emitter takes."""
 
 import cmath
 import itertools
@@ -27,6 +28,7 @@ from orbitsep import (
     shift_action_spec,
 )
 from orbitsep.groups import _check_signal, act, phase_steps
+from orbitsep.io import KeyedRows
 from orbitsep.metric import OrbitDistanceResult
 
 EQUALITY_TOL = 1e-9
@@ -357,6 +359,8 @@ def _reference_scalar_text(value) -> str:
 
 
 def _reference_emit(value, depth: int) -> str:
+    if isinstance(value, KeyedRows):
+        value = rows_as_dict(*value)
     if isinstance(value, _REFERENCE_SCALAR_TYPES) or value is None:
         return _reference_scalar_text(value)
     if isinstance(value, np.ndarray):
@@ -382,7 +386,25 @@ def _reference_emit(value, depth: int) -> str:
 
 
 def reference_emit_json(payload: dict) -> str:
-    """The emitter with a registry of scalar types deciding the layout and
-    non-finite floats sorted out before formatting; the package's emitter
-    must give the same text."""
+    """The emitter with a registry of scalar types deciding the layout,
+    non-finite floats sorted out before formatting, and KeyedRows written
+    as a dict of one entry per row; the package's emitter must give the
+    same text."""
     return _reference_emit(payload, 0) + "\n"
+
+
+def rows_as_dict(keys, values) -> dict:
+    """{"k1,k2": [a, b], ...}: one string key and one list per row."""
+    return {",".join(map(str, ks)): items for ks, items in zip(keys.tolist(), values.tolist())}
+
+
+def table_as_dict(table) -> dict:
+    """JSON-ready view: {"singles": [...], "pairs": {"k1,k2": [a, b]}, ...}."""
+    (_, singles), *tuples = table.arrays
+    pairs, triples = (rows_as_dict(indices, exponents) for indices, exponents in tuples)
+    return {
+        "singles": singles[:, 0].tolist(),
+        "pairs": pairs,
+        "triples": triples,
+        "total_dim": table.total_dim,
+    }

@@ -1,5 +1,6 @@
 """End-to-end command-line checks through main(argv)."""
 
+import collections
 import json
 import math
 import os
@@ -19,7 +20,7 @@ import orbitsep
 import orbitsep.cli
 from orbitsep.cli import main
 from orbitsep.io import emit_json
-from reference import reference_emit_json
+from reference import reference_emit_json, table_as_dict
 
 
 def run(capsys, *argv):
@@ -221,7 +222,7 @@ OVERFLOW_CASES = {
     "compare-no-oracle": (
         ["compare", "--orders", "1001,1000", "--matrix", "1,2;1,3", "--transform", "f",
          "c.json", "c.json"],
-        {"transform": "F", "transform_gap": "NaN", "equivalent": False,
+        {"transform": "F", "transform_gap": "NaN", "equivalent": None,
          "distance": None, "witness": None, "oracle": False},
     ),
     "bench": (
@@ -437,6 +438,51 @@ def test_exponents_beyond_float_precision_stay_exact(capsys):
     table = orbitsep.build_exponent_table(orbitsep.make_group([2**70 + 25], [[1, 2]]), 2)
     assert list(table.components()) == [((0,), (2**70 + 25,)), ((1,), (2**70 + 25,)),
                                         ((0, 1), (1, 2**69 + 12))]
+
+
+@st.composite
+def table_groups(draw):
+    """Groups of 1 to 12 coordinates, so the pair and triple blocks are
+    sometimes empty, with some orders above 2**63, whose exponents are kept
+    as Python ints in object arrays."""
+    s = draw(st.integers(1, 2))
+    n = draw(st.integers(1, 12))
+    orders = draw(st.lists(st.one_of(st.integers(1, 12), st.integers(2**63, 2**80)), min_size=s, max_size=s))
+    rows = draw(st.lists(st.lists(st.integers(0, 20), min_size=n, max_size=n), min_size=s, max_size=s))
+    return orders, rows
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(table_groups(), st.integers(1, 3))
+@example(([2**70 + 25], [[1, 2, 3, 5]]), 3)
+@example(([5], [[1, 2]]), 3)
+def test_exponents_payload_emits_the_bytes_of_the_table_dict(group, max_tuple_size):
+    orders, rows = group
+    args = orbitsep.cli.build_parser().parse_args([
+        "exponents", "--orders", ",".join(map(str, orders)),
+        "--matrix=" + ";".join(",".join(map(str, row)) for row in rows),
+        "--max-tuple-size", str(max_tuple_size),
+    ])
+    payload = args.handler(args)
+    table = orbitsep.build_exponent_table(orbitsep.make_group(orders, rows), max_tuple_size)
+    assert emit_json(payload) == reference_emit_json({**payload, "table": table_as_dict(table)})
+
+
+def test_exponents_emit_makes_no_call_per_table_entry(capsys, monkeypatch):
+    # The pair and triple blocks are each written by one %-format per block
+    # of rows, so cyclic 64 (43744 components) makes as many emitter calls
+    # as cyclic 16 (696).
+    def emit_calls(n):
+        calls = collections.Counter()
+        for name in ("_emit", "_scalar_text"):
+            original = getattr(orbitsep.io, name)
+            monkeypatch.setattr(orbitsep.io, name, lambda *a, f=original, name=name: calls.update([name]) or f(*a))
+        group = orbitsep.cyclic_shift_spec(n)
+        assert run(capsys, "exponents", "--orders", str(n), "--matrix", ",".join(map(str, group.exponents[0])))[0] == 0
+        monkeypatch.undo()
+        return calls
+
+    assert emit_calls(64) == emit_calls(16)
 
 
 # Invariant exponents of this group reach 10**400, beyond the double range.

@@ -28,7 +28,6 @@ from orbitsep import (
     minimal_single,
     minimal_triple,
     shift_action_spec,
-    table_as_dict,
 )
 import orbitsep.exponents
 from orbitsep.exponents import (
@@ -36,7 +35,7 @@ from orbitsep.exponents import (
 )
 from orbitsep.groups import enumerate_group, phase_steps
 from orbitsep.metric import faithful_quotient
-from reference import brute_phase_vectors, brute_quotient_order, lcm_single, oracle_minimal
+from reference import brute_phase_vectors, brute_quotient_order, lcm_single, oracle_minimal, table_as_dict
 
 
 def naive_minimal(group, subset):
