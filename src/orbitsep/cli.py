@@ -109,6 +109,8 @@ def _load_signal(path, group, image_shape):
                 f"--shift declares {image_shape[0]}x{image_shape[1]}"
             )
         signal = to_fourier(image)
+        if not np.isfinite(signal).all():
+            raise DomainError(f"image {path} has a Fourier coefficient beyond the double range")
     else:
         raise ConfigError(f"unsupported input type {suffix!r} (use .json, .csv, .pgm)")
     if len(signal) != group.dim:

@@ -35,11 +35,12 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConfigError, DimensionError, DomainError
-from .groups import GroupSpec
+from .groups import GroupSpec, _phase_rows
 
 
 def _as_int_rows(matrix):
@@ -138,8 +139,8 @@ def phase_generators(group: GroupSpec):
     g_j split G/K into cyclic factors of orders L / gcd(L, sigma_j).  Column
     reductions of phase_steps(group).T (R rides below) alternate with those
     of its transpose until every row and column holds at most one nonzero."""
-    s, n, L = len(group.orders), group.dim, group.phase_lcm
-    t = [[(L // p) * a for a, p in zip(column, group.orders)] for column in zip(*group.exponents)]
+    s, n = len(group.orders), group.dim
+    t = [list(column) for column in zip(*_phase_rows(group))]
     t += [[int(i == j) for j in range(s)] for i in range(s)]
     while True:
         _reduce(t, n)
@@ -152,42 +153,16 @@ def phase_generators(group: GroupSpec):
     return sigma, tuple(map(tuple, t[n:]))
 
 
-@dataclass(frozen=True, eq=False)
-class Quotient:
+class Quotient(NamedTuple):
     """A group's faithful quotient Q = G/K, split into cyclic factors of
-    orders d_j > 1 (or just 1), ascending.  group is Q in exact integers.
-    exact holds, as rows of Python ints, lift (row j an element of G
-    generating factor j), turns (row j its phase_steps(G) mod L) and kernel
-    (the Hermite basis of K', the elements of Z^s acting trivially); the
-    attributes of the same names are those rows as read-only int64 arrays,
-    built on first use, and bins holds Q's exponent rows likewise."""
+    orders d_j > 1 (or just 1), ascending, in exact integers.  group is Q;
+    lift has one row per factor, an element of G generating it; kernel is
+    the s x s lower-triangular Hermite basis, one vector per column, of K',
+    the elements of Z^s acting trivially.  Rows are tuples of Python ints."""
 
     group: GroupSpec
-    exact: dict
-
-    @functools.cached_property
-    def lift(self) -> np.ndarray:
-        return _int64(self.exact["lift"])
-
-    @functools.cached_property
-    def turns(self) -> np.ndarray:
-        return _int64(self.exact["turns"])
-
-    @functools.cached_property
-    def kernel(self) -> np.ndarray:
-        return _int64(self.exact["kernel"])
-
-    @functools.cached_property
-    def bins(self) -> tuple:
-        return tuple(_int64(self.group.exponents))
-
-    def least_member(self, rows) -> tuple:
-        """The least element of G in the cosets of K through the integer rows,
-        whose entry i lands in [0, kernel[i, i])."""
-        rows = np.array(rows, dtype=np.int64)
-        for i, column in enumerate(self.kernel.T):
-            rows -= (rows[:, i] // column[i])[:, None] * column
-        return tuple(rows[np.lexsort(rows.T[::-1])[0]].tolist())
+    lift: tuple
+    kernel: tuple
 
 
 @functools.lru_cache(maxsize=8)
@@ -204,14 +179,14 @@ def faithful_quotient(group: GroupSpec) -> Quotient:
     _reduce(kernel, s)
     keep = sorted((j for j in range(s) if d[j] > 1), key=d.__getitem__) or [0]
     # R's entries can exceed int64: reduce them mod the orders first.
-    lift = [[R[i][j] % p for i, p in enumerate(group.orders)] for j in keep]
-    steps = [[(L // p) * a % L for a in row] for row, p in zip(group.exponents, group.orders)]
-    turns = [[sum(x * y for x, y in zip(g, column)) % L for column in zip(*steps)] for g in lift]
-    orders = [d[j] for j in keep]
-    return Quotient(
-        group=GroupSpec(tuple(orders), tuple(tuple(t * p // L for t in row) for row, p in zip(turns, orders))),
-        exact={"lift": lift, "turns": turns, "kernel": kernel},
+    lift = tuple(tuple(R[i][j] % p for i, p in enumerate(group.orders)) for j in keep)
+    # Factor j turns each coordinate by a multiple of L / d_j: its exponent.
+    columns = tuple(zip(*_phase_rows(group)))
+    exponents = tuple(
+        tuple(sum(x * y for x, y in zip(g, column)) % L * d[j] // L for column in columns)
+        for g, j in zip(lift, keep)
     )
+    return Quotient(GroupSpec(tuple(d[j] for j in keep), exponents), lift, tuple(map(tuple, kernel)))
 
 
 def _solve_congruence(w: int, r: int, p: int):
@@ -301,10 +276,6 @@ def minimal_triple(group: GroupSpec, k1: int, k2: int, k3: int):
 def _read_only(array: np.ndarray) -> np.ndarray:
     array.flags.writeable = False  # cached tables share their arrays
     return array
-
-
-def _int64(rows) -> np.ndarray:
-    return _read_only(np.array(rows, dtype=np.int64))
 
 
 def float_exponents(exponents) -> np.ndarray:

@@ -80,19 +80,18 @@ def make_group(orders, exponents) -> GroupSpec:
     return GroupSpec(orders=orders, exponents=reduced)
 
 
-def phase_steps(group: GroupSpec) -> np.ndarray:
-    """Integer phase increments, one row per generator, in units of 1/lcm turns.
-
-    act() and the orbit metric accumulate these in exact integer arithmetic
-    and apply a single complex exponential at the end, so repeated group
-    operations cannot drift.
-    """
+def _phase_rows(group: GroupSpec) -> list:
+    """Exact phase increments in units of 1/L turns, L = lcm(orders): row i
+    turns coordinate k by (L / p_i) * a_ik, below L since a_ik < p_i."""
     L = group.phase_lcm
-    steps = [
-        [(L // p) * a % L for a in row]
-        for row, p in zip(group.exponents, group.orders)
-    ]
-    return np.array(steps, dtype=np.int64)
+    return [[(L // p) * a for a in row] for row, p in zip(group.exponents, group.orders)]
+
+
+def phase_steps(group: GroupSpec) -> np.ndarray:
+    """_phase_rows as int64.  act() and the orbit metric accumulate these in
+    exact integers and apply one complex exponential at the end, so repeated
+    group operations cannot drift."""
+    return np.array(_phase_rows(group), dtype=np.int64)
 
 
 def _check_signal(group: GroupSpec, x) -> np.ndarray:
@@ -199,13 +198,19 @@ def to_fourier(image) -> np.ndarray:
     the coordinate carrying character exponents (u, v); the DC bin lands at
     the last coordinate.  Satisfies
     to_fourier(shift_image(img, g)) == act(group, g, to_fourier(img)) for the
-    matching shift_action_spec group.
+    matching shift_action_spec group.  The transform runs on the image's
+    _unit_scaled pixels, so no sum inside it overflows and the result is
+    finite whenever every coefficient is a finite double; one beyond the
+    double range is inf.
     """
     image = np.asarray(image, dtype=complex)
     if image.ndim != 2:
         raise DimensionError(f"image must be 2D, got shape {image.shape}")
     n, m = image.shape
-    spectrum = np.fft.fft2(image) / math.sqrt(n * m)
+    pixels, k = _unit_scaled(image.reshape(n * m))
+    spectrum = np.fft.fft2(pixels.reshape(n, m)) / math.sqrt(n * m)
+    with np.errstate(over="ignore"):
+        spectrum = np.ldexp(spectrum.view(float), k).view(complex)
     return np.roll(spectrum, (-1, -1), axis=(0, 1)).reshape(n * m)
 
 

@@ -122,7 +122,10 @@ def read_pgm(path) -> np.ndarray:
         raise ConfigError(f"{path}: PGM maxval {maxval} out of supported range 1..255")
     count = width * height
     if magic == b"P5":
-        pos += 1  # exactly one whitespace byte separates header from pixels
+        # Exactly one whitespace byte separates header from pixels.
+        if not buf[pos : pos + 1].isspace():
+            raise ConfigError(f"{path}: PGM maxval must be followed by one whitespace byte")
+        pos += 1
         pixels = buf[pos : pos + count]
         if len(pixels) != count:
             raise ConfigError(f"{path}: PGM pixel data truncated")

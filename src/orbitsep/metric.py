@@ -22,7 +22,7 @@ import numpy as np
 from .errors import ConfigError, DomainError
 from .exponents import faithful_quotient
 from .groups import (
-    GroupSpec, _check_enumerable, _check_signal, _norm, _unit_scaled, act, enumerate_group,
+    GroupSpec, _check_enumerable, _check_signal, _norm, _unit_scaled, act, enumerate_group, phase_steps,
 )
 
 _CHUNK = 4096
@@ -36,6 +36,16 @@ class OrbitDistanceResult:
     witness: tuple
 
 
+def least_member(kernel, rows) -> tuple:
+    """The least element of G in the cosets of K through the integer rows:
+    kernel is faithful_quotient(G).kernel, and each pivot column i moves
+    entry i into [0, kernel[i][i]) without changing the coset."""
+    rows = np.array(rows, dtype=np.int64)
+    for i, column in enumerate(np.array(kernel, dtype=np.int64).T):
+        rows -= (rows[:, i] // column[i])[:, None] * column
+    return tuple(rows[np.lexsort(rows.T[::-1])[0]].tolist())
+
+
 def orbit_distance(group: GroupSpec, x, y) -> OrbitDistanceResult:
     """Exact minimum of ||x - g.y|| over the whole (enumerable) group."""
     x = _check_signal(group, x)
@@ -43,6 +53,9 @@ def orbit_distance(group: GroupSpec, x, y) -> OrbitDistanceResult:
     _check_enumerable(group)
     quotient = faithful_quotient(group)
     elements = enumerate_group(quotient.group)
+    # Below the enumeration cap every entry and product here fits int64.
+    lift = np.array(quotient.lift, dtype=np.int64)
+    turns = lift @ phase_steps(group) % group.phase_lcm
     # One power of two puts every part in (-1, 1): no product below overflows.
     xy, k = _unit_scaled(np.concatenate([x, y]))
     x, y = xy.reshape(2, -1)
@@ -50,7 +63,7 @@ def orbit_distance(group: GroupSpec, x, y) -> OrbitDistanceResult:
     cross = x * np.conj(y)
     const = float(np.vdot(x, x).real + np.vdot(y, y).real)
     grid = np.zeros(quotient.group.orders, dtype=complex)
-    np.add.at(grid, quotient.bins, cross)
+    np.add.at(grid, quotient.group.exponents, cross)  # one index row per axis
     # In place: at |Q| = 10^6 a fresh output per axis doubles the time.
     overlap = np.fft.fftn(grid, out=grid).real
     # Each entry of an FFT of size n errs by about eps * log2(n) * sqrt(n)
@@ -66,13 +79,13 @@ def orbit_distance(group: GroupSpec, x, y) -> OrbitDistanceResult:
     # Even blocks, never one row for two or more candidates: a one-row
     # product rounds differently from the multi-row blocks it is compared with.
     exact = np.concatenate([
-        np.exp((-2j * np.pi / L) * (elements[block] @ quotient.turns % L)) @ cross
+        np.exp((-2j * np.pi / L) * (elements[block] @ turns % L)) @ cross
         for block in (candidates[i * n // blocks:(i + 1) * n // blocks] for i in range(blocks))
     ])
     vals = const - 2.0 * exact.real
     best = vals.min()  # not finite only for non-finite input: row 0, the identity, stands
     tied = elements[candidates[vals == best]] if best < np.inf else elements[:1]
-    witness = quotient.least_member(tied @ quotient.lift)
+    witness = least_member(quotient.kernel, tied @ lift)
     with np.errstate(over="ignore"):  # a distance beyond the double range is inf
         distance = float(np.ldexp(np.linalg.norm(x - act(group, witness, y)), k))
     return OrbitDistanceResult(distance=distance, witness=witness)

@@ -240,6 +240,10 @@ OVERFLOW_CASES = {
 }
 
 
+# A 2x3 image whose DC coefficient, 6e308 / sqrt(6), is beyond the double range.
+BIG_IMAGE_CSV = "1e308,1e308,1e308\n1e308,1e308,1e308\n"
+
+
 def write_overflow_signals(directory):
     for name, text in OVERFLOW_SIGNALS.items():
         (directory / name).write_text(text)
@@ -639,10 +643,12 @@ def test_bench_deterministic(capsys):
 def argv_groups(draw):
     """(orders, matrix) of small random groups, some prone to overflow:
     orders near 1000 and up to 12 coordinates put F's powers beyond the
-    double range.  Negative entries exercise the --matrix words."""
+    double range, and orders in [2^63, 2^70] put exponents and the phase
+    lcm beyond int64.  Negative entries exercise the --matrix words."""
     s = draw(st.integers(1, 3))
     n = draw(st.integers(1, 12))
-    orders = draw(st.lists(st.one_of(st.integers(1, 12), st.integers(990, 1000)), min_size=s, max_size=s))
+    order = st.one_of(st.integers(1, 12), st.integers(990, 1000), st.integers(2**63, 2**70))
+    orders = draw(st.lists(order, min_size=s, max_size=s))
     rows = draw(st.lists(st.lists(st.integers(-5, 2000), min_size=n, max_size=n), min_size=s, max_size=s))
     return orders, rows
 
@@ -683,6 +689,58 @@ def test_valid_argv_exits_zero_two_or_three(group, transform, seed, samples, sca
         assert code in (0, 2, 3)
         if code == 0:
             assert json.loads(Path(out[1]).read_text())["max_ratio"] != "-Infinity"
+
+
+@st.composite
+def image_inputs(draw):
+    """(n, m, files): an --shift n x m shape and two image files, each a
+    (name, bytes) pair.  A CSV holds integer pixels times 2**k, from
+    subnormal to near the top of the double range.  A P2 or P5 file may
+    carry header comments, swapped sides, another byte after maxval or a cut."""
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    files = []
+    for name in ("a", "b"):
+        kind = draw(st.sampled_from(["csv", "P2", "P5"]))
+        if kind == "csv":
+            pixels = np.array(draw(st.lists(st.integers(-255, 255), min_size=n * m, max_size=n * m)), dtype=float)
+            rows = np.ldexp(pixels, draw(st.sampled_from([0, -1074, -560, 500, 1015]))).reshape(n, m)
+            text = "\n".join(",".join(map(repr, row)) for row in rows.tolist()) + "\n"
+            files.append((f"{name}.csv", text.encode()))
+            continue
+        maxval = draw(st.integers(1, 255))
+        pixels = draw(st.lists(st.integers(0, maxval), min_size=n * m, max_size=n * m))
+        gap = st.sampled_from([b"\n", b" ", b"\t", b"\r\n", b"# c\n", b" #c 1\n"])
+        sides = draw(st.sampled_from([(m, n), (n, m)]))
+        header = kind.encode() + b"".join(draw(gap) + b"%d" % v for v in (*sides, maxval))
+        if kind == "P2":
+            body = draw(gap) + b" ".join(b"%d" % v for v in pixels) + b"\n"
+        else:
+            body = draw(st.sampled_from([b"\n", b" ", b"\r", b"#", b"c", b""])) + bytes(pixels)
+        blob = header + body
+        files.append((f"{name}.pgm", blob[:draw(st.none() | st.integers(0, len(blob)))]))
+    return n, m, files
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(image_inputs(), st.sampled_from(orbitsep.cli.TRANSFORMS))
+@example((2, 3, [("a.csv", BIG_IMAGE_CSV.encode()), ("b.csv", b"1,2,3\n4,5,6\n")]), "f")
+def test_valid_image_argv_exits_zero_two_or_three(images, transform):
+    # Image files reach every transform and compare through to_fourier;
+    # valid or not, no file may exit 4.
+    n, m, files = images
+    group = ["--shift", f"{n}x{m}"]
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        a, b = (tmp / name for name, _ in files)
+        for name, blob in files:
+            (tmp / name).write_bytes(blob)
+        out = ["--out", str(tmp / "out.json")]
+        runs = [
+            *(["invariants", *group, "--transform", t, str(a)] for t in orbitsep.cli.TRANSFORMS),
+            ["compare", *group, "--transform", transform, str(a), str(b)],
+        ]
+        codes = {" ".join(argv): main([*argv, *out]) for argv in runs}
+    assert set(codes.values()) <= {0, 2, 3}, codes
 
 
 def test_out_flag_writes_file(capsys, tmp_path):
@@ -757,12 +815,14 @@ def test_unknown_command_exits_two(capsys):
 def test_every_command_is_silent_in_dev_mode_with_warnings_as_errors(tmp_path):
     # Each subcommand, invariants once per transform, the overflow inputs and
     # a compare of signals near the top of the double range, each in a child
-    # interpreter that turns every warning into an error.
+    # interpreter that turns every warning into an error.  The image whose
+    # DC coefficient is beyond the double range exits 3 with one error line.
     write_overflow_signals(tmp_path)
     write_signal(tmp_path, "x.json", np.arange(1, 7) * (1 - 0.5j))
     write_signal(tmp_path, "y.json", np.arange(6, 0, -1) * (0.5 + 1j))
     write_signal(tmp_path, "big_x.json", 1e300 * np.arange(1, 7) * (1 - 0.5j))
     write_signal(tmp_path, "big_y.json", 1e300 * np.arange(6, 0, -1) * (0.5 + 1j))
+    (tmp_path / "big.csv").write_text(BIG_IMAGE_CSV)
     group = ["--shift", "2x3"]
     runs = [
         ["exponents", *group],
@@ -772,6 +832,10 @@ def test_every_command_is_silent_in_dev_mode_with_warnings_as_errors(tmp_path):
         ["counterexample"],
         ["bench", *group, "--samples", "3"],
         *(argv for argv, _ in OVERFLOW_CASES.values()),
+    ]
+    big_image = [
+        *(["invariants", *group, "--transform", t, "big.csv"] for t in orbitsep.cli.TRANSFORMS),
+        ["compare", *group, "big.csv", "x.json"],
     ]
     src = str(Path(orbitsep.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
@@ -784,5 +848,10 @@ def test_every_command_is_silent_in_dev_mode_with_warnings_as_errors(tmp_path):
 
     with ThreadPoolExecutor(max_workers=2) as pool:
         done = list(pool.map(child, runs))
+        refused = list(pool.map(child, big_image))
     failed = [(argv, d.returncode, d.stderr) for argv, d in zip(runs, done) if d.returncode or d.stderr]
+    failed += [
+        (argv, d.returncode, d.stderr) for argv, d in zip(big_image, refused)
+        if (d.returncode, d.stdout, d.stderr.count("\n")) != (3, "", 1) or not d.stderr.startswith("error: image")
+    ]
     assert failed == []

@@ -34,7 +34,7 @@ from orbitsep.exponents import (
     _by_discrete_logs, _discrete_log_arrays, _lattice_arrays, float_exponents, phase_generators,
 )
 from orbitsep.groups import enumerate_group, phase_steps
-from orbitsep.metric import faithful_quotient
+from orbitsep.metric import faithful_quotient, least_member
 from reference import brute_phase_vectors, brute_quotient_order, lcm_single, oracle_minimal, table_as_dict
 
 
@@ -316,7 +316,7 @@ def acts_trivially(group, vectors) -> bool:
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(acting_groups())
 def test_kernel_lattice_is_the_hermite_basis_of_the_trivial_elements(group):
-    kernel = faithful_quotient(group).kernel
+    kernel = np.array(faithful_quotient(group).kernel)
     pivots = kernel.diagonal()
     assert (pivots > 0).all() and not np.triu(kernel, 1).any()
     assert all((0 <= kernel[i, :i]).all() and (kernel[i, :i] < pivots[i]).all() for i in range(len(pivots)))
@@ -345,7 +345,7 @@ def test_phase_generators_split_the_quotient_into_cyclic_factors(group):
     assert quotient.group.orders == (tuple(sorted(x for x in d if x > 1)) or (1,))
     # The sum of the Z_{d_j} is Z^s / K': equal invariant factors.
     invariants = lambda matrix: sorted(abs(int(matrix[i, i])) for i in range(s))
-    want = smith_normal_form(sympy.Matrix(quotient.kernel.tolist()))
+    want = smith_normal_form(sympy.Matrix(quotient.kernel))
     assert invariants(smith_normal_form(sympy.diag(*d))) == invariants(want)
 
 
@@ -360,7 +360,7 @@ def test_faithful_quotient_acts_like_the_group(group):
     L, LQ = group.phase_lcm, quotient.group.phase_lcm
     elements = enumerate_group(quotient.group)
     own = elements @ phase_steps(quotient.group) % LQ * (L // LQ)
-    lifted = elements @ quotient.lift @ phase_steps(group) % L
+    lifted = elements @ np.array(quotient.lift) @ phase_steps(group) % L
     assert (own == lifted).all()
     assert {tuple(row) for row in own.tolist()} == brute_phase_vectors(group)
 
@@ -374,7 +374,7 @@ def test_least_member_is_the_least_element_of_the_coset(group, vector):
         element for element in itertools.product(*(range(p) for p in group.orders))
         if acts_trivially(group, np.array(element) - v)
     ]
-    assert quotient.least_member([v]) == min(coset)
+    assert least_member(quotient.kernel, [v]) == min(coset)
 
 
 def test_off_diagonal_kernel_of_a_group_with_kernel_of_order_four():
@@ -382,18 +382,35 @@ def test_off_diagonal_kernel_of_a_group_with_kernel_of_order_four():
     # gives the echelon its entry below the diagonal.
     group = make_group((10, 10, 10), ((1, 2, 3), (4, 0, 6), (7, 8, 5)))
     quotient = faithful_quotient(group)
-    assert quotient.kernel.tolist() == [[5, 0, 0], [0, 5, 0], [5, 0, 10]]
+    assert quotient.kernel == ((5, 0, 0), (0, 5, 0), (5, 0, 10))
     assert quotient.group.orders == (5, 5, 10)
     assert quotient.group.group_order == brute_quotient_order(group) == 250
-    assert quotient.least_member([[7, 9, 3], [5, 5, 5]]) == (0, 0, 0)
-    assert quotient.least_member([[7, 9, 3]]) == (2, 4, 8)
+    assert least_member(quotient.kernel, [[7, 9, 3], [5, 5, 5]]) == (0, 0, 0)
+    assert least_member(quotient.kernel, [[7, 9, 3]]) == (2, 4, 8)
+
+
+@pytest.mark.parametrize(
+    "group",
+    [
+        make_group([2**70], [[2**69, 0, 2**69]]),
+        make_group((10, 10, 10), ((1, 2, 3), (4, 0, 6), (7, 8, 5))),
+        make_group([4], [[0, 0, 0]]),
+    ],
+    ids=["beyond-int64", "kernel", "trivial"],
+)
+def test_quotient_holds_only_tuples_of_python_ints(group):
+    quotient = faithful_quotient(group)
+    tables = (quotient.group.exponents, quotient.lift, quotient.kernel)
+    rows = [quotient.group.orders, *(row for table in tables for row in table)]
+    assert all(type(table) is tuple for table in tables)
+    assert all(type(row) is tuple and all(type(x) is int for x in row) for row in rows)
 
 
 def test_trivial_action_has_a_quotient_of_order_one():
     quotient = faithful_quotient(make_group([4], [[0, 0, 0]]))
     assert quotient.group.orders == (1,)
-    assert quotient.kernel.tolist() == [[1]]
-    assert quotient.least_member([[3]]) == (0,)
+    assert quotient.kernel == ((1,),)
+    assert least_member(quotient.kernel, [[3]]) == (0,)
 
 
 def assert_both_builders_agree(group, max_tuple_size=3):
@@ -477,7 +494,7 @@ def test_orders_beyond_int64_never_compile_the_quotient(monkeypatch, n):
 def test_orders_beyond_int64_with_a_small_quotient_take_discrete_logs():
     # Q = Z_2, but its generator turns coordinates by 2**69 units of
     # 1/2**70, beyond int64: the quotient compiles in exact integers, and
-    # the table never builds the int64 arrays the metric reads.
+    # the table needs no int64 view of its phases.
     group = make_group([2**70], [[2**69, 0, 2**69, 2**69, 0, 2**69]])
     assert _by_discrete_logs(group)
     assert faithful_quotient(group).group.orders == (2,)

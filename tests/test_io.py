@@ -110,6 +110,19 @@ def test_pgm_rejects(tmp_path, blob):
         read_pgm(p)
 
 
+@pytest.mark.parametrize("separator", [b"#c\n", b"#", b"c", b""], ids=["comment", "hash", "letter", "missing"])
+def test_p5_pixels_follow_one_whitespace_byte(tmp_path, separator):
+    # A comment ends the maxval token but is no separator: "#c\n" must not
+    # read as pixels.  Other bytes run on into the token and fail its parse.
+    p = tmp_path / "sep.pgm"
+    p.write_bytes(b"P5\n3 2\n255" + separator + bytes([0, 7, 255, 128, 64, 1]))
+    with pytest.raises(ConfigError):
+        read_pgm(p)
+    for space in b" \t\n\r":
+        p.write_bytes(b"P5\n3 2\n255" + bytes([space, 0, 7, 255, 128, 64, 1]))
+        np.testing.assert_array_equal(read_pgm(p), [[0, 7, 255], [128, 64, 1]])
+
+
 def test_emit_json_round_trip_and_shapes():
     payload = {
         "int": 3,
