@@ -11,23 +11,15 @@ from .errors import (
     InternalCheckError,
     OrbitsepError,
 )
-from .exponents import (
-    ExponentTable,
-    build_exponent_table,
-    minimal_pair,
-    minimal_single,
-    minimal_triple,
-)
+from .exponents import ExponentTable, build_exponent_table
 from .groups import (
     ENUMERATION_CAP,
     GroupSpec,
     act,
     cyclic_shift_spec,
     enumerate_group,
-    from_fourier,
     make_group,
     shift_action_spec,
-    shift_image,
     to_fourier,
 )
 from .hermite import (
@@ -48,10 +40,8 @@ from .hermite import (
 from .metric import (
     OrbitDistanceResult,
     child_seed,
-    equivalent,
     lipschitz_ratio_scan,
     orbit_distance,
-    sample_pair,
 )
 from .transforms import (
     BetaWeights,
@@ -80,14 +70,9 @@ __all__ = [
     "enumerate_group",
     "shift_action_spec",
     "cyclic_shift_spec",
-    "shift_image",
     "to_fourier",
-    "from_fourier",
     "ExponentTable",
     "build_exponent_table",
-    "minimal_single",
-    "minimal_pair",
-    "minimal_triple",
     "InvariantVector",
     "BetaWeights",
     "default_beta",
@@ -113,8 +98,6 @@ __all__ = [
     "construct_counterexample",
     "OrbitDistanceResult",
     "orbit_distance",
-    "equivalent",
-    "sample_pair",
     "child_seed",
     "lipschitz_ratio_scan",
 ]

@@ -29,7 +29,7 @@ from .hermite import (
     hermite_multiplier,
 )
 from .io import KeyedRows, emit_json, read_image_csv, read_pgm, read_signal_json, write_output
-from .metric import _full_support, child_seed, lipschitz_ratio_scan, orbit_distance
+from .metric import _full_support, child_seed, full_support_pairs, lipschitz_ratio_scan, orbit_distance
 from .transforms import (
     default_beta,
     default_reduction,
@@ -283,9 +283,8 @@ def cmd_counterexample(args) -> dict:
 def cmd_bench(args) -> dict:
     group, _ = _resolve_group(args)
     tid, evaluate, bound = _transform(args.transform, group, args.seed, args.mode)
-    ratio, _ = lipschitz_ratio_scan(
-        lambda z: evaluate(z)["values"], group, "full_support", args.samples, args.seed
-    )
+    pairs = full_support_pairs(group, args.samples, args.seed)
+    ratio, _ = lipschitz_ratio_scan(lambda z: evaluate(z)["values"], group, pairs)
     return {
         **_envelope(args),
         "transform": tid,

@@ -225,15 +225,6 @@ def _solve(v, w, basis):
     return t0, q
 
 
-def _check_index(group: GroupSpec, k: int) -> int:
-    k = int(k)
-    if not 0 <= k < group.dim:
-        raise DimensionError(
-            f"coordinate index {k} out of range for dimension {group.dim}"
-        )
-    return k
-
-
 def _minimal(columns, ks, basis) -> tuple:
     """Minimal exponent tuple of the subset ks: columns[k] is chi_k and
     basis(sub) returns Lambda(sub).
@@ -249,28 +240,6 @@ def _minimal(columns, ks, basis) -> tuple:
         exps.append(t)
         total = [a + t * w for a, w in zip(total, columns[k])]
     return tuple(exps)
-
-
-def _minimal_of(group: GroupSpec, ks) -> tuple:
-    ks = tuple(_check_index(group, k) for k in ks)
-    if len(set(ks)) != len(ks):
-        raise DimensionError(f"subset indices must be distinct, got {ks}")
-    return _minimal(tuple(zip(*group.exponents)), ks, functools.partial(_basis, group))
-
-
-def minimal_single(group: GroupSpec, k: int) -> int:
-    """Least m >= 1 making x_k^m invariant: lcm over rows of p_i / gcd(A[i][k], p_i)."""
-    return _minimal_of(group, (k,))[0]
-
-
-def minimal_pair(group: GroupSpec, k1: int, k2: int):
-    """Least a >= 1 admitting b with x_{k1}^a x_{k2}^b invariant; b minimal in [0, m_{k2})."""
-    return _minimal_of(group, (k1, k2))
-
-
-def minimal_triple(group: GroupSpec, k1: int, k2: int, k3: int):
-    """Least c >= 1 admitting (d, e); (d, e) lexicographically smallest in range."""
-    return _minimal_of(group, (k1, k2, k3))
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:

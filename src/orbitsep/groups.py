@@ -5,8 +5,7 @@ coordinate: generator i multiplies coordinate k by the unit phase
 exp(2*pi*1j * exponents[i][k] / p_i).  Everything downstream (invariant
 transforms, orbit metric, rational invariants) consumes this representation.
 The 2D circular-shift action on images is reachable through shift_action_spec
-plus the to_fourier / from_fourier bridge, which maps circular shifts onto the
-diagonal action exactly.
+plus to_fourier, which maps circular shifts onto the diagonal action exactly.
 """
 
 from __future__ import annotations
@@ -182,26 +181,17 @@ def cyclic_shift_spec(n: int) -> GroupSpec:
     return make_group([n], [[k % n for k in range(1, n + 1)]])
 
 
-def shift_image(image, shift) -> np.ndarray:
-    """Circularly shift an image: output[u, v] = image[(u+i) % n, (v+j) % m]."""
-    image = np.asarray(image)
-    if image.ndim != 2:
-        raise DimensionError(f"image must be 2D, got shape {image.shape}")
-    i, j = int(shift[0]), int(shift[1])
-    return np.roll(image, (-i, -j), axis=(0, 1))
-
-
 def to_fourier(image) -> np.ndarray:
     """Embed an n x m image as a length-nm signal on which shifts act diagonally.
 
     Unitary 2D DFT followed by an index shuffle that lines bin (u, v) up with
     the coordinate carrying character exponents (u, v); the DC bin lands at
-    the last coordinate.  Satisfies
-    to_fourier(shift_image(img, g)) == act(group, g, to_fourier(img)) for the
-    matching shift_action_spec group.  The transform runs on the image's
-    _unit_scaled pixels, so no sum inside it overflows and the result is
-    finite whenever every coefficient is a finite double; one beyond the
-    double range is inf.
+    the last coordinate.  Shifting the image circularly by g, so that output
+    pixel (u, v) reads input pixel ((u + g_0) % n, (v + g_1) % m), acts on
+    the result as act(group, g, .) for the matching shift_action_spec group.
+    The transform runs on the image's _unit_scaled pixels, so no sum inside
+    it overflows and the result is finite whenever every coefficient is a
+    finite double; one beyond the double range is inf.
     """
     image = np.asarray(image, dtype=complex)
     if image.ndim != 2:
@@ -212,15 +202,3 @@ def to_fourier(image) -> np.ndarray:
     with np.errstate(over="ignore"):
         spectrum = np.ldexp(spectrum.view(float), k).view(complex)
     return np.roll(spectrum, (-1, -1), axis=(0, 1)).reshape(n * m)
-
-
-def from_fourier(signal, n: int, m: int) -> np.ndarray:
-    """Invert to_fourier; round-trips within 1e-12 relative."""
-    signal = np.asarray(signal, dtype=complex)
-    n, m = int(n), int(m)
-    if signal.ndim != 1 or signal.shape[0] != n * m:
-        raise DimensionError(
-            f"signal has shape {signal.shape}, expected length {n * m}"
-        )
-    spectrum = np.roll(signal.reshape(n, m), (1, 1), axis=(0, 1))
-    return np.fft.ifft2(spectrum) * math.sqrt(n * m)

@@ -1,4 +1,5 @@
-"""Orbit metric d(x, y) = min over g of ||x - g.y||, plus pair samplers.
+"""Orbit metric d(x, y) = min over g of ||x - g.y||, and the empirical
+Lipschitz ratio scan over given pairs.
 
 The metric is the ground truth every invariant transform is judged against.
 An orbit depends only on the group the action sees, Q = G/K (K fixes every
@@ -19,15 +20,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DomainError
+from .errors import DomainError
 from .exponents import faithful_quotient
 from .groups import (
     GroupSpec, _check_enumerable, _check_signal, _norm, _unit_scaled, act, enumerate_group, phase_steps,
 )
 
 _CHUNK = 4096
-
-PAIR_KINDS = ("same_orbit", "random", "matched_support", "full_support")
 
 
 @dataclass(frozen=True)
@@ -91,11 +90,6 @@ def orbit_distance(group: GroupSpec, x, y) -> OrbitDistanceResult:
     return OrbitDistanceResult(distance=distance, witness=witness)
 
 
-def equivalent(group: GroupSpec, x, y, tol: float = 1e-9) -> bool:
-    """Whether the orbit distance is below tol."""
-    return orbit_distance(group, x, y).distance < tol
-
-
 def child_seed(seed, index: int):
     """Derived per-sample seed, accepted by numpy's generator (ints or tuples)."""
     if isinstance(seed, (int, np.integer)):
@@ -116,36 +110,17 @@ def _full_support(rng, n: int, floor: float = 0.05) -> np.ndarray:
         z[small] = _gaussian(rng, int(small.sum()))
 
 
-def sample_pair(group: GroupSpec, kind: str, seed):
-    """Deterministic signal pair of the requested kind.
-
-    same_orbit: y = g.x for a random element (distance 0).
-    random: independent complex Gaussians.
-    matched_support: independent values on one shared nonempty zero pattern.
-    full_support: independent with every modulus >= 0.05.
-    """
-    rng = np.random.default_rng(seed)
-    n = group.dim
-    if kind == "same_orbit":
-        x = _gaussian(rng, n)
-        element = tuple(int(rng.integers(0, p)) for p in group.orders)
-        return x, act(group, element, x)
-    if kind == "random":
-        return _gaussian(rng, n), _gaussian(rng, n)
-    if kind == "matched_support":
-        support = rng.random(n) < 0.5
-        while not support.any():
-            support = rng.random(n) < 0.5
-        return _gaussian(rng, n) * support, _gaussian(rng, n) * support
-    if kind == "full_support":
-        return _full_support(rng, n), _full_support(rng, n)
-    raise ConfigError(f"unknown pair kind {kind!r}; expected one of {PAIR_KINDS}")
+def full_support_pairs(group: GroupSpec, samples: int, seed):
+    """The bench scan's pairs, drawn one at a time: pair i is two
+    full-support signals, every modulus >= 0.05, from one generator seeded
+    with child_seed(seed, i)."""
+    for i in range(int(samples)):
+        rng = np.random.default_rng(child_seed(seed, i))
+        yield _full_support(rng, group.dim), _full_support(rng, group.dim)
 
 
-def lipschitz_ratio_scan(
-    transform, group: GroupSpec, kind: str, samples: int, seed
-):
-    """Max of ||T(x) - T(y)|| / d(x, y) over sampled pairs with d > 1e-9.
+def lipschitz_ratio_scan(transform, group: GroupSpec, pairs):
+    """Max of ||T(x) - T(y)|| / d(x, y) over the (x, y) pairs with d > 1e-9.
 
     transform: callable from signal to a complex vector.  Returns
     (max_ratio, (x, y)) for the maximizing pair.  A NaN ratio, from a
@@ -153,8 +128,7 @@ def lipschitz_ratio_scan(
     the first such pair is returned, as np.argmax picks it.
     """
     best, best_pair = -np.inf, None
-    for i in range(int(samples)):
-        x, y = sample_pair(group, kind, child_seed(seed, i))
+    for x, y in pairs:
         d = orbit_distance(group, x, y).distance
         if d <= 1e-9:
             continue
@@ -167,7 +141,5 @@ def lipschitz_ratio_scan(
         if ratio > best:
             best, best_pair = ratio, (x, y)
     if best_pair is None:
-        raise DomainError(
-            "every sampled pair was orbit-equivalent; use another kind or seed"
-        )
+        raise DomainError("every sampled pair was orbit-equivalent; use another seed")
     return best, best_pair

@@ -1,13 +1,17 @@
 """Test-only references: scalar products for the vectorised transforms (one
 complex ** int product per component, multiplied left to right starting
 from 1), the exhaustive minimal-exponent oracle, the closed form of the
-single exponents, the Fraction Gauss-Jordan solve, the chunked brute-force
-orbit metric, the distinct phase vectors of a group's elements, the
-empirical separation and proportionality checks, a JSON emitter that
-picks its layout from a registry of scalar types, and the exponent table
-as a dict of string keys, the payload that emitter takes."""
+single exponents, the lattice solver run on one subset at a time, the
+Fraction Gauss-Jordan solve, the chunked brute-force orbit metric, the
+distinct phase vectors of a group's elements, the image-side circular
+shift and the inverse of to_fourier, the seeded pair samplers of four
+kinds and the orbit-equivalence test, the empirical separation and
+proportionality checks, a JSON emitter that picks its layout from a
+registry of scalar types, and the exponent table as a dict of string
+keys, the payload that emitter takes."""
 
 import cmath
+import functools
 import itertools
 import json
 import math
@@ -24,12 +28,12 @@ from orbitsep import (
     eval_monomial_map,
     make_reduction,
     orbit_distance,
-    sample_pair,
     shift_action_spec,
 )
+from orbitsep.exponents import _basis, _minimal
 from orbitsep.groups import _check_signal, act, phase_steps
 from orbitsep.io import KeyedRows
-from orbitsep.metric import OrbitDistanceResult
+from orbitsep.metric import OrbitDistanceResult, _full_support, _gaussian
 
 EQUALITY_TOL = 1e-9
 
@@ -205,6 +209,33 @@ def oracle_minimal(group, subset):
     return (c, d, e)
 
 
+def solver_minimal(group, ks) -> tuple:
+    """The package's lattice solver on the one subset ks, with its indices
+    checked: each in range and all distinct, else DimensionError."""
+    ks = tuple(int(k) for k in ks)
+    for k in ks:
+        if not 0 <= k < group.dim:
+            raise DimensionError(f"coordinate index {k} out of range for dimension {group.dim}")
+    if len(set(ks)) != len(ks):
+        raise DimensionError(f"subset indices must be distinct, got {ks}")
+    return _minimal(tuple(zip(*group.exponents)), ks, functools.partial(_basis, group))
+
+
+def minimal_single(group, k: int) -> int:
+    """Least m >= 1 making x_k^m invariant."""
+    return solver_minimal(group, (k,))[0]
+
+
+def minimal_pair(group, k1: int, k2: int) -> tuple:
+    """Least a >= 1 admitting b with x_{k1}^a x_{k2}^b invariant; b minimal in [0, m_{k2})."""
+    return solver_minimal(group, (k1, k2))
+
+
+def minimal_triple(group, k1: int, k2: int, k3: int) -> tuple:
+    """Least c >= 1 admitting (d, e); (d, e) lexicographically smallest in range."""
+    return solver_minimal(group, (k1, k2, k3))
+
+
 def lcm_single(group, k: int) -> int:
     """Least m >= 1 making x_k^m invariant, in closed form: the lcm over the
     generators of p_i / gcd(A[i][k], p_i)."""
@@ -255,6 +286,66 @@ def brute_quotient_order(group) -> int:
     """|G/K|: the number of distinct phase vectors, since two elements act
     alike exactly when they differ by an element of the kernel K."""
     return len(brute_phase_vectors(group))
+
+
+def shift_image(image, shift) -> np.ndarray:
+    """Circularly shift an image: output[u, v] = image[(u+i) % n, (v+j) % m]."""
+    image = np.asarray(image)
+    if image.ndim != 2:
+        raise DimensionError(f"image must be 2D, got shape {image.shape}")
+    i, j = int(shift[0]), int(shift[1])
+    return np.roll(image, (-i, -j), axis=(0, 1))
+
+
+def from_fourier(signal, n: int, m: int) -> np.ndarray:
+    """Invert to_fourier; round-trips within 1e-12 relative."""
+    signal = np.asarray(signal, dtype=complex)
+    n, m = int(n), int(m)
+    if signal.ndim != 1 or signal.shape[0] != n * m:
+        raise DimensionError(f"signal has shape {signal.shape}, expected length {n * m}")
+    spectrum = np.roll(signal.reshape(n, m), (1, 1), axis=(0, 1))
+    return np.fft.ifft2(spectrum) * math.sqrt(n * m)
+
+
+PAIR_KINDS = ("same_orbit", "random", "matched_support", "full_support")
+
+
+def sample_pair(group, kind: str, seed):
+    """Deterministic signal pair of the requested kind.
+
+    same_orbit: y = g.x for a random element (distance 0).
+    random: independent complex Gaussians.
+    matched_support: independent values on one shared nonempty zero pattern.
+    full_support: independent with every modulus >= 0.05, drawn as the
+    package's bench scan draws them.
+    """
+    rng = np.random.default_rng(seed)
+    n = group.dim
+    if kind == "same_orbit":
+        x = _gaussian(rng, n)
+        element = tuple(int(rng.integers(0, p)) for p in group.orders)
+        return x, act(group, element, x)
+    if kind == "random":
+        return _gaussian(rng, n), _gaussian(rng, n)
+    if kind == "matched_support":
+        support = rng.random(n) < 0.5
+        while not support.any():
+            support = rng.random(n) < 0.5
+        return _gaussian(rng, n) * support, _gaussian(rng, n) * support
+    if kind == "full_support":
+        return _full_support(rng, n), _full_support(rng, n)
+    raise ConfigError(f"unknown pair kind {kind!r}; expected one of {PAIR_KINDS}")
+
+
+def pairs(group, kind: str, samples: int, seed):
+    """Pair i is sample_pair(group, kind, child_seed(seed, i)), for i below samples."""
+    for i in range(int(samples)):
+        yield sample_pair(group, kind, child_seed(seed, i))
+
+
+def equivalent(group, x, y, tol: float = 1e-9) -> bool:
+    """Whether the orbit distance is below tol."""
+    return orbit_distance(group, x, y).distance < tol
 
 
 def check_npp(table, x, y, scale: float) -> bool:

@@ -26,15 +26,21 @@ from orbitsep import (
     lipschitz_bound,
     lipschitz_ratio_scan,
     make_group,
-    minimal_pair,
-    minimal_single,
-    minimal_triple,
     orbit_distance,
-    sample_pair,
     shift_action_spec,
     signed_quadratic,
 )
-from reference import ae_projection_check, check_npp, oracle_minimal
+from reference import (
+    ae_projection_check,
+    check_npp,
+    minimal_pair,
+    minimal_single,
+    minimal_triple,
+    oracle_minimal,
+    pairs,
+    sample_pair,
+    shift_image,
+)
 
 SEED = 20260817
 SHIFT23 = shift_action_spec(2, 3)
@@ -141,7 +147,7 @@ def test_lowdim_ratio_within_certified_bound(criterion):
     ell = default_reduction(table, 11)
     bound = lipschitz_bound(table, ell)
     transform = lambda x: eval_lowdim(table, ell, x).values
-    ratio, _ = lipschitz_ratio_scan(transform, SHIFT23, "full_support", 1000, SEED + 3)
+    ratio, _ = lipschitz_ratio_scan(transform, SHIFT23, pairs(SHIFT23, "full_support", 1000, SEED + 3))
     assert ratio <= bound
     criterion(5, True, f"max ratio {ratio:.3f} within certified bound {bound:.1f}")
 
@@ -304,7 +310,7 @@ def test_no_proportional_monomials_between_orbits(criterion):
 
 
 def test_fourier_bridge_diagonalizes_shifts(criterion):
-    from orbitsep import shift_image, to_fourier
+    from orbitsep import to_fourier
 
     rng = np.random.default_rng(SEED + 9)
     img = rng.standard_normal((2, 3))

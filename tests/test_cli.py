@@ -54,6 +54,17 @@ def write_signal(tmp_path, name, values):
     return path
 
 
+def test_package_exports_only_what_it_ships():
+    namespace = {}
+    exec("from orbitsep import *", namespace)
+    assert all(hasattr(orbitsep, name) for name in orbitsep.__all__)
+    assert set(orbitsep.__all__) <= set(namespace)
+    moved = {"minimal_single", "minimal_pair", "minimal_triple", "shift_image", "from_fourier",
+             "equivalent", "sample_pair"}
+    assert not moved & set(orbitsep.__all__)
+    assert not moved & set(vars(orbitsep))
+
+
 def test_exponents_single_generator(capsys):
     payload = run_json(capsys, "exponents", "--orders", "4", "--matrix", "1,2")
     assert payload["orders"] == [4]

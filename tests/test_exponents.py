@@ -24,9 +24,6 @@ from orbitsep import (
     build_exponent_table,
     cyclic_shift_spec,
     make_group,
-    minimal_pair,
-    minimal_single,
-    minimal_triple,
     shift_action_spec,
 )
 import orbitsep.exponents
@@ -35,7 +32,16 @@ from orbitsep.exponents import (
 )
 from orbitsep.groups import enumerate_group, phase_steps
 from orbitsep.metric import faithful_quotient, least_member
-from reference import brute_phase_vectors, brute_quotient_order, lcm_single, oracle_minimal, table_as_dict
+from reference import (
+    brute_phase_vectors,
+    brute_quotient_order,
+    lcm_single,
+    minimal_pair,
+    minimal_single,
+    minimal_triple,
+    oracle_minimal,
+    table_as_dict,
+)
 
 
 def naive_minimal(group, subset):

@@ -11,13 +11,12 @@ from orbitsep import (
     act,
     cyclic_shift_spec,
     enumerate_group,
-    from_fourier,
     make_group,
     shift_action_spec,
-    shift_image,
     to_fourier,
 )
 from orbitsep.groups import phase_steps
+from reference import from_fourier, shift_image
 
 
 def random_signal(rng, n):

@@ -1,8 +1,9 @@
-"""FFT orbit metric against the brute-force scan, pair samplers, and the
-ratio scan."""
+"""FFT orbit metric against the brute-force scan, the pair samplers of the
+tests and of the bench command, and the ratio scan."""
 
 import math
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -15,15 +16,14 @@ from orbitsep import (
     act,
     child_seed,
     enumerate_group,
-    equivalent,
     lipschitz_ratio_scan,
     make_group,
     orbit_distance,
-    sample_pair,
     shift_action_spec,
 )
-from orbitsep.metric import PAIR_KINDS
-from reference import brute_orbit_distance
+import orbitsep.cli
+from orbitsep.metric import full_support_pairs
+from reference import PAIR_KINDS, brute_orbit_distance, equivalent, pairs, sample_pair
 
 
 def random_signal(rng, n):
@@ -128,9 +128,22 @@ def test_child_seed_shapes():
     assert child_seed((5, 3), 1) == (5, 3, 1)
 
 
+def test_bench_pairs_are_the_full_support_samples_drawn_one_at_a_time():
+    g = shift_action_spec(2, 3)
+    assert orbitsep.cli.full_support_pairs is full_support_pairs
+    for seed in (17, (17, 4)):
+        drawn = full_support_pairs(g, 6, seed)
+        assert isinstance(drawn, types.GeneratorType)
+        got = list(drawn)
+        assert len(got) == 6
+        for i, (x, y) in enumerate(got):
+            want_x, want_y = sample_pair(g, "full_support", child_seed(seed, i))
+            assert x.tobytes() == want_x.tobytes() and y.tobytes() == want_y.tobytes()
+
+
 def test_ratio_scan_identity_on_trivial_group():
     g = make_group([1], [[0, 0]])
-    ratio, pair = lipschitz_ratio_scan(lambda z: z, g, "random", 30, 21)
+    ratio, pair = lipschitz_ratio_scan(lambda z: z, g, pairs(g, "random", 30, 21))
     assert abs(ratio - 1.0) < 1e-12
     assert len(pair) == 2
 
@@ -138,7 +151,7 @@ def test_ratio_scan_identity_on_trivial_group():
 def test_ratio_scan_rejects_all_equivalent():
     g = make_group([1], [[0]])
     with pytest.raises(DomainError):
-        lipschitz_ratio_scan(lambda z: z, g, "same_orbit", 10, 0)
+        lipschitz_ratio_scan(lambda z: z, g, pairs(g, "same_orbit", 10, 0))
 
 
 def test_ratio_scan_nan_ratio_is_the_maximum():
@@ -151,7 +164,7 @@ def test_ratio_scan_nan_ratio_is_the_maximum():
         seen.append(z)
         return z * (np.nan if len(seen) == 3 else 1e6 * len(seen))
 
-    ratio, (x, y) = lipschitz_ratio_scan(transform, g, "random", 3, 4)
+    ratio, (x, y) = lipschitz_ratio_scan(transform, g, pairs(g, "random", 3, 4))
     assert np.isnan(ratio)
     assert x is seen[2] and y is seen[3]
 
@@ -160,15 +173,16 @@ def test_ratio_scan_gap_stays_finite_above_the_square_root_of_the_largest_double
     # Scaling the transform by 2**600 scales every ratio by exactly 2**600,
     # though the squares of the gap's entries overflow.
     g = shift_action_spec(2, 3)
-    ratio, _ = lipschitz_ratio_scan(lambda z: z, g, "random", 5, 6)
-    scaled, _ = lipschitz_ratio_scan(lambda z: np.ldexp(z.view(float), 600).view(complex), g, "random", 5, 6)
+    ratio, _ = lipschitz_ratio_scan(lambda z: z, g, pairs(g, "random", 5, 6))
+    scale = lambda z: np.ldexp(z.view(float), 600).view(complex)
+    scaled, _ = lipschitz_ratio_scan(scale, g, pairs(g, "random", 5, 6))
     assert scaled == math.ldexp(ratio, 600)
 
 
 def test_ratio_scan_reproducible():
     g = shift_action_spec(2, 3)
-    r1, _ = lipschitz_ratio_scan(lambda z: np.abs(z).astype(complex), g, "random", 40, 9)
-    r2, _ = lipschitz_ratio_scan(lambda z: np.abs(z).astype(complex), g, "random", 40, 9)
+    r1, _ = lipschitz_ratio_scan(lambda z: np.abs(z).astype(complex), g, pairs(g, "random", 40, 9))
+    r2, _ = lipschitz_ratio_scan(lambda z: np.abs(z).astype(complex), g, pairs(g, "random", 40, 9))
     assert r1 == r2
 
 

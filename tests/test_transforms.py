@@ -22,9 +22,9 @@ from orbitsep import (
     lipschitz_bound,
     make_group,
     make_reduction,
-    minimal_single,
     shift_action_spec,
 )
+from reference import minimal_single
 
 DIAG = make_group([2, 3], [[1, 0], [0, 1]])
 SHIFT = shift_action_spec(2, 3)
