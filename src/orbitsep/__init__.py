@@ -1,6 +1,7 @@
 """Orbit-separating invariant transforms for finite Abelian group actions
 on complex signal spaces, with exact Hermite-normal-form rational invariants
-and an exact orbit-metric oracle computed by one FFT over the group."""
+and an exact orbit-metric oracle that scores every coset of the group's
+faithful quotient with one real matrix product."""
 
 __version__ = "0.1.0"
 

@@ -18,8 +18,8 @@ import numpy as np
 from .errors import ConfigError, DimensionError, DomainError
 
 # Largest group enumerate_group lists and orbit_distance accepts.  The metric
-# holds the element rows and an FFT grid of the order of the group's faithful
-# quotient, which is at most this.
+# holds the element rows and one overlap per coset of the group's faithful
+# quotient, whose order is at most this.
 ENUMERATION_CAP = 10**6
 
 

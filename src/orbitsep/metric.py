@@ -5,17 +5,20 @@ The metric is the ground truth every invariant transform is judged against.
 An orbit depends only on the group the action sees, Q = G/K (K fixes every
 coordinate), compiled once per group into Z_{d_1} x ... x Z_{d_m} by one
 diagonalization of the phase-step matrix.  For a diagonal action the overlap
-q -> <x, q.y> is the Fourier transform on Q of x * conj(y) binned by Q's
-characters, so one FFT over an array of shape (d_1, ..., d_m) scores every
-coset of K at once.  The cosets within the FFT's error bound of the best are
-scored again with the integer-exact phases all their elements share; the
-witness is the lexicographically first element of G reaching the smallest
-exact score, and its distance is recomputed directly so the reported value
-matches ||x - act(witness, y)|| to machine precision.
+q -> <x, q.y> is a sum of N terms x_k * conj(y_k) times a character of Q.
+Cutting Q into a leading and a trailing part of about sqrt|Q| elements each
+factors every character, so one real matrix product of the two parts' phase
+tables, each N columns wide, scores every coset of K at once.  The cosets
+within the product's error bound of the best are scored again with the
+integer-exact phases all their elements share; the witness is the
+lexicographically first element of G reaching the smallest exact score,
+and its distance is recomputed directly so the reported value matches
+||x - act(witness, y)|| to machine precision.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +48,32 @@ def least_member(kernel, rows) -> tuple:
     return tuple(rows[np.lexsort(rows.T[::-1])[0]].tolist())
 
 
+def _phases(shape, steps, L) -> np.ndarray:
+    """exp(-2 pi i t / L), t = q @ steps mod L exactly, one row per q of the grid, in C order."""
+    rows = np.indices(shape, dtype=np.int64).reshape(len(shape), -1).T
+    return np.exp((-2j * np.pi / L) * (rows @ steps % L))
+
+
+def _coset_overlap(quotient: GroupSpec, cross) -> np.ndarray:
+    """Re sum_k cross_k exp(-2 pi i sum_j q_j e_jk / d_j) for every q in Q,
+    in C order, as a (d_1 ... d_{j-1}, d_j, d_{j+1} ... d_m) view.  The cut
+    q_j = a*s + b splits q into a leading part (axes before j, then a) and a
+    trailing part (b, then axes after j) of about isqrt|Q| elements each;
+    q's phase is the product of theirs, and a*s + b >= d_j is padding."""
+    orders, L = quotient.orders, quotient.phase_lcm
+    steps = phase_steps(quotient)  # w_jk = e_jk * L / d_j
+    target = math.isqrt(quotient.group_order)
+    j = next(j for j in range(len(orders)) if math.prod(orders[:j + 1]) >= target)
+    before = math.prod(orders[:j])
+    s = -(-orders[j] // -(-target // before))
+    a = -(-orders[j] // s)
+    lead = cross * _phases((*orders[:j], a), np.vstack([steps[:j], s * steps[j] % L]), L)
+    trail = _phases((s, *orders[j + 1:]), steps[j:], L)
+    # Re(u * v) = Re u * Re v - Im u * Im v: the float views interleave parts.
+    overlap = lead.view(float) @ np.conj(trail).view(float).T
+    return overlap.reshape(before, a * s, -1)[:, :orders[j]]
+
+
 def orbit_distance(group: GroupSpec, x, y) -> OrbitDistanceResult:
     """Exact minimum of ||x - g.y|| over the whole (enumerable) group."""
     x = _check_signal(group, x)
@@ -61,14 +90,12 @@ def orbit_distance(group: GroupSpec, x, y) -> OrbitDistanceResult:
     # ||x - g.y||^2 = ||x||^2 + ||y||^2 - 2 Re(conj(phi_g) . (x * conj(y)))
     cross = x * np.conj(y)
     const = float(np.vdot(x, x).real + np.vdot(y, y).real)
-    grid = np.zeros(quotient.group.orders, dtype=complex)
-    np.add.at(grid, quotient.group.exponents, cross)  # one index row per axis
-    # In place: at |Q| = 10^6 a fresh output per axis doubles the time.
-    overlap = np.fft.fftn(grid, out=grid).real
-    # Each entry of an FFT of size n errs by about eps * log2(n) * sqrt(n)
-    # * ||grid||_2 <= eps * log2(n) * sqrt(n) * const / 2, near 1e-12 * const
-    # at n = ENUMERATION_CAP, so the exact best coset lies within twice that
-    # of the FFT's best, far inside the slack.  The floor keeps the slack
+    overlap = _coset_overlap(quotient.group, cross)
+    # Each entry is a sum of 2N products, the two for coordinate k bounded
+    # together by |cross_k|, and sum |cross_k| <= const / 2, so it errs by
+    # about 2N * eps * sum |cross_k| <= N * eps * const, near 2e-12 * const
+    # at N = 10^4; the exact best coset lies within twice that of the
+    # product's best, far inside the slack.  The floor keeps the slack
     # above subnormal rounding; a non-finite overlap makes every coset a
     # candidate.
     slack = 1e-9 * max(const, 1e-290)

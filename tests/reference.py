@@ -3,9 +3,10 @@ complex ** int product per component, multiplied left to right starting
 from 1), the exhaustive minimal-exponent oracle, the closed form of the
 single exponents, the lattice solver run on one subset at a time, the
 Fraction Gauss-Jordan solve, the chunked brute-force orbit metric, the
-distinct phase vectors of a group's elements, the image-side circular
-shift and the inverse of to_fourier, the seeded pair samplers of four
-kinds and the orbit-equivalence test, the empirical separation and
+dense FFT overlap over a quotient's grid, the distinct phase vectors of a
+group's elements, the image-side circular shift and the inverse of
+to_fourier, the seeded pair samplers of four kinds and the
+orbit-equivalence test, the empirical separation and
 proportionality checks, a JSON emitter that picks its layout from a
 registry of scalar types, and the exponent table as a dict of string
 keys, the payload that emitter takes."""
@@ -269,6 +270,15 @@ def brute_orbit_distance(group, x, y, chunk: int = 4096) -> OrbitDistanceResult:
     witness = tuple(int(v) for v in elements[best_idx])
     distance = float(np.linalg.norm(x - act(group, witness, y)))
     return OrbitDistanceResult(distance=distance, witness=witness)
+
+
+def fft_overlap(quotient, cross) -> np.ndarray:
+    """Re sum_k cross_k exp(-2 pi i sum_j q_j e_jk / d_j) for every q in
+    Q = Z_{d_1} x ... x Z_{d_m}, shaped like Q: cross binned onto Q's grid
+    by its characters, then one FFT over the whole grid."""
+    grid = np.zeros(quotient.orders, dtype=complex)
+    np.add.at(grid, quotient.exponents, cross)  # one index row per axis
+    return np.fft.fftn(grid).real
 
 
 def brute_phase_vectors(group) -> set:

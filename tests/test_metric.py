@@ -1,5 +1,6 @@
-"""FFT orbit metric against the brute-force scan, the pair samplers of the
-tests and of the bench command, and the ratio scan."""
+"""Orbit metric against the brute-force scan, its coset overlap against the
+dense FFT, the pair samplers of the tests and of the bench command, and the
+ratio scan."""
 
 import math
 import tracemalloc
@@ -7,10 +8,11 @@ import types
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from orbitsep import (
+    ENUMERATION_CAP,
     ConfigError,
     DomainError,
     act,
@@ -22,8 +24,8 @@ from orbitsep import (
     shift_action_spec,
 )
 import orbitsep.cli
-from orbitsep.metric import full_support_pairs
-from reference import PAIR_KINDS, brute_orbit_distance, equivalent, pairs, sample_pair
+from orbitsep.metric import _coset_overlap, full_support_pairs
+from reference import PAIR_KINDS, brute_orbit_distance, equivalent, fft_overlap, pairs, sample_pair
 
 
 def random_signal(rng, n):
@@ -222,7 +224,7 @@ def test_fft_metric_matches_brute_force(case):
 
 
 def test_exact_rescoring_breaks_near_ties():
-    # Both elements score within the FFT slack of each other; only the
+    # Both elements score within the overlap's slack of each other; only the
     # integer-exact scores see that the second is nearer, by 4e-12.
     g = make_group([2], [[1, 0]])
     x, y = np.array([1e-6, 1.0 + 0j]), np.array([-1e-6, 1.0 + 0j])
@@ -306,7 +308,7 @@ def test_signals_near_the_top_of_the_double_range():
 
 
 def test_near_ties_rescored_over_several_blocks_match_brute_force():
-    # Coordinate 1 is too weak to move any FFT score beyond the slack, so all
+    # Coordinate 1 is too weak to move any overlap beyond the slack, so all
     # 10^4 cosets with generator 1 at 0 are candidates, scored in three
     # blocks; the exact scores pick the best of them.
     g = make_group([2, 10000], [[1, 0], [0, 1]])
@@ -317,7 +319,7 @@ def test_near_ties_rescored_over_several_blocks_match_brute_force():
 
 
 def test_warm_distance_on_order_1e6_peaks_below_8_mb():
-    # The FFT grid and the element rows cover G/K (125000 cosets, |K| = 8),
+    # The overlap and the element rows cover G/K (125000 cosets, |K| = 8),
     # not the 10^6 elements of G.
     rng = np.random.default_rng(10)
     x, y = random_signal(rng, 4), random_signal(rng, 4)
@@ -329,3 +331,72 @@ def test_warm_distance_on_order_1e6_peaks_below_8_mb():
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20
+
+
+PRIMES = (2, 3, 5, 7, 11, 13, 97, 101, 997, 1009, 9973)
+
+
+@st.composite
+def quotient_cases(draw):
+    """A quotient Q of 1 to 4 axes with orders 1 to 10^4, primes among them,
+    |Q| at most the enumeration cap, N from 1 to 12 characters, and a cross
+    vector with zero entries."""
+    orders = []
+    for _ in range(draw(st.integers(1, 4))):
+        top = min(10**4, ENUMERATION_CAP // math.prod(orders))
+        primes = [p for p in PRIMES if p <= top] or [1]
+        orders.append(draw(st.integers(1, top) | st.sampled_from(primes)))
+    n = draw(st.integers(1, 12))
+    matrix = [draw(st.lists(st.integers(0, d - 1), min_size=n, max_size=n)) for d in orders]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cross = random_signal(rng, n) * ~np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    return make_group(orders, matrix), cross
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(quotient_cases())
+@example((make_group([1], [[0, 0]]), np.array([1 + 2j, -0.5j])))  # |Q| = 1
+@example((make_group([1, 1, 1, 1], [[0]] * 4), np.array([0j])))
+@example((make_group([9973], [[1, 4567, 0]]), np.array([1j, 2.0, 0])))  # s = 101 does not divide 9973
+@example((make_group([3, 9973, 7], [[1, 2], [5, 9972], [6, 0]]), np.array([1 - 1j, 0.5])))
+def test_coset_overlap_matches_the_dense_fft(case):
+    # Both sum the same N terms per coset; the product's entries are sums of
+    # 2N products, each FFT entry a sum over the whole grid.
+    quotient, cross = case
+    got = _coset_overlap(quotient, cross)
+    want = fft_overlap(quotient, cross)
+    assert np.abs(got.reshape(want.shape) - want).max() <= 1e-13 * np.abs(cross).sum()
+
+
+# Groups whose quotient is cyclic of prime order 999983, or of order
+# 999991 = 997 * 1003, the largest single axes below the enumeration cap.
+CORNER_GROUPS = {
+    "999983": make_group((999983,), ((1, 5, 17, 123, 4567, 89012, 345678, 999982),)),
+    "997x1003": make_group((997, 1003), ((1, 2, 5, 7, 11, 13), (3, 8, 100, 250, 701, 1002))),
+}
+
+
+@pytest.mark.parametrize("label", CORNER_GROUPS)
+def test_corner_quotients_match_brute_force(label):
+    g = CORNER_GROUPS[label]
+    rng = np.random.default_rng(12)
+    x = random_signal(rng, g.dim)
+    for y in (act(g, [int(rng.integers(0, p)) for p in g.orders], x), random_signal(rng, g.dim)):
+        assert_same_result(orbit_distance(g, x, y), brute_orbit_distance(g, x, y))
+
+
+@pytest.mark.parametrize("label", CORNER_GROUPS)
+def test_warm_distance_on_corner_quotients_peaks_below_20_mb(label):
+    # The element rows take 8 MB and the overlap, about 1000 x 1000 doubles,
+    # another 8 MB; the two phase tables hold about 1000 rows each.
+    g = CORNER_GROUPS[label]
+    rng = np.random.default_rng(13)
+    x, y = random_signal(rng, g.dim), random_signal(rng, g.dim)
+    orbit_distance(g, x, y)
+    tracemalloc.start()
+    try:
+        orbit_distance(g, x, y)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2**20
