@@ -142,8 +142,9 @@ def _transform(name, group, seed, mode):
     table from the process-wide cache.
 
     Returns (id, evaluate, bound): evaluate(x) gives one signal's payload
-    fields in output order; bound() gives Phi's certified Lipschitz constant
-    and is None for the other transforms.  Evaluators are looked up by name
+    fields in output order, and for F, Theta, PhiF and Phi also takes a
+    (B, N) stack, whose "values" are the B rows; bound() gives Phi's
+    certified Lipschitz constant and is None for the other transforms.  Evaluators are looked up by name
     when called, so wrappers installed on this module's globals see every call.
     """
     if name == "rational":
@@ -182,7 +183,7 @@ def _transform(name, group, seed, mode):
 
     def evaluate(x):
         values = vector(x).values
-        return {"dim": len(values), "values": values}
+        return {"dim": values.shape[-1], "values": values}
 
     return tid, evaluate, bound
 
@@ -284,7 +285,10 @@ def cmd_bench(args) -> dict:
     group, _ = _resolve_group(args)
     tid, evaluate, bound = _transform(args.transform, group, args.seed, args.mode)
     pairs = full_support_pairs(group, args.samples, args.seed)
-    ratio, _ = lipschitz_ratio_scan(lambda z: evaluate(z)["values"], group, pairs)
+    # The monomial kernel gathers two signals' three complex factors per
+    # component: 12 doubles a pair for each entry of the exponent table.
+    width = 12 * _table(group, 3).total_dim
+    ratio, _ = lipschitz_ratio_scan(lambda z: evaluate(z)["values"], group, pairs, width)
     return {
         **_envelope(args),
         "transform": tid,

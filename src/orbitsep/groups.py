@@ -93,9 +93,10 @@ def phase_steps(group: GroupSpec) -> np.ndarray:
     return np.array(_phase_rows(group), dtype=np.int64)
 
 
-def _check_signal(group: GroupSpec, x) -> np.ndarray:
+def _check_signal(group: GroupSpec, x, stacked: bool = False) -> np.ndarray:
+    """x as a complex (N,) signal, or with stacked also a (B, N) stack of them."""
     x = np.asarray(x, dtype=complex)
-    if x.ndim != 1 or x.shape[0] != group.dim:
+    if x.ndim not in ((1, 2) if stacked else (1,)) or x.shape[-1] != group.dim:
         raise DimensionError(
             f"signal has shape {x.shape}, expected length {group.dim}"
         )

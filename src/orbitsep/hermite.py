@@ -14,6 +14,7 @@ that makes the invariants jointly homogeneous of degree one.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -27,6 +28,8 @@ from .transforms import monomials
 
 COLLISION_TOL = 1e-8
 SEPARATION_FLOOR = 1e-3
+# Natural logs of the smallest normal and of the largest double.
+_LOG_RANGE = (math.log(sys.float_info.min), math.log(sys.float_info.max))
 
 
 def _eliminate(rows) -> int:
@@ -176,7 +179,10 @@ def eval_rational_invariants(data: HermiteData, z) -> RationalInvariantResult:
     A zero coordinate hit by a negative exponent poles the component: its
     value is reported as 0 and domain_ok turns false.  A zero hit only by
     positive exponents just zeroes the component.  Overflow to non-finite
-    also clears domain_ok.
+    also clears domain_ok, and so does a component without zero factors
+    whose factor log-moduli e_k * log|z_k|, or their running sums in
+    coordinate order, leave the open log range of normal doubles: its value
+    under- or overflowed on the way, even where it came out finite.
     """
     z = _check_signal(data.group, z)
     exps = float_exponents(data.inv_exponents).T
@@ -184,7 +190,11 @@ def eval_rational_invariants(data: HermiteData, z) -> RationalInvariantResult:
     annihilated = ((z == 0) & (exps > 0)).any(axis=1)
     values = monomials(z, np.arange(data.dim), exps)
     values[poled | annihilated] = 0
-    domain_ok = not poled.any() and bool(np.isfinite(values).all())
+    with np.errstate(divide="ignore", invalid="ignore"):  # log 0 and 0 * log 0, masked below
+        terms = np.where(exps != 0, exps * np.log(np.abs(z)), 0.0)
+        logs = np.concatenate([terms, np.cumsum(terms, axis=1)], axis=1)
+    in_range = ((_LOG_RANGE[0] < logs) & (logs < _LOG_RANGE[1])).all(axis=1)
+    domain_ok = not poled.any() and bool(np.isfinite(values).all()) and bool((in_range | annihilated).all())
     return RationalInvariantResult(values=values, domain_ok=domain_ok)
 
 

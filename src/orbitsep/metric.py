@@ -8,28 +8,38 @@ diagonalization of the phase-step matrix.  For a diagonal action the overlap
 q -> <x, q.y> is a sum of N terms x_k * conj(y_k) times a character of Q.
 Cutting Q into a leading and a trailing part of about sqrt|Q| elements each
 factors every character, so one real matrix product of the two parts' phase
-tables, each N columns wide, scores every coset of K at once.  The cosets
-within the product's error bound of the best are scored again with the
+tables, each N columns wide, scores every coset of K at once; a stack of
+pairs stacks its leading tables into the same one product.  The cosets
+within the product's error bound of a pair's best are scored again with the
 integer-exact phases all their elements share; the witness is the
-lexicographically first element of G reaching the smallest exact score,
-and its distance is recomputed directly so the reported value matches
-||x - act(witness, y)|| to machine precision.
+lexicographically first element of G reaching the smallest exact score.
+Each distance is recomputed directly from its witness, so the reported
+value matches ||x - act(witness, y)|| to machine precision, and a stacked
+row equals the call on its pair alone bit for bit.  The scan scores its
+pairs in memory-bounded chunks: one metric call and one transform call each.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DimensionError, DomainError
 from .exponents import faithful_quotient
 from .groups import (
-    GroupSpec, _check_enumerable, _check_signal, _norm, _unit_scaled, act, enumerate_group, phase_steps,
+    GroupSpec, _check_enumerable, _check_signal, _norm, _unit_scaled, enumerate_group, phase_steps,
 )
 
 _CHUNK = 4096
+# Doubles one chunk of the Lipschitz scan may hold in one array: its pairs
+# times |G/K| overlaps, or times the transform's width per pair.  On 2
+# cores, 20 bench pairs of the 10^6 benchmark group (|G/K| = 125000) took
+# 31 ms one at a time, 18 ms in stacks of 2 and 14 ms in stacks of 4 to 16;
+# the benchmark's 10^4 groups take all 20 in one stack.
+_STACK = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -55,11 +65,13 @@ def _phases(shape, steps, L) -> np.ndarray:
 
 
 def _coset_overlap(quotient: GroupSpec, cross) -> np.ndarray:
-    """Re sum_k cross_k exp(-2 pi i sum_j q_j e_jk / d_j) for every q in Q,
-    in C order, as a (d_1 ... d_{j-1}, d_j, d_{j+1} ... d_m) view.  The cut
-    q_j = a*s + b splits q into a leading part (axes before j, then a) and a
-    trailing part (b, then axes after j) of about isqrt|Q| elements each;
-    q's phase is the product of theirs, and a*s + b >= d_j is padding."""
+    """Re sum_k cross_k exp(-2 pi i sum_j q_j e_jk / d_j) for every q in Q
+    and every row of cross, (..., N), in C order, as a (..., d_1 ... d_{j-1},
+    d_j, d_{j+1} ... d_m) view.  The cut q_j = a*s + b splits q into a
+    leading part (axes before j, then a) and a trailing part (b, then axes
+    after j) of about isqrt|Q| elements each; q's phase is the product of
+    theirs, and a*s + b >= d_j is padding.  The rows' leading tables stack
+    into one product with the trailing table."""
     orders, L = quotient.orders, quotient.phase_lcm
     steps = phase_steps(quotient)  # w_jk = e_jk * L / d_j
     target = math.isqrt(quotient.group_order)
@@ -67,40 +79,18 @@ def _coset_overlap(quotient: GroupSpec, cross) -> np.ndarray:
     before = math.prod(orders[:j])
     s = -(-orders[j] // -(-target // before))
     a = -(-orders[j] // s)
-    lead = cross * _phases((*orders[:j], a), np.vstack([steps[:j], s * steps[j] % L]), L)
+    lead = cross[..., None, :] * _phases((*orders[:j], a), np.vstack([steps[:j], s * steps[j] % L]), L)
     trail = _phases((s, *orders[j + 1:]), steps[j:], L)
     # Re(u * v) = Re u * Re v - Im u * Im v: the float views interleave parts.
-    overlap = lead.view(float) @ np.conj(trail).view(float).T
-    return overlap.reshape(before, a * s, -1)[:, :orders[j]]
+    overlap = lead.reshape(-1, cross.shape[-1]).view(float) @ np.conj(trail).view(float).T
+    return overlap.reshape(*cross.shape[:-1], before, a * s, -1)[..., :orders[j], :]
 
 
-def orbit_distance(group: GroupSpec, x, y) -> OrbitDistanceResult:
-    """Exact minimum of ||x - g.y|| over the whole (enumerable) group."""
-    x = _check_signal(group, x)
-    y = _check_signal(group, y)
-    _check_enumerable(group)
-    quotient = faithful_quotient(group)
-    elements = enumerate_group(quotient.group)
-    # Below the enumeration cap every entry and product here fits int64.
-    lift = np.array(quotient.lift, dtype=np.int64)
-    turns = lift @ phase_steps(group) % group.phase_lcm
-    # One power of two puts every part in (-1, 1): no product below overflows.
-    xy, k = _unit_scaled(np.concatenate([x, y]))
-    x, y = xy.reshape(2, -1)
-    # ||x - g.y||^2 = ||x||^2 + ||y||^2 - 2 Re(conj(phi_g) . (x * conj(y)))
-    cross = x * np.conj(y)
-    const = float(np.vdot(x, x).real + np.vdot(y, y).real)
-    overlap = _coset_overlap(quotient.group, cross)
-    # Each entry is a sum of 2N products, the two for coordinate k bounded
-    # together by |cross_k|, and sum |cross_k| <= const / 2, so it errs by
-    # about 2N * eps * sum |cross_k| <= N * eps * const, near 2e-12 * const
-    # at N = 10^4; the exact best coset lies within twice that of the
-    # product's best, far inside the slack.  The floor keeps the slack
-    # above subnormal rounding; a non-finite overlap makes every coset a
-    # candidate.
-    slack = 1e-9 * max(const, 1e-290)
-    candidates = np.flatnonzero(~(overlap < overlap.max() - slack))
-    L, n = group.phase_lcm, len(candidates)
+def _nearest(elements, candidates, turns, cross, const, L) -> np.ndarray:
+    """The rows of elements among candidates with the smallest exact score
+    const - 2 Re <x, g.y>, from phases exact in integers; the identity alone
+    when no score is finite."""
+    n = len(candidates)
     blocks = -(-n // _CHUNK)
     # Even blocks, never one row for two or more candidates: a one-row
     # product rounds differently from the multi-row blocks it is compared with.
@@ -110,11 +100,53 @@ def orbit_distance(group: GroupSpec, x, y) -> OrbitDistanceResult:
     ])
     vals = const - 2.0 * exact.real
     best = vals.min()  # not finite only for non-finite input: row 0, the identity, stands
-    tied = elements[candidates[vals == best]] if best < np.inf else elements[:1]
-    witness = least_member(quotient.kernel, tied @ lift)
+    return elements[candidates[vals == best]] if best < np.inf else elements[:1]
+
+
+def orbit_distance(group: GroupSpec, x, y):
+    """Exact minimum of ||x - g.y|| over the whole (enumerable) group.
+
+    x and y are one pair of (N,) signals, giving one OrbitDistanceResult, or
+    two (B, N) stacks, giving the list of B results that B single calls give.
+    """
+    stacked = np.ndim(x) == 2
+    x = _check_signal(group, x, stacked=True)
+    y = _check_signal(group, y, stacked=True)
+    if x.shape != y.shape:
+        raise DimensionError(f"signals of shapes {x.shape} and {y.shape} do not pair up")
+    _check_enumerable(group)
+    quotient = faithful_quotient(group)
+    elements = enumerate_group(quotient.group)
+    # Below the enumeration cap every entry and product here fits int64.
+    lift = np.array(quotient.lift, dtype=np.int64)
+    steps, L, n = phase_steps(group), group.phase_lcm, group.dim
+    turns = lift @ steps % L
+    # One power of two per pair puts every part in (-1, 1): no product below overflows.
+    xy, k = _unit_scaled(np.concatenate([x, y], axis=-1).reshape(-1, 2 * n))
+    x, y = xy[:, :n], xy[:, n:]
+    # ||x - g.y||^2 = ||x||^2 + ||y||^2 - 2 Re(conj(phi_g) . (x * conj(y)))
+    cross = x * np.conj(y)
+    overlap = _coset_overlap(quotient.group, cross)
+    witnesses = np.empty((len(xy), group.num_generators), dtype=np.int64)
+    for b, scores in enumerate(overlap):
+        const = float(np.vdot(x[b], x[b]).real + np.vdot(y[b], y[b]).real)
+        # Each entry is a sum of 2N products, the two for coordinate k bounded
+        # together by |cross_k|, and sum |cross_k| <= const / 2, so it errs by
+        # about 2N * eps * sum |cross_k| <= N * eps * const, near 2e-12 * const
+        # at N = 10^4; the exact best coset lies within twice that of the
+        # product's best, far inside the slack.  The floor keeps the slack
+        # above subnormal rounding; a non-finite overlap makes every coset a
+        # candidate.
+        slack = 1e-9 * max(const, 1e-290)
+        candidates = np.flatnonzero(~(scores < scores.max() - slack))
+        tied = _nearest(elements, candidates, turns, cross[b], const, L)
+        witnesses[b] = least_member(quotient.kernel, tied @ lift)
+    # The distances as act() would move y, recomputed directly.
+    moved = np.exp((2j * np.pi / L) * (witnesses @ steps % L)) * y
     with np.errstate(over="ignore"):  # a distance beyond the double range is inf
-        distance = float(np.ldexp(np.linalg.norm(x - act(group, witness, y)), k))
-    return OrbitDistanceResult(distance=distance, witness=witness)
+        distances = np.ldexp([np.linalg.norm(row) for row in x - moved], k)
+    results = [OrbitDistanceResult(float(d), tuple(w)) for d, w in zip(distances, witnesses.tolist())]
+    return results if stacked else results[0]
 
 
 def child_seed(seed, index: int):
@@ -146,27 +178,38 @@ def full_support_pairs(group: GroupSpec, samples: int, seed):
         yield _full_support(rng, group.dim), _full_support(rng, group.dim)
 
 
-def lipschitz_ratio_scan(transform, group: GroupSpec, pairs):
+def lipschitz_ratio_scan(transform, group: GroupSpec, pairs, width: int = 0):
     """Max of ||T(x) - T(y)|| / d(x, y) over the (x, y) pairs with d > 1e-9.
 
-    transform: callable from signal to a complex vector.  Returns
-    (max_ratio, (x, y)) for the maximizing pair.  A NaN ratio, from a
-    transform that overflowed, makes the maximum NaN, as np.max does, and
-    the first such pair is returned, as np.argmax picks it.
+    transform: callable from a (B, N) stack of signals to the (B, D) stack
+    of their complex vectors, row by row.  width: the doubles the transform
+    holds per pair in its largest array, as its caller knows it; 0 counts
+    the metric alone.  The pairs are taken in chunks, each scored with one
+    orbit_distance call and one transform call on the kept pairs' x rows
+    stacked over their y rows.  A chunk holds _STACK over the larger of
+    |G/K| and width pairs, at least one, so memory stays flat in the number
+    of pairs.  Returns (max_ratio, (x, y)) for the maximizing pair.  A NaN
+    ratio, from a transform that overflowed, makes the maximum NaN, as
+    np.max does, and the first such pair is returned, as np.argmax picks it.
     """
+    width = max(faithful_quotient(group).group.group_order, width)
+    pairs = iter(pairs)
     best, best_pair = -np.inf, None
-    for x, y in pairs:
-        d = orbit_distance(group, x, y).distance
-        if d <= 1e-9:
+    while chunk := list(itertools.islice(pairs, max(1, _STACK // width))):
+        xs, ys = (np.array(side) for side in zip(*chunk))
+        distances = [r.distance for r in orbit_distance(group, xs, ys)]
+        kept = [i for i, d in enumerate(distances) if not d <= 1e-9]
+        if not kept:
             continue
-        tx, ty = np.asarray(transform(x)), np.asarray(transform(y))
+        values = np.asarray(transform(np.concatenate([xs[kept], ys[kept]])))
         with np.errstate(all="ignore"):  # non-finite values give a non-finite gap
-            gap = _norm(tx - ty)
-        ratio = gap / d
-        if np.isnan(ratio):
-            return ratio, (x, y)
-        if ratio > best:
-            best, best_pair = ratio, (x, y)
+            gaps = [_norm(row) for row in values[:len(kept)] - values[len(kept):]]
+        for i, gap in zip(kept, gaps):
+            ratio = gap / distances[i]
+            if np.isnan(ratio):
+                return ratio, chunk[i]
+            if ratio > best:
+                best, best_pair = ratio, chunk[i]
     if best_pair is None:
         raise DomainError("every sampled pair was orbit-equivalent; use another seed")
     return best, best_pair

@@ -1,6 +1,8 @@
 """The four invariant transforms on an exponent table and their one kernel.
 
-All four are exactly invariant under the group action by construction:
+All four are exactly invariant under the group action by construction, and
+each takes one (N,) signal or a (B, N) stack of them, whose rows come out
+bit for bit as B calls on single signals give them:
 - monomial map: one invariant monomial per coordinate subset (separating).
 - phase map: moduli-weighted phase monomials (only unit phases are powered).
 - norm-scaled map: norm times the monomial map of the normalized signal,
@@ -29,7 +31,7 @@ class InvariantVector:
 
     @property
     def dim(self) -> int:
-        return len(self.values)
+        return self.values.shape[-1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,20 +55,23 @@ def default_beta(table: ExponentTable) -> BetaWeights:
 
 
 def monomials(z, indices, exponents) -> np.ndarray:
-    """prod_j z[indices[..., j]] ** exponents[..., j] along the last axis.
+    """prod_j z[..., indices[..., j]] ** exponents[..., j] along the last axis.
 
-    The kernel behind F, PhiF, Phi and the Laurent invariants.  exponents
-    are float64: exact below 2**53, and the same conversion CPython's
-    complex ** int makes.  Overflow gives inf or nan, never a warning.
+    The kernel behind F, PhiF, Phi and the Laurent invariants; z is one
+    signal or a stack of them.  exponents are float64: exact below 2**53,
+    and the same conversion CPython's complex ** int makes.  Overflow gives
+    inf or nan, never a warning.  take gathers C contiguous, so a stacked
+    row's product rounds as the single row's does; z[..., indices] on a
+    stack comes out in another memory order.
     """
     with np.errstate(all="ignore"):
-        return np.prod(z[indices] ** exponents, axis=-1)
+        return np.prod(z.take(indices, axis=-1) ** exponents, axis=-1)
 
 
 def eval_monomial_map(table: ExponentTable, x) -> InvariantVector:
     """The separating monomial map: one monomial per subset, fixed order."""
-    x = _check_signal(table.group, x)
-    values = np.concatenate([monomials(x, idx, exps) for idx, exps in table.blocks])
+    x = _check_signal(table.group, x, stacked=True)
+    values = np.concatenate([monomials(x, idx, exps) for idx, exps in table.blocks], axis=-1)
     return InvariantVector(transform_id="F", values=values)
 
 
@@ -74,7 +79,7 @@ def eval_phase_map(table: ExponentTable, beta: BetaWeights, x) -> InvariantVecto
     """Phase-only map: singles are pure moduli |x_k|^beta; larger subsets are
     moduli-weighted unit-phase monomials; any subset touching a zero entry is
     exactly zero.  beta must be laid out in this table's blocks."""
-    x = _check_signal(table.group, x)
+    x = _check_signal(table.group, x, stacked=True)
     if [w.shape for w in beta.blocks] != [exps.shape for _, exps in table.blocks]:
         raise DimensionError("beta weights are not laid out in this table's blocks")
     moduli = np.abs(x)
@@ -82,9 +87,10 @@ def eval_phase_map(table: ExponentTable, beta: BetaWeights, x) -> InvariantVecto
     with np.errstate(all="ignore"):
         values = [(moduli ** beta.blocks[0][:, 0]).astype(complex)]
         for (idx, exps), w in zip(table.blocks[1:], beta.blocks[1:]):
-            value = np.prod(moduli[idx] ** w * phases[idx] ** exps, axis=-1)
-            values.append(np.where((moduli[idx] == 0).any(axis=-1), 0j, value))
-    return InvariantVector(transform_id="Theta", values=np.concatenate(values))
+            subset = moduli.take(idx, axis=-1)
+            value = np.prod(subset ** w * phases.take(idx, axis=-1) ** exps, axis=-1)
+            values.append(np.where((subset == 0).any(axis=-1), 0j, value))
+    return InvariantVector(transform_id="Theta", values=np.concatenate(values, axis=-1))
 
 
 def eval_norm_scaled(table: ExponentTable, x) -> InvariantVector:
@@ -93,14 +99,14 @@ def eval_norm_scaled(table: ExponentTable, x) -> InvariantVector:
     Positively homogeneous of degree 1, hence linear growth in the moduli.
     Norm and quotient are taken on x * 2**-k, where no square leaves the double range.
     """
-    x, k = _unit_scaled(_check_signal(table.group, x))
-    norm = float(np.linalg.norm(x))
-    if norm == 0.0:
-        values = np.zeros(table.total_dim, dtype=complex)
-    else:
-        unit = eval_monomial_map(table, x / norm).values
-        with np.errstate(all="ignore"):  # beyond the double range: inf or nan, as F gives
-            values = float(np.ldexp(norm, k)) * unit
+    x, k = _unit_scaled(_check_signal(table.group, x, stacked=True))
+    # One norm per row: a norm along an axis sums in another order.
+    norms = np.reshape([np.linalg.norm(row) for row in x.reshape(-1, x.shape[-1])], k.shape)
+    # A zero row divides 0 by 0 here; it maps to zero below.  Beyond the
+    # double range the values are inf or nan, as F gives them.
+    with np.errstate(all="ignore"):
+        values = np.ldexp(norms, k)[..., None] * eval_monomial_map(table, x / norms[..., None]).values
+    values[norms == 0.0] = 0
     return InvariantVector(transform_id="PhiF", values=values)
 
 
@@ -113,10 +119,16 @@ def make_reduction(seed: int, in_dim: int, out_dim: int) -> np.ndarray:
     if in_dim < 1 or out_dim < 1:
         raise ConfigError(f"reduction dims must be positive, got {out_dim}x{in_dim}")
     rng = np.random.default_rng(seed)
-    return (
-        rng.standard_normal((out_dim, in_dim))
-        + 1j * rng.standard_normal((out_dim, in_dim))
-    ) / math.sqrt(2.0)
+    # Real parts first, then imaginary parts, each drawn into one real
+    # buffer and copied into its slots of the complex matrix, which is then
+    # divided in place: the draws and the rounding of (re + 1j * im) / sqrt(2),
+    # whose assembly is exact, with one real temporary.
+    ell = np.empty((out_dim, in_dim), dtype=complex)
+    normals = np.empty((out_dim, in_dim))
+    for part in (ell.real, ell.imag):
+        part[...] = rng.standard_normal(out=normals)
+    ell /= math.sqrt(2.0)
+    return ell
 
 
 def default_reduction(table: ExponentTable, seed: int) -> np.ndarray:
@@ -126,7 +138,7 @@ def default_reduction(table: ExponentTable, seed: int) -> np.ndarray:
 
 def _unit_phases(x) -> np.ndarray:
     # N(x): x_k/|x_k| on the support, exactly 0 elsewhere; on x_k * 2**-e_k, 1/|x_k| is finite.
-    x = _unit_scaled(x[:, None])[0][:, 0]
+    x = _unit_scaled(x[..., None])[0][..., 0]
     moduli = np.abs(x)
     return np.where(moduli > 0, x / np.where(moduli > 0, moduli, 1.0), 0j)
 
@@ -140,26 +152,29 @@ def eval_lowdim(
     monomial map of the unit-phase vector (diagonal entries are phase powers),
     the variant whose separation argument is sound; in mode "as_written" v
     keeps support indicators in the diagonal slots instead.  Zero maps to
-    zero.
+    zero.  ell @ v stays one matrix-vector product per row: a matrix-matrix
+    product over the stack would round differently.
     """
     if mode not in ("as_written", "repaired"):
         raise ConfigError(f"mode must be 'as_written' or 'repaired', got {mode!r}")
-    x = _check_signal(table.group, x)
+    x = _check_signal(table.group, x, stacked=True)
     if ell.shape[1] != table.total_dim:
         raise DimensionError(
             f"reduction expects input dim {ell.shape[1]}, table has {table.total_dim}"
         )
     n = table.group.dim
     moduli = np.abs(x)
-    if not moduli.any():
-        return InvariantVector(transform_id="Phi", values=np.zeros(n + len(ell), dtype=complex))
     v = eval_monomial_map(table, _unit_phases(x)).values
     if mode == "as_written":
-        v[:n] = moduli > 0
-    mu = float(moduli[moduli > 0].min())
+        v[..., :n] = moduli > 0
+    reduced = np.zeros((*x.shape[:-1], len(ell)), dtype=complex)
+    rows = zip(v.reshape(-1, v.shape[-1]), moduli.reshape(-1, n), reduced.reshape(-1, len(ell)))
     with np.errstate(all="ignore"):  # beyond the double range: inf or nan, as PhiF gives
-        reduced = mu * (ell @ v)
-    return InvariantVector(transform_id="Phi", values=np.concatenate([moduli.astype(complex), reduced]))
+        for row, m, out in rows:
+            if m.any():
+                out[:] = float(m[m > 0].min()) * (ell @ row)
+    values = np.concatenate([moduli.astype(complex), reduced], axis=-1)
+    return InvariantVector(transform_id="Phi", values=values)
 
 
 def lipschitz_bound(table: ExponentTable, ell: np.ndarray) -> float:

@@ -5,8 +5,9 @@ single exponents, the lattice solver run on one subset at a time, the
 Fraction Gauss-Jordan solve, the chunked brute-force orbit metric, the
 dense FFT overlap over a quotient's grid, the distinct phase vectors of a
 group's elements, the image-side circular shift and the inverse of
-to_fourier, the seeded pair samplers of four kinds and the
-orbit-equivalence test, the empirical separation and
+to_fourier, the seeded pair samplers of four kinds, the
+orbit-equivalence test, the Lipschitz ratio scan one pair at a time, the
+reduction matrix as first drawn, the empirical separation and
 proportionality checks, a JSON emitter that picks its layout from a
 registry of scalar types, and the exponent table as a dict of string
 keys, the payload that emitter takes."""
@@ -16,6 +17,7 @@ import functools
 import itertools
 import json
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -32,11 +34,13 @@ from orbitsep import (
     shift_action_spec,
 )
 from orbitsep.exponents import _basis, _minimal
-from orbitsep.groups import _check_signal, act, phase_steps
+from orbitsep.groups import _check_signal, _norm, act, phase_steps
 from orbitsep.io import KeyedRows
 from orbitsep.metric import OrbitDistanceResult, _full_support, _gaussian
 
 EQUALITY_TOL = 1e-9
+# Natural logs of the smallest normal and of the largest double.
+LOG_RANGE = (math.log(sys.float_info.min), math.log(sys.float_info.max))
 
 # Groups the vectorised transforms are checked against these references on.
 ORACLE_GROUPS = {
@@ -101,7 +105,9 @@ def lowdim(table, ell, x, mode) -> np.ndarray:
 def rational_invariants(data, z):
     """(values, domain_ok): column j is prod_k z_k ** block[k][j]; a pole or
     an annihilating zero reports 0, a pole or a non-finite value clears
-    domain_ok."""
+    domain_ok, and so does a factor log-modulus e_k * log|z_k|, or a running
+    sum of them in coordinate order, outside the open log range of normal
+    doubles."""
     n = data.dim
     values = np.zeros(n, dtype=complex)
     domain_ok = True
@@ -111,7 +117,10 @@ def rational_invariants(data, z):
             domain_ok = False
         elif not any(z[k] == 0 and e > 0 for k, e in enumerate(column)):
             values[j] = monomial(z, range(n), column)
-            domain_ok = domain_ok and cmath.isfinite(values[j])
+            terms = [float(e) * math.log(abs(complex(z[k]))) for k, e in enumerate(column) if e]
+            domain_ok = domain_ok and cmath.isfinite(values[j]) and all(
+                LOG_RANGE[0] < t < LOG_RANGE[1] for t in (*terms, *itertools.accumulate(terms))
+            )
     return values, domain_ok
 
 
@@ -356,6 +365,37 @@ def pairs(group, kind: str, samples: int, seed):
 def equivalent(group, x, y, tol: float = 1e-9) -> bool:
     """Whether the orbit distance is below tol."""
     return orbit_distance(group, x, y).distance < tol
+
+
+def ratio_scan(transform, group, pairs):
+    """The Lipschitz ratio scan one pair at a time: one orbit_distance call
+    per pair and one transform call per signal of each pair not skipped."""
+    best, best_pair = -np.inf, None
+    for x, y in pairs:
+        d = orbit_distance(group, x, y).distance
+        if d <= 1e-9:
+            continue
+        tx, ty = np.asarray(transform(x)), np.asarray(transform(y))
+        with np.errstate(all="ignore"):  # non-finite values give a non-finite gap
+            gap = _norm(tx - ty)
+        ratio = gap / d
+        if np.isnan(ratio):
+            return ratio, (x, y)
+        if ratio > best:
+            best, best_pair = ratio, (x, y)
+    if best_pair is None:
+        raise DomainError("every sampled pair was orbit-equivalent; use another seed")
+    return best, best_pair
+
+
+def drawn_reduction(seed: int, in_dim: int, out_dim: int) -> np.ndarray:
+    """make_reduction's matrix as first written: (re + 1j * im) / sqrt(2)
+    from two whole draws of standard normals."""
+    rng = np.random.default_rng(seed)
+    return (
+        rng.standard_normal((out_dim, in_dim))
+        + 1j * rng.standard_normal((out_dim, in_dim))
+    ) / math.sqrt(2.0)
 
 
 def check_npp(table, x, y, scale: float) -> bool:

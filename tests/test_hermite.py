@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import reference
 import sympy
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from orbitsep import (
@@ -332,6 +332,71 @@ def test_rational_invariants_pole_vs_annihilation():
     res2 = eval_rational_invariants(benign, np.array([0.0, 2.0], dtype=complex))
     assert res2.domain_ok
     assert res2.values[0] == 0 and res2.values[1] == 2
+
+
+LOG_MIN, LOG_MAX = reference.LOG_RANGE
+
+
+def exact_log(value: Fraction) -> float:
+    return math.log(value.numerator) - math.log(value.denominator)
+
+
+@st.composite
+def laurent_cases(draw):
+    """An n x n block of exponents in [-40, 40] and a signal whose moduli
+    run from subnormal to near the top of the double range, moderate ones
+    and zeros among them, each at a random phase."""
+    n = draw(st.integers(1, 5))
+    block = draw(st.lists(st.lists(st.integers(-40, 40), min_size=n, max_size=n), min_size=n, max_size=n))
+    z = []
+    for _ in range(n):
+        if draw(st.integers(0, 5)) == 0:
+            z.append(0j)
+            continue
+        scale = draw(st.integers(-20, 20) | st.integers(-1074, 1023))
+        modulus = math.ldexp(draw(st.floats(1.0, 2.0, exclude_max=True)), scale)
+        angle = draw(st.floats(-math.pi, math.pi))
+        z.append(complex(modulus * math.cos(angle), modulus * math.sin(angle)))
+    return block, np.array(z)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(laurent_cases())
+def test_rational_domain_flag_matches_exact_factor_ranges(case):
+    # Oracle: every factor |z_k| ** e_k with e_k != 0 and every running
+    # product of them in coordinate order, in exact Fractions, lies strictly
+    # between the smallest normal and the largest double; cases within 1e-6
+    # of a bound in log, where the flag's rounded logs may fall either way,
+    # are skipped.
+    block, z = case
+    n = len(block)
+    data = synthetic_data(block, [1] * n)
+    got = eval_rational_invariants(data, z)
+    ok = np.isfinite(got.values).all()
+    for j in range(n):
+        column = [(abs(complex(z[k])), block[k][j]) for k in range(n) if block[k][j]]
+        if any(modulus == 0 and e < 0 for modulus, e in column):
+            ok = False
+        if any(modulus == 0 for modulus, _ in column):
+            continue
+        running = Fraction(1)
+        for modulus, e in column:
+            factor = Fraction(modulus) ** e
+            running *= factor
+            for log in (exact_log(factor), exact_log(running)):
+                assume(min(abs(log - LOG_MIN), abs(log - LOG_MAX)) > 1e-6)
+                ok = ok and LOG_MIN < log < LOG_MAX
+    assert got.domain_ok == ok
+
+
+def test_rational_domain_flag_catches_an_underflow_to_zero():
+    # 2**-600 squared is 2**-1200: the value underflows to exactly 0 with
+    # no zero coordinate, which the non-finite check alone cannot see.
+    data = synthetic_data([[2, 0], [0, 1]], [Fraction(1, 2), 1])
+    res = eval_rational_invariants(data, np.array([2.0**-600, 1.0], dtype=complex))
+    assert res.values[0] == 0
+    assert not res.domain_ok
+    assert eval_rational_invariants(data, np.array([2.0**-500, 1.0], dtype=complex)).domain_ok
 
 
 def test_signed_quadratic_values():

@@ -1,10 +1,13 @@
-"""Orbit metric against the brute-force scan, its coset overlap against the
-dense FFT, the pair samplers of the tests and of the bench command, and the
-ratio scan."""
+"""Orbit metric against the brute-force scan, stacked pairs against single
+calls, its coset overlap against the dense FFT, the pair samplers of the
+tests and of the bench command, and the ratio scan against the per-pair
+scan."""
 
+import functools
 import math
 import tracemalloc
 import types
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -14,18 +17,31 @@ from hypothesis import strategies as st
 from orbitsep import (
     ENUMERATION_CAP,
     ConfigError,
+    DimensionError,
     DomainError,
     act,
+    build_exponent_table,
     child_seed,
+    cyclic_shift_spec,
+    default_beta,
+    default_reduction,
     enumerate_group,
+    eval_lowdim,
+    eval_monomial_map,
+    eval_norm_scaled,
+    eval_phase_map,
     lipschitz_ratio_scan,
     make_group,
     orbit_distance,
     shift_action_spec,
 )
 import orbitsep.cli
+import orbitsep.metric
+from orbitsep.exponents import faithful_quotient
 from orbitsep.metric import _coset_overlap, full_support_pairs
-from reference import PAIR_KINDS, brute_orbit_distance, equivalent, fft_overlap, pairs, sample_pair
+from reference import (
+    PAIR_KINDS, brute_orbit_distance, equivalent, fft_overlap, pairs, ratio_scan, sample_pair,
+)
 
 
 def random_signal(rng, n):
@@ -156,19 +172,73 @@ def test_ratio_scan_rejects_all_equivalent():
         lipschitz_ratio_scan(lambda z: z, g, pairs(g, "same_orbit", 10, 0))
 
 
+def pairs_per_chunk(group, size: int) -> int:
+    """The metric._STACK that makes a scan with width 0 take `size` pairs per chunk."""
+    return size * faithful_quotient(group).group.group_order
+
+
 def test_ratio_scan_nan_ratio_is_the_maximum():
-    # The third pair's ratios would beat the first's, but the second's NaN
-    # is the maximum, as np.max makes it, and np.argmax picks its pair.
+    # The third pair's ratio would beat the first's, but the second's NaN is
+    # the maximum, as np.max makes it, and np.argmax picks its pair; the
+    # fourth pair's NaN comes later in draw order, in the same chunk or not.
     g = shift_action_spec(2, 3)
-    seen = []
+    drawn = list(pairs(g, "random", 5, 4))
+    scales = {}
+    for i, (x, y) in enumerate(drawn):
+        for z in (x, y):
+            scales[z.tobytes()] = np.nan if i in (1, 3) else 1e6 * (i + 1)
 
-    def transform(z):
-        seen.append(z)
-        return z * (np.nan if len(seen) == 3 else 1e6 * len(seen))
+    def transform(stack):
+        return stack * np.array([scales[z.tobytes()] for z in stack])[:, None]
 
-    ratio, (x, y) = lipschitz_ratio_scan(transform, g, pairs(g, "random", 3, 4))
-    assert np.isnan(ratio)
-    assert x is seen[2] and y is seen[3]
+    for size in (1, 2, 3, 5):
+        with patch.object(orbitsep.metric, "_STACK", pairs_per_chunk(g, size)):
+            ratio, (x, y) = lipschitz_ratio_scan(transform, g, iter(drawn))
+        assert np.isnan(ratio)
+        assert x is drawn[1][0] and y is drawn[1][1]
+
+
+def test_ratio_scan_scores_each_chunk_with_one_call_each():
+    # Seven pairs in chunks of three: the metric sees stacks of 3, 3 and 1
+    # pairs, the transform the x rows over the y rows of each.
+    g = shift_action_spec(2, 3)
+    drawn = list(pairs(g, "random", 7, 5))
+    metric_stacks, transform_stacks = [], []
+
+    def metric(group, x, y):
+        metric_stacks.append(x.shape)
+        return orbit_distance(group, x, y)
+
+    def transform(stack):
+        transform_stacks.append(stack.copy())
+        return stack
+
+    with patch.object(orbitsep.metric, "_STACK", pairs_per_chunk(g, 3)), \
+            patch.object(orbitsep.metric, "orbit_distance", metric):
+        lipschitz_ratio_scan(transform, g, iter(drawn))
+    assert metric_stacks == [(3, 6), (3, 6), (1, 6)]
+    assert [len(stack) for stack in transform_stacks] == [6, 6, 2]
+    first = transform_stacks[0]
+    assert all(np.array_equal(first[i], drawn[i][0]) and np.array_equal(first[3 + i], drawn[i][1])
+               for i in range(3))
+
+
+def test_ratio_scan_chunks_by_the_larger_of_the_quotient_and_the_width():
+    # _STACK = 60 doubles: |G/K| = 6 gives chunks of 10 pairs, a transform
+    # width of 20 doubles per pair chunks of 3, one above 60 chunks of 1.
+    g = shift_action_spec(2, 3)
+    drawn = list(pairs(g, "random", 10, 5))
+    for width, sizes in [(0, [10]), (20, [3, 3, 3, 1]), (61, [1] * 10)]:
+        stacks = []
+
+        def metric(group, x, y):
+            stacks.append(len(x))
+            return orbit_distance(group, x, y)
+
+        with patch.object(orbitsep.metric, "_STACK", 60), \
+                patch.object(orbitsep.metric, "orbit_distance", metric):
+            lipschitz_ratio_scan(lambda z: z, g, iter(drawn), width)
+        assert stacks == sizes
 
 
 def test_ratio_scan_gap_stays_finite_above_the_square_root_of_the_largest_double():
@@ -194,6 +264,20 @@ def assert_same_result(got, want):
 
 
 @st.composite
+def signal_pairs(draw, group):
+    """A signal pair for the group: zero entries, and half the time the
+    second signal on the first's orbit."""
+    n = group.dim
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = random_signal(rng, n) * ~np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    if draw(st.booleans()):
+        y = act(group, [int(rng.integers(0, p)) for p in group.orders], x)
+    else:
+        y = random_signal(rng, n) * ~np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    return x, y
+
+
+@st.composite
 def metric_cases(draw):
     """A group with s <= 3, orders <= 30 and N <= 8, and a signal pair.
 
@@ -207,13 +291,7 @@ def metric_cases(draw):
     matrix *= draw(st.sampled_from([1, 2, 3, 5, 6]))
     matrix[:, draw(st.lists(st.booleans(), min_size=n, max_size=n))] = 0
     group = make_group(orders, matrix.tolist())
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    x = random_signal(rng, n) * ~np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
-    if draw(st.booleans()):
-        y = act(group, [int(rng.integers(0, p)) for p in orders], x)
-    else:
-        y = random_signal(rng, n) * ~np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
-    return group, x, y
+    return (group, *draw(signal_pairs(group)))
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
@@ -221,6 +299,52 @@ def metric_cases(draw):
 def test_fft_metric_matches_brute_force(case):
     group, x, y = case
     assert_same_result(orbit_distance(group, x, y), brute_orbit_distance(group, x, y))
+
+
+@st.composite
+def stacked_metric_cases(draw):
+    """One to seven pairs of metric_cases' kind on one group, or on a
+    group whose quotient is trivial: all of its cosets tie."""
+    group, x, y = draw(metric_cases())
+    group = draw(st.sampled_from([group, group, make_group([4], [[0] * group.dim]),
+                                  make_group([1000, 1000], [[0] * group.dim] * 2)]))
+    rest = draw(st.lists(signal_pairs(group), max_size=6))
+    return group, [(x, y), *rest]
+
+
+def assert_rows_match_single_calls(group, stack):
+    xs, ys = (np.array(side) for side in zip(*stack))
+    got = orbit_distance(group, xs, ys)
+    assert len(got) == len(stack)
+    for row, (x, y) in zip(got, stack):
+        assert_same_result(row, orbit_distance(group, x, y))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(stacked_metric_cases())
+@example((make_group((10, 10, 10), ((1, 2, 3), (4, 0, 6), (7, 8, 5))),
+          [(np.array([1, 0.5 - 2j, 0.25]), np.array([1j, -0.5, 1.5])), (np.zeros(3), np.ones(3)),
+           (np.array([0, 1, 0j]), np.array([0, 1j, 0]))]))
+def test_stacked_distance_rows_match_single_calls(case):
+    # Stacked pairs share one overlap product; every row keeps the witness
+    # and the distance bits a call on its pair alone gives, ties included.
+    assert_rows_match_single_calls(*case)
+
+
+def test_stacked_distance_rows_on_the_trivial_1000x1000_group():
+    g = make_group([1000, 1000], [[0] * 64, [0] * 64])
+    rng = np.random.default_rng(14)
+    stack = [(random_signal(rng, 64), random_signal(rng, 64)) for _ in range(5)]
+    assert_rows_match_single_calls(g, stack)
+    assert {r.witness for r in orbit_distance(g, *map(np.array, zip(*stack)))} == {(0, 0)}
+
+
+def test_stacked_distance_needs_stacks_of_one_shape():
+    g = shift_action_spec(2, 3)
+    with pytest.raises(DimensionError):
+        orbit_distance(g, np.ones((2, 6)), np.ones((3, 6)))
+    with pytest.raises(DimensionError):
+        orbit_distance(g, np.ones((2, 2, 6)), np.ones((2, 2, 6)))
 
 
 def test_exact_rescoring_breaks_near_ties():
@@ -400,3 +524,116 @@ def test_warm_distance_on_corner_quotients_peaks_below_20_mb(label):
     finally:
         tracemalloc.stop()
     assert peak < 20 * 2**20
+
+
+# The batched scan against the per-pair oracle: the bench's two groups,
+# a group with |K| = 4, and two small groups the transforms are checked on.
+SCAN_GROUPS = {
+    "shift2x3": shift_action_spec(2, 3),
+    "cyclic16": cyclic_shift_spec(16),
+    "1e4a": make_group((10, 10, 10, 10), ((7, 0, 2, 2, 2, 9, 5, 9), (6, 2, 6, 1, 0, 6, 7, 6),
+                                          (0, 1, 8, 7, 2, 8, 7, 1), (8, 8, 2, 1, 0, 1, 1, 1))),
+    "1e4b": make_group((10, 1000), ((7, 2, 5, 2, 6), (641, 687, 597, 740, 609))),
+    "10x10x10": make_group((10, 10, 10), ((1, 2, 3), (4, 0, 6), (7, 8, 5))),
+}
+
+
+@functools.cache
+def scan_transform(label: str, name: str):
+    """The named transform on the labelled group, for (N,) and (B, N) input;
+    "nan" turns every row whose first entry has real part above 1 to NaN."""
+    table = build_exponent_table(SCAN_GROUPS[label])
+    if name == "nan":
+        return lambda z: np.where(z.real[..., :1] > 1.0, np.nan, 1.0) * z
+    if name == "f":
+        return lambda z: eval_monomial_map(table, z).values
+    if name == "theta":
+        beta = default_beta(table)
+        return lambda z: eval_phase_map(table, beta, z).values
+    if name == "phif":
+        return lambda z: eval_norm_scaled(table, z).values
+    ell = default_reduction(table, 7)
+    return lambda z: eval_lowdim(table, ell, z, name.removeprefix("phi_")).values
+
+
+@st.composite
+def scan_cases(draw):
+    """A group, a transform, a chunk size and a pair list whose length falls
+    on or one either side of a multiple of it.  Pairs are independent,
+    on one orbit (skipped), or independent and scaled by 2**600, where F
+    and Theta overflow and their gaps turn NaN."""
+    label = draw(st.sampled_from(sorted(SCAN_GROUPS)))
+    name = draw(st.sampled_from(["f", "theta", "phif", "phi_repaired", "phi_as_written", "nan"]))
+    size = draw(st.integers(1, 4))
+    samples = max(1, size * draw(st.integers(1, 3)) + draw(st.integers(-1, 1)))
+    kinds = draw(st.lists(st.sampled_from(["random", "random", "same_orbit", "huge"]),
+                          min_size=samples, max_size=samples))
+    seed = draw(st.integers(0, 2**32 - 1))
+    group = SCAN_GROUPS[label]
+    drawn = []
+    for i, kind in enumerate(kinds):
+        x, y = sample_pair(group, "random" if kind == "huge" else kind, child_seed(seed, i))
+        drawn.append((2.0**600 * x, 2.0**600 * y) if kind == "huge" else (x, y))
+    return group, scan_transform(label, name), size, drawn
+
+
+def bits(value) -> int:
+    return int(np.float64(value).view(np.uint64))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(scan_cases())
+def test_batched_scan_matches_the_per_pair_scan_bit_for_bit(case):
+    group, transform, size, drawn = case
+    stack = patch.object(orbitsep.metric, "_STACK", pairs_per_chunk(group, size))
+    try:
+        want_ratio, want_pair = ratio_scan(transform, group, iter(drawn))
+    except DomainError:
+        with pytest.raises(DomainError), stack:
+            lipschitz_ratio_scan(transform, group, iter(drawn))
+        return
+    with stack:
+        ratio, pair = lipschitz_ratio_scan(transform, group, iter(drawn))
+    assert bits(ratio) == bits(want_ratio)
+    assert pair[0] is want_pair[0] and pair[1] is want_pair[1]
+
+
+@pytest.mark.parametrize("label", ["1e4a", "1e4b"])
+def test_bench_scan_matches_the_per_pair_scan_at_its_own_chunk_size(label):
+    # The bench's 20 pairs on its groups, as cmd_bench scans them.
+    group = SCAN_GROUPS[label]
+    transform = scan_transform(label, "phi_repaired")
+    ratio, pair = lipschitz_ratio_scan(transform, group, full_support_pairs(group, 20, 3))
+    want_ratio, want_pair = ratio_scan(transform, group, full_support_pairs(group, 20, 3))
+    assert bits(ratio) == bits(want_ratio)
+    assert pair[0].tobytes() == want_pair[0].tobytes() and pair[1].tobytes() == want_pair[1].tobytes()
+
+
+def warm_peak(call) -> int:
+    """tracemalloc's peak over a second call, after a first one warmed the caches."""
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+def test_warm_bench_of_2000_samples_peaks_below_8_mb(tmp_path):
+    # The scan holds one chunk of pairs at a time, 52 pairs of this group
+    # with |G/K| = 10^4, so 2000 samples peak as 200 do, near 5 MB.
+    flags = ["--orders", "10,1000", "--matrix", "7,2,5,2,6;641,687,597,740,609"]
+    argv = ["bench", *flags, "--samples", "2000", "--out", str(tmp_path / "out.json")]
+    assert warm_peak(lambda: orbitsep.cli.main(argv)) < 8 * 2**20
+
+
+def test_warm_scan_of_20_pairs_on_order_1e6_peaks_below_12_mb():
+    # Four pairs per chunk of 125000 cosets each: the overlaps take 4 MB
+    # and the element rows 3 MB.
+    table = build_exponent_table(ORDER_1E6)
+    ell = default_reduction(table, 0)
+    transform = lambda z: eval_lowdim(table, ell, z).values
+    scan = lambda: lipschitz_ratio_scan(transform, ORDER_1E6, full_support_pairs(ORDER_1E6, 20, 1))
+    assert warm_peak(scan) < 12 * 2**20

@@ -210,6 +210,60 @@ def test_make_reduction_deterministic_without_svd(monkeypatch):
         make_reduction(0, 0, 3)
 
 
+@pytest.mark.parametrize("shape", [(1, 1), (2, 3), (13, 41), (73, 7806), (7, 2)])
+def test_make_reduction_is_the_matrix_first_drawn_bit_for_bit(shape):
+    # One buffer filled part by part gives the draws and the rounding of
+    # (re + 1j * im) / sqrt(2).
+    for seed in range(40 if shape[1] < 1000 else 3):
+        got = make_reduction(seed, shape[1], shape[0])
+        want = reference.drawn_reduction(seed, shape[1], shape[0])
+        assert got.tobytes() == want.tobytes()
+
+
+def stack_rows(rng, n: int, count: int) -> np.ndarray:
+    """count signals cycling through plain, zero-entried, all-zero,
+    subnormal and 2**520-scaled rows."""
+    rows = []
+    for i in range(count):
+        z = random_signal(rng, n)
+        kind = i % 5
+        if kind == 1:
+            z[::2] = 0
+        elif kind == 2:
+            z[:] = 0
+        elif kind == 3:
+            z *= 2.0**-1060
+        elif kind == 4:
+            z *= 2.0**520
+        rows.append(z)
+    return np.array(rows)
+
+
+@pytest.mark.parametrize(
+    "group", [SHIFT, shift_action_spec(4, 4), make_group([10, 1000], [[7, 2, 5], [641, 687, 597]])],
+    ids=["shift2x3", "shift4x4", "10x1000"],
+)
+def test_stacked_transform_rows_equal_single_calls_bit_for_bit(group):
+    table = build_exponent_table(group)
+    rng = np.random.default_rng(31)
+    for fn in transforms_under_test(table):
+        for count in range(1, 10):
+            stack = stack_rows(rng, group.dim, count)
+            got = fn(stack)
+            assert got.values.shape == (count, got.dim)
+            for row, z in zip(got.values, stack):
+                assert row.tobytes() == fn(z).values.tobytes()
+
+
+def test_stacked_transforms_take_one_or_two_axes_only():
+    table = build_exponent_table(SHIFT)
+    for fn in transforms_under_test(table):
+        with pytest.raises(DimensionError):
+            fn(np.ones((2, 2, 6)))
+        with pytest.raises(DimensionError):
+            fn(np.ones((2, 5)))
+
+
 def test_lowdim_shape_and_zero():
     table = build_exponent_table(SHIFT)
     ell = default_reduction(table, 3)
