@@ -129,17 +129,41 @@ def _envelope(args) -> dict:
     }
 
 
+class _Plan:
+    """What the process keeps for one group and tuple size: its exponent
+    table, and one slot for Phi's seeded reduction, holding the last seed
+    drawn and its read-only matrix.  build_exponent_table and
+    default_reduction are looked up when called, so wrappers on this module's
+    globals see every real build and every real draw."""
+
+    __slots__ = ("table", "_reduction")
+
+    def __init__(self, group, max_tuple_size):
+        self.table = build_exponent_table(group, max_tuple_size)
+        self._reduction = None  # (seed, ell)
+
+    def reduction(self, seed):
+        """Phi's reduction for seed: the held matrix if seed was the last
+        drawn, else a new draw that replaces it."""
+        held = self._reduction
+        if held is None or held[0] != seed:
+            held = self._reduction = None  # the old matrix goes before the new one is drawn
+            ell = default_reduction(self.table, seed)
+            ell.flags.writeable = False
+            held = self._reduction = (seed, ell)
+        return held[1]
+
+
 @functools.lru_cache(maxsize=8)
-def _table(group, max_tuple_size):
-    """The group's exponent table, built once per process while it stays
-    among the 8 most recently used.  build_exponent_table is looked up when
-    called, so wrappers on this module's globals see every real build."""
-    return build_exponent_table(group, max_tuple_size)
+def _plan(group, max_tuple_size):
+    """The plan for a group and tuple size, built once per process while it
+    stays among the 8 most recently used."""
+    return _Plan(group, max_tuple_size)
 
 
 def _transform(name, group, seed, mode):
     """Build the named transform's Hermite data once, or read its exponent
-    table from the process-wide cache.
+    table, and for Phi its reduction, from the group's cached plan.
 
     Returns (id, evaluate, bound): evaluate(x) gives one signal's payload
     fields in output order, and for F, Theta, PhiF and Phi also takes a
@@ -167,7 +191,8 @@ def _transform(name, group, seed, mode):
         return "G", evaluate, None
     if name not in TRANSFORMS:
         raise ConfigError(f"unknown transform {name!r}; expected one of {TRANSFORMS}")
-    table = _table(group, 3)
+    plan = _plan(group, 3)
+    table = plan.table
     bound = None
     if name == "f":
         tid, vector = "F", lambda x: eval_monomial_map(table, x)
@@ -177,7 +202,7 @@ def _transform(name, group, seed, mode):
     elif name == "phif":
         tid, vector = "PhiF", lambda x: eval_norm_scaled(table, x)
     else:
-        ell = default_reduction(table, seed)
+        ell = plan.reduction(seed)
         tid, vector = "Phi", lambda x: eval_lowdim(table, ell, x, mode)
         bound = lambda: lipschitz_bound(table, ell)
 
@@ -190,7 +215,7 @@ def _transform(name, group, seed, mode):
 
 def cmd_exponents(args) -> dict:
     group, _ = _resolve_group(args)
-    table = _table(group, args.max_tuple_size)
+    table = _plan(group, args.max_tuple_size).table
     (_, singles), pairs, triples = table.arrays
     return {
         **_envelope(args),
@@ -287,7 +312,7 @@ def cmd_bench(args) -> dict:
     pairs = full_support_pairs(group, args.samples, args.seed)
     # The monomial kernel gathers two signals' three complex factors per
     # component: 12 doubles a pair for each entry of the exponent table.
-    width = 12 * _table(group, 3).total_dim
+    width = 12 * _plan(group, 3).table.total_dim
     ratio, _ = lipschitz_ratio_scan(lambda z: evaluate(z)["values"], group, pairs, width)
     return {
         **_envelope(args),

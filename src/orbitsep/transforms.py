@@ -100,12 +100,17 @@ def eval_norm_scaled(table: ExponentTable, x) -> InvariantVector:
     Norm and quotient are taken on x * 2**-k, where no square leaves the double range.
     """
     x, k = _unit_scaled(_check_signal(table.group, x, stacked=True))
-    # One norm per row: a norm along an axis sums in another order.
-    norms = np.reshape([np.linalg.norm(row) for row in x.reshape(-1, x.shape[-1])], k.shape)
+    # np.linalg.norm's own sum, sqrt(re . re + im . im), with one dot per row
+    # and part, so every row rounds as its single call does; a sum along an
+    # axis would add in another order.
+    norms = np.sqrt(np.vecdot(x.real, x.real) + np.vecdot(x.imag, x.imag))
     # A zero row divides 0 by 0 here; it maps to zero below.  Beyond the
     # double range the values are inf or nan, as F gives them.
     with np.errstate(all="ignore"):
-        values = np.ldexp(norms, k)[..., None] * eval_monomial_map(table, x / norms[..., None]).values
+        values = eval_monomial_map(table, x / norms[..., None]).values
+        # Scale on the left: numpy's complex product is not symmetric in
+        # the sign of an underflowed zero.
+        np.multiply(np.ldexp(norms, k)[..., None], values, out=values)
     values[norms == 0.0] = 0
     return InvariantVector(transform_id="PhiF", values=values)
 
@@ -132,7 +137,11 @@ def make_reduction(seed: int, in_dim: int, out_dim: int) -> np.ndarray:
 
 
 def default_reduction(table: ExponentTable, seed: int) -> np.ndarray:
-    """The seeded reduction to the default 2N+1 output dimensions for this table."""
+    """The seeded reduction to the default 2N+1 output dimensions for this table.
+
+    Each call draws the (2N+1) x D matrix afresh; the CLI keeps the last
+    one drawn in each group's plan.
+    """
     return make_reduction(seed, table.total_dim, 2 * table.group.dim + 1)
 
 

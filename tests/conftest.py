@@ -7,10 +7,10 @@ ACCEPTANCE_LINES = []
 
 @pytest.fixture(autouse=True)
 def cold_caches():
-    """Start every test with no cached exponent table and no cached parser,
-    so build counts and patched command handlers do not depend on which
-    tests ran before."""
-    orbitsep.cli._table.cache_clear()
+    """Start every test with no cached group plan (exponent table and Phi's
+    reduction) and no cached parser, so build and draw counts and patched
+    command handlers do not depend on which tests ran before."""
+    orbitsep.cli._plan.cache_clear()
     orbitsep.cli.build_parser.cache_clear()
 
 

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -40,11 +41,13 @@ def image_pair(tmp_path):
     rng = np.random.default_rng(30)
     img = rng.integers(0, 200, size=(2, 3))
     shifted = np.roll(img, (1, 2), axis=(0, 1))
-    a = tmp_path / "img.csv"
-    b = tmp_path / "img_shift.csv"
-    a.write_text("\n".join(",".join(str(v) for v in row) for row in img) + "\n")
-    b.write_text("\n".join(",".join(str(v) for v in row) for row in shifted) + "\n")
-    return a, b
+    return write_image(tmp_path, "img.csv", img), write_image(tmp_path, "img_shift.csv", shifted)
+
+
+def write_image(tmp_path, name, image):
+    path = tmp_path / name
+    path.write_text("\n".join(",".join(str(v) for v in row) for row in image) + "\n")
+    return path
 
 
 def write_signal(tmp_path, name, values):
@@ -390,7 +393,7 @@ def test_second_command_on_a_group_builds_nothing(capsys, monkeypatch, tmp_path)
 
 def test_table_cache_evicts_the_least_recently_used(capsys, monkeypatch):
     calls = count_calls(monkeypatch, "build_exponent_table")
-    size = orbitsep.cli._table.cache_info().maxsize
+    size = orbitsep.cli._plan.cache_info().maxsize
     orders = [str(p) for p in range(2, size + 3)]
     for p in orders:
         run_json(capsys, "exponents", "--orders", p, "--matrix", "1,1")
@@ -412,10 +415,10 @@ def test_parser_built_once(capsys):
 
 
 def test_cached_table_arrays_are_read_only():
-    table = orbitsep.cli._table(orbitsep.shift_action_spec(2, 3), 3)
-    arrays = [a for pair in (*table.arrays, *table.blocks) for a in pair]
+    plan = orbitsep.cli._plan(orbitsep.shift_action_spec(2, 3), 3)
+    arrays = [a for pair in (*plan.table.arrays, *plan.table.blocks) for a in pair]
     assert len(arrays) == 12
-    for array in arrays:
+    for array in [*arrays, plan.reduction(5)]:  # the retained reduction too
         with pytest.raises(ValueError, match="read-only"):
             array[...] = 0
 
@@ -435,12 +438,100 @@ def test_cold_and_warm_outputs_identical(capsys, tmp_path, group, signal):
     ]
     cold = []
     for argv in commands:
-        orbitsep.cli._table.cache_clear()
+        orbitsep.cli._plan.cache_clear()
         cold.append(run(capsys, *argv))
     warm = [run(capsys, *argv) for argv in commands]
-    assert orbitsep.cli._table.cache_info().hits == len(commands)
+    assert orbitsep.cli._plan.cache_info().hits == len(commands)
     assert all(code == 0 for code, _, _ in cold)
     assert warm == cold
+
+
+def phi_twins(tmp_path, group):
+    """invariants --transform phi command lines for a signal and its twin
+    under one group element, both at one seed."""
+    rng = np.random.default_rng(36)
+    if group[0] == "--shift":
+        n, m = map(int, group[1].split("x"))
+        image = rng.integers(0, 256, size=(n, m))
+        twins = [write_image(tmp_path, name, img)
+                 for name, img in (("a.csv", image), ("b.csv", np.roll(image, (1, 2), axis=(0, 1))))]
+    else:
+        spec = orbitsep.make_group([4, 6], [[1, 2, 3], [5, 0, 1]])
+        x = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        twins = [write_signal(tmp_path, name, sig)
+                 for name, sig in (("a.json", x), ("b.json", orbitsep.act(spec, (1, 5), x)))]
+    return [["invariants", *group, "--transform", "phi", "--seed", "7", str(path)] for path in twins]
+
+
+@pytest.mark.parametrize(
+    "group",
+    [["--shift", "2x3"], ["--shift", "6x6"], ["--orders", "4,6", "--matrix", "1,2,3;5,0,1"]],
+    ids=["shift2x3", "shift6x6", "declared"],
+)
+def test_phi_twins_emit_the_same_bytes_warm_as_cold(capsys, monkeypatch, tmp_path, group):
+    calls = count_calls(monkeypatch, "default_reduction")
+    commands = phi_twins(tmp_path, group)
+    cold = []
+    for argv in commands:
+        orbitsep.cli._plan.cache_clear()
+        cold.append(run(capsys, *argv))
+    assert len(calls) == 2
+    warm = [run(capsys, *argv) for argv in commands]
+    assert len(calls) == 2  # both warm twins read the held matrix
+    assert all(code == 0 for code, _, _ in cold)
+    assert warm == cold
+
+
+def test_plan_draws_phi_reduction_once_per_new_seed(capsys, monkeypatch, tmp_path):
+    calls = count_calls(monkeypatch, "default_reduction")
+    sig = str(write_signal(tmp_path, "x.json", np.arange(1, 7)))
+    for seed in (1, 1, 2, 2, 1):
+        run_json(capsys, "invariants", "--shift", "2x3", "--transform", "phi", "--seed", str(seed), sig)
+    assert [seed for _, seed in calls] == [1, 2, 1]
+
+
+def test_phi_on_another_group_keeps_the_first_groups_reduction(capsys, monkeypatch, tmp_path):
+    calls = count_calls(monkeypatch, "default_reduction")
+    first, twin = phi_twins(tmp_path, ["--shift", "2x3"])
+    other = str(write_signal(tmp_path, "y.json", np.arange(1, 5)))
+    run_json(capsys, *first)
+    run_json(capsys, "invariants", "--shift", "2x2", "--transform", "phi", "--seed", "8", other)
+    run_json(capsys, *twin)
+    assert [(table.group.dim, seed) for table, seed in calls] == [(6, 7), (4, 8)]
+
+
+def traced(capsys, argv):
+    """(traced bytes when argv starts, traced peak while it runs)."""
+    tracemalloc.reset_peak()
+    start = tracemalloc.get_traced_memory()[0]
+    run_json(capsys, *argv)
+    return start, tracemalloc.get_traced_memory()[1]
+
+
+def test_same_seed_phi_on_a_warm_plan_allocates_under_1_mb(capsys, tmp_path):
+    first, twin = phi_twins(tmp_path, ["--shift", "6x6"])
+    run_json(capsys, *first)
+    tracemalloc.start()
+    try:
+        start, peak = traced(capsys, twin)
+    finally:
+        tracemalloc.stop()
+    assert peak - start < 2**20
+
+
+def test_new_seed_on_a_warm_plan_frees_the_replaced_matrix_first(capsys, tmp_path):
+    first, _ = phi_twins(tmp_path, ["--shift", "6x6"])
+    tracemalloc.start()  # before the first draw, so freeing its matrix counts
+    try:
+        run_json(capsys, *first)
+        start, peak = traced(capsys, [*first[:-2], "8", first[-1]])
+    finally:
+        tracemalloc.stop()
+    # The miss frees the matrix it replaces before drawing, so its peak above
+    # its start is the draw alone (about half a matrix); holding the old one
+    # until the new one is drawn would add a whole matrix on top of that.
+    replaced = orbitsep.cli._plan(orbitsep.shift_action_spec(6, 6), 3).reduction(8).nbytes
+    assert peak - start < replaced
 
 
 def test_exponents_beyond_float_precision_stay_exact(capsys):

@@ -24,6 +24,7 @@ from orbitsep import (
     make_reduction,
     shift_action_spec,
 )
+from orbitsep.groups import _unit_scaled
 from reference import minimal_single
 
 DIAG = make_group([2, 3], [[1, 0], [0, 1]])
@@ -253,6 +254,25 @@ def test_stacked_transform_rows_equal_single_calls_bit_for_bit(group):
             assert got.values.shape == (count, got.dim)
             for row, z in zip(got.values, stack):
                 assert row.tobytes() == fn(z).values.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (4, 4), (8, 8)], ids=["shift2x3", "shift4x4", "shift8x8"])
+def test_norm_scaled_single_calls_keep_the_linalg_norm_bytes(shape):
+    # PhiF sums its norms as np.linalg.norm does, so a single signal keeps
+    # the bytes of one norm call per signal.  The scale multiplies from the
+    # left: numpy's complex product signs an underflowed zero by operand
+    # order, and the subnormal rows here underflow.
+    table = build_exponent_table(shift_action_spec(*shape))
+    rng = np.random.default_rng(37)
+    for z in stack_rows(rng, table.group.dim, 10):
+        scaled, k = _unit_scaled(z)
+        norm = float(np.linalg.norm(scaled))
+        want = np.zeros(table.total_dim, complex)
+        if norm:
+            with np.errstate(all="ignore"):
+                unit = eval_monomial_map(table, scaled / norm).values
+                want = np.multiply(np.ldexp(norm, k), unit)
+        assert eval_norm_scaled(table, z).values.tobytes() == want.tobytes()
 
 
 def test_stacked_transforms_take_one_or_two_axes_only():
