@@ -1,6 +1,8 @@
 """Command-line surface: declare a group, evaluate invariants of signals or
 images, compare pairs against the exact orbit metric, run the scale
 collision demo and the Lipschitz ratio benchmark.  JSON in, JSON out.
+A command's words are parsed by its own subparser; what a process keeps
+per group lives in the group's plan (orbitsep.plan).
 
 Exit codes: 0 ok, 2 config or input error, 3 dimension or domain error,
 4 internal invariant failure or unexpected exception.
@@ -18,7 +20,6 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError, DimensionError, DomainError, OrbitsepError
-from .exponents import build_exponent_table
 from .groups import _norm, make_group, shift_action_spec, to_fourier
 from .hermite import (
     cyclic_fixture_data,
@@ -30,9 +31,8 @@ from .hermite import (
 )
 from .io import KeyedRows, emit_json, read_image_csv, read_pgm, read_signal_json, write_output
 from .metric import _full_support, child_seed, full_support_pairs, lipschitz_ratio_scan, orbit_distance
+from .plan import plan
 from .transforms import (
-    default_beta,
-    default_reduction,
     eval_lowdim,
     eval_monomial_map,
     eval_norm_scaled,
@@ -129,41 +129,9 @@ def _envelope(args) -> dict:
     }
 
 
-class _Plan:
-    """What the process keeps for one group and tuple size: its exponent
-    table, and one slot for Phi's seeded reduction, holding the last seed
-    drawn and its read-only matrix.  build_exponent_table and
-    default_reduction are looked up when called, so wrappers on this module's
-    globals see every real build and every real draw."""
-
-    __slots__ = ("table", "_reduction")
-
-    def __init__(self, group, max_tuple_size):
-        self.table = build_exponent_table(group, max_tuple_size)
-        self._reduction = None  # (seed, ell)
-
-    def reduction(self, seed):
-        """Phi's reduction for seed: the held matrix if seed was the last
-        drawn, else a new draw that replaces it."""
-        held = self._reduction
-        if held is None or held[0] != seed:
-            held = self._reduction = None  # the old matrix goes before the new one is drawn
-            ell = default_reduction(self.table, seed)
-            ell.flags.writeable = False
-            held = self._reduction = (seed, ell)
-        return held[1]
-
-
-@functools.lru_cache(maxsize=8)
-def _plan(group, max_tuple_size):
-    """The plan for a group and tuple size, built once per process while it
-    stays among the 8 most recently used."""
-    return _Plan(group, max_tuple_size)
-
-
 def _transform(name, group, seed, mode):
     """Build the named transform's Hermite data once, or read its exponent
-    table, and for Phi its reduction, from the group's cached plan.
+    table, Theta's weights or Phi's reduction from the group's plan.
 
     Returns (id, evaluate, bound): evaluate(x) gives one signal's payload
     fields in output order, and for F, Theta, PhiF and Phi also takes a
@@ -191,18 +159,18 @@ def _transform(name, group, seed, mode):
         return "G", evaluate, None
     if name not in TRANSFORMS:
         raise ConfigError(f"unknown transform {name!r}; expected one of {TRANSFORMS}")
-    plan = _plan(group, 3)
-    table = plan.table
+    group_plan = plan(group)
+    table = group_plan.table()
     bound = None
     if name == "f":
         tid, vector = "F", lambda x: eval_monomial_map(table, x)
     elif name == "theta":
-        beta = default_beta(table)
+        beta = group_plan.beta
         tid, vector = "Theta", lambda x: eval_phase_map(table, beta, x)
     elif name == "phif":
         tid, vector = "PhiF", lambda x: eval_norm_scaled(table, x)
     else:
-        ell = plan.reduction(seed)
+        ell = group_plan.reduction(seed)
         tid, vector = "Phi", lambda x: eval_lowdim(table, ell, x, mode)
         bound = lambda: lipschitz_bound(table, ell)
 
@@ -215,7 +183,7 @@ def _transform(name, group, seed, mode):
 
 def cmd_exponents(args) -> dict:
     group, _ = _resolve_group(args)
-    table = _plan(group, args.max_tuple_size).table
+    table = plan(group).table(args.max_tuple_size)
     (_, singles), pairs, triples = table.arrays
     return {
         **_envelope(args),
@@ -238,8 +206,10 @@ def cmd_compare(args) -> dict:
     first = _load_signal(args.input_a, group, image_shape)
     second = _load_signal(args.input_b, group, image_shape)
     tid, evaluate, _ = _transform(args.transform, group, args.seed, args.mode)
-    values_a = evaluate(first)["values"]
-    values_b = evaluate(second)["values"]
+    if args.transform in BENCH_TRANSFORMS:  # one (2, N) stack, each row as its single call
+        values_a, values_b = evaluate(np.stack([first, second]))["values"]
+    else:
+        values_a, values_b = (evaluate(x)["values"] for x in (first, second))
     with np.errstate(all="ignore"):  # non-finite values give a non-finite gap
         gap = _norm(values_a - values_b)
         scale = max(1.0, _norm(values_a), _norm(values_b))
@@ -312,7 +282,7 @@ def cmd_bench(args) -> dict:
     pairs = full_support_pairs(group, args.samples, args.seed)
     # The monomial kernel gathers two signals' three complex factors per
     # component: 12 doubles a pair for each entry of the exponent table.
-    width = 12 * _plan(group, 3).table.total_dim
+    width = 12 * plan(group).table().total_dim
     ratio, _ = lipschitz_ratio_scan(lambda z: evaluate(z)["values"], group, pairs, width)
     return {
         **_envelope(args),
@@ -324,62 +294,46 @@ def cmd_bench(args) -> dict:
     }
 
 
-def _add_group_flags(parser):
-    parser.add_argument("--orders", help="comma-separated generator orders")
-    parser.add_argument("--matrix", help="character exponents, rows separated by ';'")
-    parser.add_argument("--shift", metavar="NxM", help="circular image shift shorthand")
-
-
-def _add_run_flags(parser):
+def _add_command(sub, name, handler, summary, group=True):
+    """The command's subparser: its group flags unless group is false, then its run flags."""
+    parser = sub.add_parser(name, help=summary)
+    parser.set_defaults(handler=handler)
+    if group:
+        parser.add_argument("--orders", help="comma-separated generator orders")
+        parser.add_argument("--matrix", help="character exponents, rows separated by ';'")
+        parser.add_argument("--shift", metavar="NxM", help="circular image shift shorthand")
     parser.add_argument("--seed", type=_at_least(0, int), default=0)
     parser.add_argument("--tol", type=_at_least(0, float), default=1e-9)
     parser.add_argument("--mode", choices=("as_written", "repaired"), default="repaired")
     parser.add_argument("--out", help="write JSON here instead of stdout")
+    return parser
 
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built on first use and reused by every main()."""
+    """The command-line parser, built once; its commands map names to subparsers."""
     parser = argparse.ArgumentParser(
         prog="orbitsep",
         description="Orbit-separating invariant transforms for finite Abelian "
         "group actions on complex signals.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("exponents", help="minimal invariant exponent table")
-    _add_group_flags(p)
-    _add_run_flags(p)
+    p = _add_command(sub, "exponents", cmd_exponents, "minimal invariant exponent table")
     p.add_argument("--max-tuple-size", type=int, default=3, choices=(1, 2, 3))
-    p.set_defaults(handler=cmd_exponents)
-
-    p = sub.add_parser("invariants", help="evaluate a transform on one input")
-    _add_group_flags(p)
-    _add_run_flags(p)
+    p = _add_command(sub, "invariants", cmd_invariants, "evaluate a transform on one input")
     p.add_argument("--transform", choices=TRANSFORMS, default="f")
     p.add_argument("input", help="signal .json, or image .csv/.pgm with --shift")
-    p.set_defaults(handler=cmd_invariants)
-
-    p = sub.add_parser("compare", help="orbit-metric and transform comparison")
-    _add_group_flags(p)
-    _add_run_flags(p)
+    p = _add_command(sub, "compare", cmd_compare, "orbit-metric and transform comparison")
     p.add_argument("--transform", choices=TRANSFORMS, default="f")
     p.add_argument("input_a")
     p.add_argument("input_b")
-    p.set_defaults(handler=cmd_compare)
-
-    p = sub.add_parser("counterexample", help="scale collision demo for the unsigned map")
-    _add_run_flags(p)
+    p = _add_command(sub, "counterexample", cmd_counterexample,
+                     "scale collision demo for the unsigned map", group=False)
     p.add_argument("--n", type=int, default=4, help="cyclic shift length (>= 4)")
-    p.set_defaults(handler=cmd_counterexample)
-
-    p = sub.add_parser("bench", help="empirical Lipschitz ratio scan")
-    _add_group_flags(p)
-    _add_run_flags(p)
+    p = _add_command(sub, "bench", cmd_bench, "empirical Lipschitz ratio scan")
     p.add_argument("--transform", choices=BENCH_TRANSFORMS, default="phi")
     p.add_argument("--samples", type=_at_least(1, int), default=200)
-    p.set_defaults(handler=cmd_bench)
-
+    parser.commands = sub.choices
     return parser
 
 
@@ -398,8 +352,13 @@ def _attach_matrix(argv):
 
 def main(argv=None) -> int:
     try:
-        argv = sys.argv[1:] if argv is None else argv
-        args = build_parser().parse_args(_attach_matrix(argv))
+        argv = _attach_matrix(sys.argv[1:] if argv is None else argv)
+        parser = build_parser()
+        command = parser.commands.get(argv[0]) if argv else None
+        # A command's own parser takes its words in about half the top parser's time.
+        args, extra = command.parse_known_args(argv[1:]) if command else parser.parse_known_args(argv)
+        if extra:  # the top parser's error, as its parse_args reports them
+            parser.error(f"unrecognized arguments: {' '.join(extra)}")
     except SystemExit as exc:  # argparse reports usage errors itself
         return int(exc.code or 0)
     try:

@@ -24,9 +24,9 @@ build_exponent_table picks the cheaper path from counts in Python ints,
 before any int64 array is built.  Groups too small to repay the fixed cost of
 the discrete-log path stay on the lattice without compiling Q.
 
-faithful_quotient compiles Q once per group, for the table and the orbit
-metric alike: phase_generators splits it into cyclic factors by diagonalizing
-the phase-step matrix with the same reduction.
+compile_quotient compiles Q, once per group in the group's plan, for the
+table and the orbit metric alike: phase_generators splits it into cyclic
+factors by diagonalizing the phase-step matrix with the same reduction.
 """
 
 from __future__ import annotations
@@ -165,13 +165,17 @@ class Quotient(NamedTuple):
     kernel: tuple
 
 
-@functools.lru_cache(maxsize=8)
 def faithful_quotient(group: GroupSpec) -> Quotient:
-    """Built once per process while among the 8 most recently used, in exact
-    integers, so any group compiles.  With (sigma, R) = phase_generators(group),
-    G/K is the direct sum of the cyclic groups generated by the columns g_j
-    of R, of orders d_j = L / gcd(L, sigma_j), and K' is spanned by the
-    vectors d_j * g_j."""
+    """G/K, compiled once per group in its plan (orbitsep.plan)."""
+    from .plan import plan  # the plan module imports this one
+    return plan(group).quotient
+
+
+def compile_quotient(group: GroupSpec) -> Quotient:
+    """G/K in exact integers, so any group compiles.  With (sigma, R) =
+    phase_generators(group), G/K is the direct sum of the cyclic groups
+    generated by the columns g_j of R, of orders d_j = L / gcd(L, sigma_j),
+    and K' is spanned by the vectors d_j * g_j."""
     L, s = group.phase_lcm, group.num_generators
     sigma, R = phase_generators(group)
     d = [L // math.gcd(L, x) for x in sigma]

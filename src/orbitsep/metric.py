@@ -3,20 +3,22 @@ Lipschitz ratio scan over given pairs.
 
 The metric is the ground truth every invariant transform is judged against.
 An orbit depends only on the group the action sees, Q = G/K (K fixes every
-coordinate), compiled once per group into Z_{d_1} x ... x Z_{d_m} by one
-diagonalization of the phase-step matrix.  For a diagonal action the overlap
-q -> <x, q.y> is a sum of N terms x_k * conj(y_k) times a character of Q.
-Cutting Q into a leading and a trailing part of about sqrt|Q| elements each
-factors every character, so one real matrix product of the two parts' phase
-tables, each N columns wide, scores every coset of K at once; a stack of
-pairs stacks its leading tables into the same one product.  The cosets
-within the product's error bound of a pair's best are scored again with the
-integer-exact phases all their elements share; the witness is the
-lexicographically first element of G reaching the smallest exact score.
-Each distance is recomputed directly from its witness, so the reported
-value matches ||x - act(witness, y)|| to machine precision, and a stacked
-row equals the call on its pair alone bit for bit.  The scan scores its
-pairs in memory-bounded chunks: one metric call and one transform call each.
+coordinate), compiled into Z_{d_1} x ... x Z_{d_m} by one diagonalization
+of the phase-step matrix.  For a diagonal action the overlap q -> <x, q.y>
+is a sum of N terms x_k * conj(y_k) times a character of Q.  Cutting Q into
+a leading and a trailing part of about sqrt|Q| elements each factors every
+character, so one real matrix product of the two parts' phase tables, each
+N columns wide, scores every coset of K at once; a stack of pairs stacks
+its leading tables into the same one product.  Q, the two tables and the
+other arrays that depend on the group alone are built once per group, in
+its plan (orbitsep.plan); only the element rows of Q are listed per call.
+The cosets within the product's error bound of a pair's best are scored
+again with the integer-exact phases all their elements share; the witness
+is the lexicographically first element of G reaching the smallest exact
+score.  Each distance is recomputed directly from its witness, so the
+reported value matches ||x - act(witness, y)|| to machine precision, and a
+stacked row equals the call on its pair alone bit for bit.  The scan scores
+its pairs in memory-bounded chunks: one metric call and one transform call each.
 """
 
 from __future__ import annotations
@@ -28,10 +30,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, DomainError
-from .exponents import faithful_quotient
 from .groups import (
     GroupSpec, _check_enumerable, _check_signal, _norm, _unit_scaled, enumerate_group, phase_steps,
 )
+from .plan import plan
 
 _CHUNK = 4096
 # Doubles one chunk of the Lipschitz scan may hold in one array: its pairs
@@ -53,7 +55,7 @@ def least_member(kernel, rows) -> tuple:
     kernel is faithful_quotient(G).kernel, and each pivot column i moves
     entry i into [0, kernel[i][i]) without changing the coset."""
     rows = np.array(rows, dtype=np.int64)
-    for i, column in enumerate(np.array(kernel, dtype=np.int64).T):
+    for i, column in enumerate(np.asarray(kernel, dtype=np.int64).T):
         rows -= (rows[:, i] // column[i])[:, None] * column
     return tuple(rows[np.lexsort(rows.T[::-1])[0]].tolist())
 
@@ -64,14 +66,12 @@ def _phases(shape, steps, L) -> np.ndarray:
     return np.exp((-2j * np.pi / L) * (rows @ steps % L))
 
 
-def _coset_overlap(quotient: GroupSpec, cross) -> np.ndarray:
-    """Re sum_k cross_k exp(-2 pi i sum_j q_j e_jk / d_j) for every q in Q
-    and every row of cross, (..., N), in C order, as a (..., d_1 ... d_{j-1},
-    d_j, d_{j+1} ... d_m) view.  The cut q_j = a*s + b splits q into a
+def _cut(quotient: GroupSpec):
+    """Q's read-only phase tables: the cut q_j = a*s + b splits q into a
     leading part (axes before j, then a) and a trailing part (b, then axes
     after j) of about isqrt|Q| elements each; q's phase is the product of
-    theirs, and a*s + b >= d_j is padding.  The rows' leading tables stack
-    into one product with the trailing table."""
+    theirs.  The leading table is (A, N) complex, the trailing one is
+    conjugated and viewed as (T, 2N) floats, and a*s + b >= d_j is padding."""
     orders, L = quotient.orders, quotient.phase_lcm
     steps = phase_steps(quotient)  # w_jk = e_jk * L / d_j
     target = math.isqrt(quotient.group_order)
@@ -79,11 +79,34 @@ def _coset_overlap(quotient: GroupSpec, cross) -> np.ndarray:
     before = math.prod(orders[:j])
     s = -(-orders[j] // -(-target // before))
     a = -(-orders[j] // s)
-    lead = cross[..., None, :] * _phases((*orders[:j], a), np.vstack([steps[:j], s * steps[j] % L]), L)
-    trail = _phases((s, *orders[j + 1:]), steps[j:], L)
+    lead = _phases((*orders[:j], a), np.vstack([steps[:j], s * steps[j] % L]), L)
+    trail = np.conj(_phases((s, *orders[j + 1:]), steps[j:], L)).view(float)
+    lead.flags.writeable = trail.flags.writeable = False
+    return lead, trail, (before, a * s, orders[j])
+
+
+def _coset_overlap(cut, cross) -> np.ndarray:
+    """Re sum_k cross_k exp(-2 pi i sum_j q_j e_jk / d_j) for every q in Q's
+    _cut and every row of cross, (..., N), in C order, as a (..., d_1 ...
+    d_m) view.  The rows' leading tables stack into one product."""
+    lead, trail, (before, rows, d) = cut
+    lead = cross[..., None, :] * lead
     # Re(u * v) = Re u * Re v - Im u * Im v: the float views interleave parts.
-    overlap = lead.reshape(-1, cross.shape[-1]).view(float) @ np.conj(trail).view(float).T
-    return overlap.reshape(*cross.shape[:-1], before, a * s, -1)[..., :orders[j], :]
+    overlap = lead.reshape(-1, cross.shape[-1]).view(float) @ trail.T
+    return overlap.reshape(*cross.shape[:-1], before, rows, -1)[..., :d, :]
+
+
+def _compile(group_plan) -> tuple:
+    """The plan's read-only metric arrays: Q; lift, one element of G per
+    factor of Q; turns = lift @ steps; G's phase steps; K'; and Q's _cut."""
+    quotient = group_plan.quotient
+    # Below the enumeration cap every entry and product here fits int64.
+    lift = np.array(quotient.lift, dtype=np.int64)
+    steps = phase_steps(group_plan.group)
+    arrays = lift, lift @ steps % group_plan.group.phase_lcm, steps, np.array(quotient.kernel, dtype=np.int64)
+    for array in arrays:
+        array.flags.writeable = False
+    return quotient.group, *arrays, _cut(quotient.group)
 
 
 def _nearest(elements, candidates, turns, cross, const, L) -> np.ndarray:
@@ -115,18 +138,18 @@ def orbit_distance(group: GroupSpec, x, y):
     if x.shape != y.shape:
         raise DimensionError(f"signals of shapes {x.shape} and {y.shape} do not pair up")
     _check_enumerable(group)
-    quotient = faithful_quotient(group)
-    elements = enumerate_group(quotient.group)
-    # Below the enumeration cap every entry and product here fits int64.
-    lift = np.array(quotient.lift, dtype=np.int64)
-    steps, L, n = phase_steps(group), group.phase_lcm, group.dim
-    turns = lift @ steps % L
+    group_plan = plan(group)
+    if group_plan.metric is None:
+        group_plan.metric = _compile(group_plan)
+    quotient, lift, turns, steps, kernel, cut = group_plan.metric
+    elements = enumerate_group(quotient)
+    L, n = group.phase_lcm, group.dim
     # One power of two per pair puts every part in (-1, 1): no product below overflows.
     xy, k = _unit_scaled(np.concatenate([x, y], axis=-1).reshape(-1, 2 * n))
     x, y = xy[:, :n], xy[:, n:]
     # ||x - g.y||^2 = ||x||^2 + ||y||^2 - 2 Re(conj(phi_g) . (x * conj(y)))
     cross = x * np.conj(y)
-    overlap = _coset_overlap(quotient.group, cross)
+    overlap = _coset_overlap(cut, cross)
     witnesses = np.empty((len(xy), group.num_generators), dtype=np.int64)
     for b, scores in enumerate(overlap):
         const = float(np.vdot(x[b], x[b]).real + np.vdot(y[b], y[b]).real)
@@ -140,7 +163,7 @@ def orbit_distance(group: GroupSpec, x, y):
         slack = 1e-9 * max(const, 1e-290)
         candidates = np.flatnonzero(~(scores < scores.max() - slack))
         tied = _nearest(elements, candidates, turns, cross[b], const, L)
-        witnesses[b] = least_member(quotient.kernel, tied @ lift)
+        witnesses[b] = least_member(kernel, tied @ lift)
     # The distances as act() would move y, recomputed directly.
     moved = np.exp((2j * np.pi / L) * (witnesses @ steps % L)) * y
     with np.errstate(over="ignore"):  # a distance beyond the double range is inf
@@ -192,7 +215,7 @@ def lipschitz_ratio_scan(transform, group: GroupSpec, pairs, width: int = 0):
     ratio, from a transform that overflowed, makes the maximum NaN, as
     np.max does, and the first such pair is returned, as np.argmax picks it.
     """
-    width = max(faithful_quotient(group).group.group_order, width)
+    width = max(plan(group).quotient.group.group_order, width)
     pairs = iter(pairs)
     best, best_pair = -np.inf, None
     while chunk := list(itertools.islice(pairs, max(1, _STACK // width))):

@@ -1,0 +1,54 @@
+"""One plan per group: what every layer keeps for a group it has seen.
+
+Its parts depend on the group alone, are built on first use and are
+read-only: G/K, the exponent tables per tuple size, Theta's default weights,
+one slot for Phi's seeded reduction, and the orbit metric's arrays.  The
+builders and the draw are looked up in this module's globals when called,
+so wrappers installed there see every real build and draw.
+"""
+
+import functools
+
+from .exponents import build_exponent_table, compile_quotient
+from .transforms import default_beta, default_reduction
+
+
+class Plan:
+    def __init__(self, group):
+        self.group = group
+        self._tables = {}  # max_tuple_size -> ExponentTable
+        self._reduction = None  # (seed, ell)
+        self.metric = None  # the orbit metric's arrays, which the metric module builds
+
+    @functools.cached_property
+    def quotient(self):  # G/K, as exponents.faithful_quotient gives it
+        return compile_quotient(self.group)
+
+    def table(self, max_tuple_size=3):
+        if max_tuple_size not in self._tables:
+            self._tables[max_tuple_size] = build_exponent_table(self.group, max_tuple_size)
+        return self._tables[max_tuple_size]
+
+    @functools.cached_property
+    def beta(self):  # Theta's default weights on the full table
+        beta = default_beta(self.table())
+        for weights in beta.blocks:
+            weights.flags.writeable = False
+        return beta
+
+    def reduction(self, seed):
+        """Phi's reduction for seed: the held matrix if seed was the last
+        drawn, else a new draw that replaces it."""
+        held = self._reduction
+        if held is None or held[0] != seed:
+            held = self._reduction = None  # the old matrix goes before the new one is drawn
+            ell = default_reduction(self.table(), seed)
+            ell.flags.writeable = False
+            held = self._reduction = (seed, ell)
+        return held[1]
+
+
+@functools.lru_cache(maxsize=8)
+def plan(group) -> Plan:
+    """The group's plan, kept while it is among the 8 most recently used."""
+    return Plan(group)

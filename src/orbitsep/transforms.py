@@ -139,8 +139,8 @@ def make_reduction(seed: int, in_dim: int, out_dim: int) -> np.ndarray:
 def default_reduction(table: ExponentTable, seed: int) -> np.ndarray:
     """The seeded reduction to the default 2N+1 output dimensions for this table.
 
-    Each call draws the (2N+1) x D matrix afresh; the CLI keeps the last
-    one drawn in each group's plan.
+    Each call draws the (2N+1) x D matrix afresh; a group's plan
+    (orbitsep.plan) keeps the last one drawn.
     """
     return make_reduction(seed, table.total_dim, 2 * table.group.dim + 1)
 

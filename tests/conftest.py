@@ -1,16 +1,18 @@
 import pytest
 
 import orbitsep.cli
+import orbitsep.plan
 
 ACCEPTANCE_LINES = []
 
 
 @pytest.fixture(autouse=True)
 def cold_caches():
-    """Start every test with no cached group plan (exponent table and Phi's
-    reduction) and no cached parser, so build and draw counts and patched
-    command handlers do not depend on which tests ran before."""
-    orbitsep.cli._plan.cache_clear()
+    """Start every test with no group plan (quotient, tables, weights, Phi's
+    reduction, metric arrays) and no cached parser, so build, compile and
+    draw counts and patched command handlers do not depend on which tests
+    ran before."""
+    orbitsep.plan.plan.cache_clear()
     orbitsep.cli.build_parser.cache_clear()
 
 

@@ -19,6 +19,8 @@ from hypothesis import strategies as st
 
 import orbitsep
 import orbitsep.cli
+import orbitsep.exponents
+import orbitsep.plan
 from orbitsep.cli import main
 from orbitsep.io import emit_json
 from reference import reference_emit_json, table_as_dict
@@ -349,10 +351,12 @@ def test_compare_gap_stays_finite_above_the_square_root_of_the_largest_double(ca
 
 
 def count_calls(monkeypatch, name):
+    """Record the calls of name, a builder the group plan calls, or else the CLI."""
     calls = []
-    original = getattr(orbitsep.cli, name)
+    module = orbitsep.plan if hasattr(orbitsep.plan, name) else orbitsep.cli
+    original = getattr(module, name)
     monkeypatch.setattr(
-        orbitsep.cli, name, lambda *a, **k: calls.append(a) or original(*a, **k)
+        module, name, lambda *a, **k: calls.append(a) or original(*a, **k)
     )
     return calls
 
@@ -393,7 +397,7 @@ def test_second_command_on_a_group_builds_nothing(capsys, monkeypatch, tmp_path)
 
 def test_table_cache_evicts_the_least_recently_used(capsys, monkeypatch):
     calls = count_calls(monkeypatch, "build_exponent_table")
-    size = orbitsep.cli._plan.cache_info().maxsize
+    size = orbitsep.plan.plan.cache_info().maxsize
     orders = [str(p) for p in range(2, size + 3)]
     for p in orders:
         run_json(capsys, "exponents", "--orders", p, "--matrix", "1,1")
@@ -402,6 +406,20 @@ def test_table_cache_evicts_the_least_recently_used(capsys, monkeypatch):
     assert len(calls) == size + 1
     run_json(capsys, "exponents", "--orders", orders[0], "--matrix", "1,1")
     assert len(calls) == size + 2
+
+
+def test_table_and_metric_share_one_quotient_compile(capsys, monkeypatch, tmp_path):
+    # The 4x4 shift table takes the discrete-log path, which reads G/K too;
+    # each compile of G/K diagonalizes once with phase_generators.
+    calls = []
+    original = orbitsep.exponents.phase_generators
+    monkeypatch.setattr(orbitsep.exponents, "phase_generators", lambda g: calls.append(g) or original(g))
+    assert orbitsep.exponents._by_discrete_logs(orbitsep.shift_action_spec(4, 4))
+    rng = np.random.default_rng(38)
+    a, b = (str(write_signal(tmp_path, f"{k}.json", rng.standard_normal(16) + 0.5)) for k in "ab")
+    for transform in ("f", "theta"):
+        run_json(capsys, "compare", "--shift", "4x4", "--transform", transform, a, b)
+    assert len(calls) == 1
 
 
 def test_parser_built_once(capsys):
@@ -415,10 +433,11 @@ def test_parser_built_once(capsys):
 
 
 def test_cached_table_arrays_are_read_only():
-    plan = orbitsep.cli._plan(orbitsep.shift_action_spec(2, 3), 3)
-    arrays = [a for pair in (*plan.table.arrays, *plan.table.blocks) for a in pair]
+    plan = orbitsep.plan.plan(orbitsep.shift_action_spec(2, 3))
+    table = plan.table()
+    arrays = [a for pair in (*table.arrays, *table.blocks) for a in pair]
     assert len(arrays) == 12
-    for array in [*arrays, plan.reduction(5)]:  # the retained reduction too
+    for array in [*arrays, plan.reduction(5), *plan.beta.blocks]:  # the retained reduction and weights too
         with pytest.raises(ValueError, match="read-only"):
             array[...] = 0
 
@@ -438,10 +457,12 @@ def test_cold_and_warm_outputs_identical(capsys, tmp_path, group, signal):
     ]
     cold = []
     for argv in commands:
-        orbitsep.cli._plan.cache_clear()
+        orbitsep.plan.plan.cache_clear()
         cold.append(run(capsys, *argv))
+    hits = orbitsep.plan.plan.cache_info().hits
     warm = [run(capsys, *argv) for argv in commands]
-    assert orbitsep.cli._plan.cache_info().hits == len(commands)
+    assert orbitsep.plan.plan.cache_info().misses == 1  # one plan for the group
+    assert orbitsep.plan.plan.cache_info().hits > hits
     assert all(code == 0 for code, _, _ in cold)
     assert warm == cold
 
@@ -473,7 +494,7 @@ def test_phi_twins_emit_the_same_bytes_warm_as_cold(capsys, monkeypatch, tmp_pat
     commands = phi_twins(tmp_path, group)
     cold = []
     for argv in commands:
-        orbitsep.cli._plan.cache_clear()
+        orbitsep.plan.plan.cache_clear()
         cold.append(run(capsys, *argv))
     assert len(calls) == 2
     warm = [run(capsys, *argv) for argv in commands]
@@ -498,6 +519,59 @@ def test_phi_on_another_group_keeps_the_first_groups_reduction(capsys, monkeypat
     run_json(capsys, "invariants", "--shift", "2x2", "--transform", "phi", "--seed", "8", other)
     run_json(capsys, *twin)
     assert [(table.group.dim, seed) for table, seed in calls] == [(6, 7), (4, 8)]
+
+
+# The evaluator compare calls for each stackable transform.
+EVALUATORS = {"f": "eval_monomial_map", "theta": "eval_phase_map", "phif": "eval_norm_scaled", "phi": "eval_lowdim"}
+
+
+@pytest.mark.parametrize("transform", EVALUATORS)
+def test_stacked_compare_emits_the_bytes_of_two_single_calls(capsys, monkeypatch, tmp_path, transform):
+    # compare evaluates its two inputs as one (2, N) stack; with the stack
+    # switched off it makes two single calls, and every byte must agree,
+    # transform_gap included, at zero and near 2**1000 and 2**-1000.
+    rng = np.random.default_rng(37)
+    x, y = rng.standard_normal((2, 12)).view(complex)
+    cases = [(x, y), (np.zeros(6), y), (np.zeros(6), np.zeros(6)), (x * 2.0**1000, y * 2.0**1000),
+             (x * 2.0**-1000, y * 2.0**-1000), (x * 2.0**1000, y * 2.0**-1000), (x * 2.0**1022, -y)]
+    shapes = []
+    original = getattr(orbitsep.cli, EVALUATORS[transform])
+    monkeypatch.setattr(orbitsep.cli, EVALUATORS[transform], lambda *a: shapes.append(
+        [v for v in a if isinstance(v, np.ndarray)][-1].shape) or original(*a))
+    for k, (a, b) in enumerate(cases):
+        argv = ["compare", "--shift", "2x3", "--transform", transform, "--seed", "3",
+                str(write_signal(tmp_path, f"a{k}.json", a)), str(write_signal(tmp_path, f"b{k}.json", b))]
+        stacked = run(capsys, *argv)
+        with monkeypatch.context() as single:
+            single.setattr(orbitsep.cli, "BENCH_TRANSFORMS", ())
+            assert run(capsys, *argv) == stacked
+    assert shapes == [(2, 6), (6,), (6,)] * len(cases)
+
+
+def top_parser_run(capsys, argv):
+    """(exit code, stdout, stderr) of parsing argv with the top parser alone."""
+    try:
+        orbitsep.cli.build_parser().parse_args(orbitsep.cli._attach_matrix(argv))
+        code = None
+    except SystemExit as exc:
+        code = int(exc.code or 0)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [[], ["-h"], ["frobnicate", "--shift", "2x3"], ["compare", "--shift", "2x3", "--bogus", "a.json", "b.json"],
+     ["exponents", "--shift", "2x2", "extra", "--matrix", "-1,2"], ["invariants", "--transform", "zeta", "x.json"],
+     ["compare", "--shift", "2x3", "a.json"], ["compare", "-h"], ["bench", "--samples", "0"]],
+    ids=["empty", "top-help", "unknown-command", "unknown-option", "leftover-words", "bad-choice",
+         "missing-positional", "compare-help", "bad-value"],
+)
+def test_command_dispatch_matches_the_top_parser(capsys, argv):
+    want = top_parser_run(capsys, argv)
+    assert want[0] is not None  # every case exits while parsing
+    assert run(capsys, *argv) == want
+    assert orbitsep.cli.build_parser.cache_info().misses == 1
 
 
 def traced(capsys, argv):
@@ -530,7 +604,7 @@ def test_new_seed_on_a_warm_plan_frees_the_replaced_matrix_first(capsys, tmp_pat
     # The miss frees the matrix it replaces before drawing, so its peak above
     # its start is the draw alone (about half a matrix); holding the old one
     # until the new one is drawn would add a whole matrix on top of that.
-    replaced = orbitsep.cli._plan(orbitsep.shift_action_spec(6, 6), 3).reduction(8).nbytes
+    replaced = orbitsep.plan.plan(orbitsep.shift_action_spec(6, 6)).reduction(8).nbytes
     assert peak - start < replaced
 
 

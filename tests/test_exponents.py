@@ -28,10 +28,11 @@ from orbitsep import (
 )
 import orbitsep.exponents
 from orbitsep.exponents import (
-    _by_discrete_logs, _discrete_log_arrays, _lattice_arrays, float_exponents, phase_generators,
+    _by_discrete_logs, _discrete_log_arrays, _lattice_arrays, faithful_quotient, float_exponents,
+    phase_generators,
 )
 from orbitsep.groups import enumerate_group, phase_steps
-from orbitsep.metric import faithful_quotient, least_member
+from orbitsep.metric import least_member
 from reference import (
     brute_phase_vectors,
     brute_quotient_order,

@@ -37,8 +37,9 @@ from orbitsep import (
 )
 import orbitsep.cli
 import orbitsep.metric
+import orbitsep.plan
 from orbitsep.exponents import faithful_quotient
-from orbitsep.metric import _coset_overlap, full_support_pairs
+from orbitsep.metric import _coset_overlap, _cut, full_support_pairs
 from reference import (
     PAIR_KINDS, brute_orbit_distance, equivalent, fft_overlap, pairs, ratio_scan, sample_pair,
 )
@@ -487,7 +488,7 @@ def test_coset_overlap_matches_the_dense_fft(case):
     # Both sum the same N terms per coset; the product's entries are sums of
     # 2N products, each FFT entry a sum over the whole grid.
     quotient, cross = case
-    got = _coset_overlap(quotient, cross)
+    got = _coset_overlap(_cut(quotient), cross)
     want = fft_overlap(quotient, cross)
     assert np.abs(got.reshape(want.shape) - want).max() <= 1e-13 * np.abs(cross).sum()
 
@@ -637,3 +638,62 @@ def test_warm_scan_of_20_pairs_on_order_1e6_peaks_below_12_mb():
     transform = lambda z: eval_lowdim(table, ell, z).values
     scan = lambda: lipschitz_ratio_scan(transform, ORDER_1E6, full_support_pairs(ORDER_1E6, 20, 1))
     assert warm_peak(scan) < 12 * 2**20
+
+
+# The four orbit-pairs benchmark groups, and groups whose cosets or
+# elements tie: a common factor on the characters, a trivial quotient.
+PLAN_GROUPS = {
+    "1e6": ORDER_1E6,
+    "1e5": make_group((10, 100, 100), ((7, 1, 7, 5, 2, 6), (55, 46, 30, 2, 64, 62), (3, 30, 13, 80, 51, 10))),
+    "1e4a": SCAN_GROUPS["1e4a"],
+    "1e4b": SCAN_GROUPS["1e4b"],
+    "10x10x10": SCAN_GROUPS["10x10x10"],
+    "kernel": make_group((6, 30), ((0, 2, 4, 2), (6, 12, 18, 0))),
+    "trivial-quotient": make_group((1000, 1000), ((0,) * 4,) * 2),
+}
+
+
+def plan_pairs(group):
+    """A same-orbit pair, an independent pair and a zero signal's pair; the
+    first signal has a zero entry, so more elements tie."""
+    rng = np.random.default_rng(16)
+    x = random_signal(rng, group.dim)
+    x[0] = 0
+    same = act(group, [int(rng.integers(0, p)) for p in group.orders], x)
+    return [(x, same), (x, random_signal(rng, group.dim)), (np.zeros(group.dim), x)]
+
+
+@pytest.mark.parametrize("label", PLAN_GROUPS)
+def test_warm_plan_distance_equals_the_cold_call_bit_for_bit(label):
+    group = PLAN_GROUPS[label]
+    stack = plan_pairs(group)
+    for x, y in [*stack, tuple(map(np.array, zip(*stack)))]:
+        orbitsep.plan.plan.cache_clear()
+        cold = orbit_distance(group, x, y)
+        warm = orbit_distance(group, x, y)
+        assert type(warm) is type(cold)
+        for got, want in zip(*(r if isinstance(r, list) else [r] for r in (warm, cold))):
+            assert_same_result(got, want)
+
+
+def test_warm_distance_builds_no_phase_table(monkeypatch):
+    calls = []
+    original = orbitsep.metric._phases
+    monkeypatch.setattr(orbitsep.metric, "_phases", lambda *a: calls.append(a) or original(*a))
+    stack = plan_pairs(ORDER_1E6)
+    orbit_distance(ORDER_1E6, *stack[0])
+    assert len(calls) == 2  # the leading and the trailing table
+    orbit_distance(ORDER_1E6, *stack[1])
+    orbit_distance(ORDER_1E6, *map(np.array, zip(*stack)))
+    lipschitz_ratio_scan(lambda z: z, ORDER_1E6, stack)
+    assert len(calls) == 2
+
+
+def test_plan_metric_arrays_are_read_only():
+    group = PLAN_GROUPS["1e4a"]
+    orbit_distance(group, *plan_pairs(group)[1])
+    _, *arrays, (lead, trail, _) = orbitsep.plan.plan(group).metric
+    assert len(arrays) == 4  # lift, turns, steps, kernel
+    for array in (*arrays, lead, trail):
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] = 0
