@@ -247,15 +247,6 @@ class CounterexampleResult:
     orbit_distance: float
 
 
-def _scale_collision_poly(scaling, weights):
-    exps = np.array([2.0 * float(c) for c in scaling])
-
-    def poly(lam: float) -> float:
-        return float(np.dot(weights, lam**exps) - 1.0)
-
-    return exps, poly
-
-
 def construct_counterexample(data: HermiteData, y) -> CounterexampleResult:
     """Find the second unit-norm-preserving scale and the twisted signal it
     collides with under the unsigned scale-restored map.
@@ -279,37 +270,28 @@ def construct_counterexample(data: HermiteData, y) -> CounterexampleResult:
     if signed_quadratic(data, y) <= 0:
         raise DomainError("counterexample seed signal needs a positive quadratic form")
 
+    # In t = log(lambda) the scale condition reads p(t) = sum_k |y_k|^2 e^(2 c_k t) - 1 = 0.
+    # p is convex with p(0) = ||y||^2 - 1 = 0: negative between its two roots and
+    # positive beyond them, so the second root lies on the side where p falls at 0.
     weights = np.abs(y) ** 2
-    exps, poly = _scale_collision_poly(data.scaling, weights)
-    slope_at_one = float(np.dot(weights, exps))  # poly'(1)
-    grid = np.logspace(-9.0, 9.0, 3601)
-    # Far grid ends overflow to inf, which still compares as positive.
+    exps = np.array([2.0 * float(c) for c in data.scaling])
+
+    def poly(t: float) -> float:
+        return float(np.dot(weights, np.exp(exps * t))) - 1.0
+
+    slope = float(np.dot(weights, exps))  # p'(0)
+    inner, outer = 0.0, -math.copysign(9.0 * math.log(10.0), slope)
+    # Exponentials toward the far end overflow to inf, which still compares as positive.
     with np.errstate(over="ignore"):
-        values = np.power(grid[:, None], exps[None, :]) @ weights - 1.0
-
-    bracket = None
-    if slope_at_one > 0:
-        # Convexity puts the second root below 1: poly > 0 near 0, < 0 near 1.
-        below = grid < 1.0
-        idx = np.nonzero(below[:-1] & (values[:-1] > 0) & (values[1:] <= 0))[0]
-        if idx.size:
-            bracket = (float(grid[idx[0]]), float(grid[idx[0] + 1]), +1)
-    elif slope_at_one < 0:
-        above = grid > 1.0
-        idx = np.nonzero(above[1:] & (values[:-1] <= 0) & (values[1:] > 0))[0]
-        if idx.size:
-            bracket = (float(grid[idx[-1]]), float(grid[idx[-1] + 1]), -1)
-    if bracket is None:
-        raise DomainError("no second root of the scale polynomial in [1e-9, 1e9]")
-
-    lo, hi, lo_sign = bracket
-    while hi - lo > 1e-12 * max(1.0, hi):
-        mid = 0.5 * (lo + hi)
-        if (poly(mid) > 0) == (lo_sign > 0):
-            lo = mid
-        else:
-            hi = mid
-    lambda_y = 0.5 * (lo + hi)
+        if slope == 0 or not poly(outer) > 0:
+            raise DomainError("no second root of the scale polynomial in [1e-9, 1e9]")
+        while abs(outer - inner) > 1e-12:
+            mid = 0.5 * (inner + outer)
+            if poly(mid) > 0:
+                outer = mid
+            else:
+                inner = mid
+    lambda_y = math.exp(0.5 * (inner + outer))
     if abs(lambda_y - 1.0) <= 2e-3:
         raise DomainError("second root degenerate against lambda = 1; reseed")
 

@@ -138,6 +138,8 @@ def orbit_distance(group: GroupSpec, x, y):
     if x.shape != y.shape:
         raise DimensionError(f"signals of shapes {x.shape} and {y.shape} do not pair up")
     _check_enumerable(group)
+    if stacked and not len(x):
+        return []
     group_plan = plan(group)
     if group_plan.metric is None:
         group_plan.metric = _compile(group_plan)
@@ -217,8 +219,9 @@ def lipschitz_ratio_scan(transform, group: GroupSpec, pairs, width: int = 0):
     """
     width = max(plan(group).quotient.group.group_order, width)
     pairs = iter(pairs)
-    best, best_pair = -np.inf, None
+    best, best_pair, given = -np.inf, None, 0
     while chunk := list(itertools.islice(pairs, max(1, _STACK // width))):
+        given += len(chunk)
         xs, ys = (np.array(side) for side in zip(*chunk))
         distances = [r.distance for r in orbit_distance(group, xs, ys)]
         kept = [i for i, d in enumerate(distances) if not d <= 1e-9]
@@ -233,6 +236,8 @@ def lipschitz_ratio_scan(transform, group: GroupSpec, pairs, width: int = 0):
                 return ratio, chunk[i]
             if ratio > best:
                 best, best_pair = ratio, chunk[i]
+    if not given:
+        raise DomainError("no pairs were given")
     if best_pair is None:
         raise DomainError("every sampled pair was orbit-equivalent; use another seed")
     return best, best_pair

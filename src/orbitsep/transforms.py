@@ -145,6 +145,13 @@ def default_reduction(table: ExponentTable, seed: int) -> np.ndarray:
     return make_reduction(seed, table.total_dim, 2 * table.group.dim + 1)
 
 
+def _check_reduction(table: ExponentTable, ell: np.ndarray) -> None:
+    if ell.ndim != 2 or len(ell) < 1 or ell.shape[1] != table.total_dim:
+        raise DimensionError(
+            f"reduction has shape {ell.shape}, expected at least one row of {table.total_dim} columns"
+        )
+
+
 def _unit_phases(x) -> np.ndarray:
     # N(x): x_k/|x_k| on the support, exactly 0 elsewhere; on x_k * 2**-e_k, 1/|x_k| is finite.
     x = _unit_scaled(x[..., None])[0][..., 0]
@@ -167,10 +174,7 @@ def eval_lowdim(
     if mode not in ("as_written", "repaired"):
         raise ConfigError(f"mode must be 'as_written' or 'repaired', got {mode!r}")
     x = _check_signal(table.group, x, stacked=True)
-    if ell.shape[1] != table.total_dim:
-        raise DimensionError(
-            f"reduction expects input dim {ell.shape[1]}, table has {table.total_dim}"
-        )
+    _check_reduction(table, ell)
     n = table.group.dim
     moduli = np.abs(x)
     v = eval_monomial_map(table, _unit_phases(x)).values
@@ -198,6 +202,7 @@ def lipschitz_bound(table: ExponentTable, ell: np.ndarray) -> float:
         sqrt(dim)); on the closed unit polydisc each monomial partial has
         modulus at most its exponent, so this C is the exact sup bound.
     """
+    _check_reduction(table, ell)
     norm = float(np.linalg.svd(ell, compute_uv=False)[0])
     orders = table.group.orders
     if len(orders) == 2:

@@ -1,6 +1,7 @@
 """End-to-end command-line checks through main(argv)."""
 
 import collections
+import gc
 import json
 import math
 import os
@@ -608,6 +609,46 @@ def test_new_seed_on_a_warm_plan_frees_the_replaced_matrix_first(capsys, tmp_pat
     assert peak - start < replaced
 
 
+# The four orbit-pairs benchmark groups, as --orders and --matrix flags, and
+# the KB the README gives for what a cold compare --transform theta leaves
+# in each group's plan: its table, Theta's weights and the metric's arrays.
+ORBIT_PAIRS_PLANS = {
+    "1e6": (["--orders", "100,100,100", "--matrix", "11,45,94,65;48,68,72,52;92,88,18,76"], 61),
+    "1e5": (["--orders", "10,100,100", "--matrix", "7,1,7,5,2,6;55,46,30,2,64,62;3,30,13,80,51,10"], 75),
+    "1e4a": (["--orders", "10,10,10,10", "--matrix",
+              "7,0,2,2,2,9,5,9;6,2,6,1,0,6,7,6;0,1,8,7,2,8,7,1;8,8,2,1,0,1,1,1"], 43),
+    "1e4b": (["--orders", "10,1000", "--matrix", "7,2,5,2,6;641,687,597,740,609"], 27),
+}
+
+
+@pytest.mark.parametrize("label", ORBIT_PAIRS_PLANS)
+def test_a_plan_retains_its_readme_bytes_and_a_warm_compare_nothing(capsys, tmp_path, label):
+    flags, kb = ORBIT_PAIRS_PLANS[label]
+    n = len(flags[-1].split(";")[0].split(","))
+    rng = np.random.default_rng(37)
+    argv = ["compare", *flags, "--transform", "theta",
+            *(str(write_signal(tmp_path, name, rng.standard_normal(n) + 1j * rng.standard_normal(n)))
+              for name in ("a.json", "b.json"))]
+    orbitsep.cli.build_parser()  # built once per process, so not the plan's
+
+    def retained():
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0]
+
+    tracemalloc.start()
+    try:
+        start = retained()
+        run_json(capsys, *argv)
+        cold = retained()
+        run_json(capsys, *argv)
+        warm = retained()
+    finally:
+        tracemalloc.stop()
+    assert cold - start < 2 * kb * 2**10
+    # A few hundred bytes of interpreter bookkeeping, not a part of the plan.
+    assert warm - cold < 2**10
+
+
 def test_exponents_beyond_float_precision_stay_exact(capsys):
     # 2**53 + 1 has no float64; the table must keep it as an exact integer.
     payload = run_json(
@@ -777,10 +818,12 @@ def test_counterexample_payload(capsys):
 
 
 def test_counterexample_large_n_grid_overflow_is_silent(capsys):
-    # The root bracket grid overflows to inf at its far ends from n = 50 on.
+    # The root bisection's far end, lambda = 1e-9, overflows to inf at n = 50.
     payload = run_json(capsys, "counterexample", "--n", "50", "--seed", "3")
     assert payload["g_gap"] <= 1e-8
     assert payload["orbit_distance"] > 1e-3
+    # The first draw's second root, 0.99577, lies next to 1 and is found.
+    assert payload["attempts"] == 1
 
 
 def test_counterexample_small_n_rejected(capsys):

@@ -37,6 +37,7 @@ from orbitsep import (
 from orbitsep.errors import InternalCheckError
 from orbitsep.exponents import _reduce
 from orbitsep.hermite import hermite_as_dict
+from orbitsep.metric import _full_support, child_seed
 
 
 def as_np(rows):
@@ -484,6 +485,19 @@ def test_counterexample_matches_closed_form():
         )
         assert result.g_gap <= 1e-8
         assert result.orbit_distance > 1e-3
+
+
+def test_counterexample_finds_the_root_next_to_one():
+    # The first draw of `counterexample --n 50 --seed 3`: the second root,
+    # 0.99577, sits closer to 1 than one step of a 3601-point log grid on
+    # [1e-9, 1e9], and p(1.0) rounds to +2.2e-16.
+    data = cyclic_fixture_data(50)
+    y = _full_support(np.random.default_rng(child_seed(3, 0)), 50)
+    y /= np.linalg.norm(y)
+    result = construct_counterexample(data, y)
+    exps = np.array([2.0 * float(c) for c in data.scaling])
+    assert result.lambda_y < 1
+    assert abs(np.dot(np.abs(y) ** 2, result.lambda_y**exps) - 1.0) <= 1e-12
 
 
 def test_counterexample_rejections():

@@ -169,8 +169,10 @@ def test_ratio_scan_identity_on_trivial_group():
 
 def test_ratio_scan_rejects_all_equivalent():
     g = make_group([1], [[0]])
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="orbit-equivalent"):
         lipschitz_ratio_scan(lambda z: z, g, pairs(g, "same_orbit", 10, 0))
+    with pytest.raises(DomainError, match="no pairs were given"):
+        lipschitz_ratio_scan(lambda z: z, g, [])
 
 
 def pairs_per_chunk(group, size: int) -> int:
@@ -314,7 +316,7 @@ def stacked_metric_cases(draw):
 
 
 def assert_rows_match_single_calls(group, stack):
-    xs, ys = (np.array(side) for side in zip(*stack))
+    xs, ys = (np.array([pair[side] for pair in stack]).reshape(-1, group.dim) for side in (0, 1))
     got = orbit_distance(group, xs, ys)
     assert len(got) == len(stack)
     for row, (x, y) in zip(got, stack):
@@ -326,9 +328,11 @@ def assert_rows_match_single_calls(group, stack):
 @example((make_group((10, 10, 10), ((1, 2, 3), (4, 0, 6), (7, 8, 5))),
           [(np.array([1, 0.5 - 2j, 0.25]), np.array([1j, -0.5, 1.5])), (np.zeros(3), np.ones(3)),
            (np.array([0, 1, 0j]), np.array([0, 1j, 0]))]))
+@example((make_group((4, 6), ((1, 2, 3), (5, 0, 1))), []))
 def test_stacked_distance_rows_match_single_calls(case):
     # Stacked pairs share one overlap product; every row keeps the witness
     # and the distance bits a call on its pair alone gives, ties included.
+    # Two (0, N) stacks give no rows, as zero single calls do.
     assert_rows_match_single_calls(*case)
 
 

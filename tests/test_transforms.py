@@ -315,9 +315,14 @@ def test_lowdim_modes_differ_but_both_run():
 
 
 def test_lowdim_dimension_mismatch():
+    # Phi and its bound take only a 2-D reduction with at least one row of table.total_dim columns.
     table = build_exponent_table(SHIFT)
-    with pytest.raises(DimensionError):
-        eval_lowdim(table, make_reduction(0, 5, 3), np.ones(6, complex))
+    d = table.total_dim
+    for ell in (make_reduction(0, 5, 3), np.ones(d, complex), np.ones((0, d), complex), np.ones((2, 3, d), complex)):
+        with pytest.raises(DimensionError):
+            eval_lowdim(table, ell, np.ones(6, complex))
+        with pytest.raises(DimensionError):
+            lipschitz_bound(table, ell)
 
 
 def test_lipschitz_bound_formulas():
