@@ -2,9 +2,11 @@
 
 The Hermite normal form itself lives in exponents, the lattice core shared
 with the exponent solver.  All exact work is in integers: one fraction-free
-(Bareiss) elimination gives both the determinant and the scaling solve, and
-Fractions appear only in the solve's result; floats appear only when a
-Laurent monomial is evaluated at a concrete signal.  The pipeline: stack the
+(Bareiss) elimination gives the determinant; the scaling solve is a float64
+guess that an exact integer identity proves, with that elimination as its
+fallback, and Fractions appear only in its result.  Otherwise floats appear
+only when a Laurent monomial is evaluated at a concrete signal.  The
+pipeline: stack the
 character exponents against the negated generator orders, reduce to column
 Hermite form, read the invariant Laurent exponents out of the kernel block
 of the unimodular multiplier, then solve for the rational scaling vector
@@ -30,6 +32,8 @@ COLLISION_TOL = 1e-8
 SEPARATION_FLOOR = 1e-3
 # Natural logs of the smallest normal and of the largest double.
 _LOG_RANGE = (math.log(sys.float_info.min), math.log(sys.float_info.max))
+_FLOAT_EXACT = 2**53  # every integer of smaller magnitude is a double
+_GUESS_MIN_DIM = 8  # below it the Bareiss solve is the faster of the two
 
 
 def _eliminate(rows) -> int:
@@ -65,13 +69,49 @@ def integer_determinant(matrix) -> int:
     return _eliminate(_square(matrix, "determinant"))
 
 
+def _checked_guess(rows):
+    """The solve of rows @ c = 1 as Fractions x / q, guessed in float64 and
+    accepted only on exact proof; None when the guess fails or rows has
+    fewer than _GUESS_MIN_DIM rows.
+
+    With q = round|det B| >= 1, Z = rint(q * inv(B)) guesses the adjugate
+    up to sign, and B @ Z == q * I is checked in float64.  It is taken only
+    when N max|B| max|Z| < 2**53: then B is exact as doubles, and every
+    partial sum of that product is an exact integer, whatever the order of
+    summation.  The identity proves det B != 0 (det B * det Z = q**N), so
+    x = Z @ 1 gives the unique solution x / q."""
+    if len(rows) < _GUESS_MIN_DIM:
+        return None
+    try:
+        m = np.array(rows, dtype=np.int64)
+    except OverflowError:
+        return None
+    top = max(-int(m.min()), int(m.max()))
+    with np.errstate(all="ignore"):
+        a = m.astype(float)
+        det = abs(float(np.linalg.det(a)))
+        if not 0.5 <= det < _FLOAT_EXACT:
+            return None
+        q = round(det)
+        z = np.rint(q * np.linalg.inv(a))
+        if not len(a) * top * float(np.abs(z).max()) < _FLOAT_EXACT or (a @ z != q * np.eye(len(a))).any():
+            return None
+    return tuple(Fraction(v, q) for v in z.sum(axis=1).astype(np.int64).tolist())
+
+
 def scaling_vector(block):
     """Exact rational solve of block @ c = (1, ..., 1); c as Fractions.
 
-    Eliminates [block | 1] fraction-free, then back-substitutes in integers
+    The float64 guess of _checked_guess is taken when it is proved exact.
+    Otherwise (small, singular or ill-conditioned blocks, entries beyond
+    2**53) [block | 1] is eliminated fraction-free and back-substituted in integers
     for det * c, which Cramer's rule makes integral, so every division is
-    exact and Fractions are built only for the result."""
-    rows = [row + [1] for row in _square(block, "scaling solve")]
+    exact.  Fractions are built only for the result."""
+    rows = _square(block, "scaling solve")
+    guess = _checked_guess(rows)
+    if guess is not None:
+        return guess
+    rows = [row + [1] for row in rows]
     det = _eliminate(rows)
     if det == 0:
         raise DomainError("invariant exponent block is singular")

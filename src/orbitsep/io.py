@@ -7,13 +7,16 @@ quoted strings, non-finite floats as quoted names (strict JSON has no
 Infinity literal).  One float rule serves scalars and whole 1-D float64 or
 complex128 arrays: one %-format of "%.17g" items, whose non-finite
 spellings are mapped through the one _NON_FINITE table.  Lists of plain
-ints are joined in one pass, KeyedRows by one %-format per block of rows;
-keys and strings are quoted as json.dumps does.
+ints are joined in one pass.  KeyedRows of int64 are written by one numpy
+byte pass per block of rows (digits looked up four at a time, NUL padding
+dropped once), those of exact Python ints by one %d-format per block; keys
+and strings are quoted as json.dumps does.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import json
 import math
 import re
@@ -184,18 +187,93 @@ class KeyedRows(NamedTuple):
     values: np.ndarray
 
 
-_ROWS_PER_PASS = 1 << 13  # one block's argument tuple is held at a time, not the table's
+_ROWS_PER_PASS = 1 << 13  # one block's text is held at a time, not the table's
 _CONTAINERS = (dict, list, tuple, np.ndarray)
+_WORD_DIGITS = 4  # decimal digits per uint32 word of ASCII bytes
+_WORD_BASE = 10**_WORD_DIGITS
+
+
+@functools.cache  # built on the first int64 KeyedRows, not at import
+def _digit_words():
+    """0 .. _WORD_BASE - 1 spelled in uint32 words of ASCII bytes, right
+    aligned: entry v padded on the left with NULs ("0" for 0), entry
+    v + _WORD_BASE with "0"s.  The second table spells 0 as NULs alone."""
+    v = np.arange(_WORD_BASE, dtype=np.uint16)
+    digits = np.stack([(v // 10**e % 10).astype(np.uint8) for e in range(_WORD_DIGITS - 1, -1, -1)], axis=1)
+    digits += ord("0")
+    lead = np.where(np.cumsum(digits > ord("0"), axis=1, dtype=np.uint8) > 0, digits, 0)
+    lead[0, -1] = ord("0")
+    words = np.concatenate([lead, digits]).view(np.uint32).ravel()
+    inner = words.copy()
+    inner[0] = 0
+    words.flags.writeable = inner.flags.writeable = False
+    return words, inner
+
+
+def _words(text: str) -> np.ndarray:
+    """text in uint32 words of ASCII bytes, NUL padded to a whole word."""
+    return np.frombuffer(text.encode().ljust(-(-len(text) // 4) * 4, b"\0"), np.uint32)
+
+
+_MINUS_WORD = _words("-")[0]
+
+
+@functools.lru_cache(maxsize=64)
+def _row_words(depth: int, key_width: int, value_width: int, cell: int):
+    """One row of a KeyedRows block in uint32 words, NUL padded: the indent
+    and the opening quote, one cell of `cell` words per integer, each cell
+    led by its separator word, then "],\n".  Returns the row (read-only)
+    and the index of its first cell."""
+    head = _words("  " * (depth + 1) + '"')
+    cells = np.zeros((key_width + value_width, cell), np.uint32)
+    seps = [","] * (key_width - 1) + ['": ['] + [", "] * (value_width - 1)
+    cells[1:, 0] = [_words(sep)[0] for sep in seps]
+    row = np.concatenate([head, cells.ravel(), _words("],\n")])
+    row.flags.writeable = False
+    return row, len(head)
+
+
+def _int64_rows_bytes(block: np.ndarray, depth: int, key_width: int) -> bytes:
+    """The rows of an int64 block in one byte pass, each row ending in
+    ",\n".  Every integer fills a cell of words: its separator, a sign word
+    when the block has a negative, and one word per four digits, taken from
+    _digit_words; the NULs that pad the words are dropped at the end."""
+    low, high = int(block.min()), int(block.max())
+    chunks = -(-len(str(max(high, -low))) // _WORD_DIGITS)
+    row, start = _row_words(depth, key_width, block.shape[1] - key_width, 1 + (low < 0) + chunks)
+    out = np.empty((len(block), len(row)), np.uint32)
+    out[:] = row
+    cells = out[:, start:-1].reshape(block.shape + (-1,))
+    words, inner = _digit_words()
+    if chunks == 1 and low >= 0:
+        cells[:, :, -1] = words[block]
+    else:
+        rest = np.abs(block).view(np.uint64)  # |int64 min| wraps to -2**63, which reads 2**63 unsigned
+        for c in range(1, chunks + 1):
+            more = rest // _WORD_BASE
+            index = (rest - more * _WORD_BASE).astype(np.intp)
+            index[more > 0] += _WORD_BASE
+            cells[:, :, -c] = (words if c == 1 else inner)[index]
+            rest = more
+        if low < 0:
+            cells[:, :, 1] = np.where(block < 0, _MINUS_WORD, 0)
+    return out.tobytes().translate(None, b"\0")
 
 
 def _keyed_rows_text(rows: KeyedRows, depth: int) -> str:
-    (count, key_width), value_width = rows.keys.shape, rows.values.shape[1]
-    row = "  " * (depth + 1) + '"' + ",".join(["%d"] * key_width) + '": [' + ", ".join(["%d"] * value_width) + "]"
+    """int64 blocks by the byte pass; blocks of exact Python ints (object
+    arrays, beyond int64) by one %d-format each."""
+    keys, values = rows
     parts = []
-    for lo in range(0, count, _ROWS_PER_PASS):
-        block = np.hstack([rows.keys[lo:lo + _ROWS_PER_PASS], rows.values[lo:lo + _ROWS_PER_PASS]])
-        parts.append(",\n".join([row] * len(block)) % tuple(block.ravel().tolist()))
-    return "{\n" + ",\n".join(parts) + "\n" + "  " * depth + "}" if parts else "{}"
+    for lo in range(0, len(keys), _ROWS_PER_PASS):
+        block = np.concatenate((keys[lo:lo + _ROWS_PER_PASS], values[lo:lo + _ROWS_PER_PASS]), axis=1)
+        if block.dtype == np.int64:
+            parts.append(_int64_rows_bytes(block, depth, keys.shape[1]))
+        else:
+            row = "  " * (depth + 1) + '"' + ",".join(["%d"] * keys.shape[1]) + '": ['
+            row += ", ".join(["%d"] * values.shape[1]) + "],\n"
+            parts.append((row * len(block) % tuple(block.ravel().tolist())).encode())
+    return "{\n" + b"".join(parts)[:-2].decode() + "\n" + "  " * depth + "}" if parts else "{}"
 
 
 def _emit(value, depth: int) -> str:

@@ -34,6 +34,7 @@ from orbitsep import (
     shift_action_spec,
     signed_quadratic,
 )
+import orbitsep.hermite
 from orbitsep.errors import InternalCheckError
 from orbitsep.exponents import _reduce
 from orbitsep.hermite import hermite_as_dict
@@ -175,12 +176,25 @@ def test_scaling_vector_exact_fraction_solve():
 
 @st.composite
 def square_matrices(draw):
-    """Square integer matrices, N from 1 to 8, entries up to +-2**70 mixed
-    with small ones (so zero pivots force row swaps); about a third are made
-    singular by a zero row or a row that is a multiple of another."""
-    n = draw(st.integers(1, 8))
-    entry = st.one_of(st.integers(-2, 2), st.integers(-(2**70), 2**70))
-    m = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    """Square integer matrices, about a third made singular by a zero row or
+    a row that is a multiple of another.  Either N from 1 to 8 with entries
+    up to +-2**70 mixed with small ones (so zero pivots force row swaps), or
+    N from 9 to 64 with small entries and a small determinant, so the float
+    guess runs: the identity with up to three dense rows, sheared by column
+    operations and with its rows permuted."""
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 8))
+        entry = st.one_of(st.integers(-2, 2), st.integers(-(2**70), 2**70))
+        m = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    else:
+        n = draw(st.integers(9, 64))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        a = np.eye(n, dtype=np.int64)
+        a[rng.choice(n, size=draw(st.integers(1, 3)), replace=False)] = rng.integers(-3, 4, size=n)
+        for _ in range(draw(st.integers(0, 2 * n))):
+            i, j = rng.choice(n, size=2, replace=False)
+            a[:, j] += int(rng.integers(-2, 3)) * a[:, i]
+        m = a[rng.permutation(n)].tolist()
     if draw(st.integers(0, 2)) == 0:
         i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
         factor = draw(st.integers(-3, 3)) if i != j else 0
@@ -191,7 +205,7 @@ def square_matrices(draw):
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(square_matrices())
 def test_bareiss_solve_and_determinant_match_oracles(m):
-    assert integer_determinant(m) == sympy.Matrix(m).det()
+    assert integer_determinant(m) == sympy.Matrix(m).to_DM().det()
     try:
         want = reference.fraction_solve(m)
     except DomainError:
@@ -199,6 +213,58 @@ def test_bareiss_solve_and_determinant_match_oracles(m):
             scaling_vector(m)
         return
     assert scaling_vector(m) == want
+
+
+@pytest.mark.parametrize(
+    "m,solution",
+    [([[1, 1], [1, 1]], (1, 0)), ([[1, 0, 1], [1, 1, 2], [1, 2, 3]], (1, 0, 0))],
+    ids=["2x2", "rank-2 3x3"],
+)
+def test_singular_systems_with_a_solution_raise(monkeypatch, m, solution):
+    # Each system is consistent (1 is the first column) but singular.
+    assert integer_determinant(m) == 0
+    assert all(sum(b * v for b, v in zip(row, solution)) == 1 for row in m)
+    with pytest.raises(DomainError):
+        scaling_vector(m)
+    # Roundoff can make a singular block look nonsingular to the float
+    # guess.  Here it sees det 1 and an inverse whose row sums solve the
+    # system exactly; only the proof that B @ Z is q * I, so that det B is
+    # not 0, keeps that solution from being taken as the unique one.
+    monkeypatch.setattr(orbitsep.hermite, "_GUESS_MIN_DIM", 1)
+    monkeypatch.setattr(np.linalg, "det", lambda a: 1.0)
+    monkeypatch.setattr(np.linalg, "inv", lambda a: np.diag(np.array(solution, dtype=float)))
+    with pytest.raises(DomainError):
+        scaling_vector(m)
+
+
+def test_float_guess_is_refused_where_its_product_rounds(monkeypatch):
+    # B @ Z is [[1, 0], [-1, 1]], but its products need more than 53 bits
+    # and it rounds to the identity in float64, so only the bound on
+    # N max|B| max|Z| keeps this wrong inverse from being taken.
+    block = [[79398627, 36957973], [120392309, 56039454]]
+    wrong = np.array([[92997427, -36957973], [-199790936, 79398627]], dtype=float)
+    assert (np.array(block, dtype=float) @ wrong == np.eye(2)).all()
+    monkeypatch.setattr(orbitsep.hermite, "_GUESS_MIN_DIM", 1)
+    monkeypatch.setattr(np.linalg, "inv", lambda a: wrong)
+    assert scaling_vector(block) == reference.fraction_solve(block)
+
+
+def test_float_guess_skips_elimination_until_it_cannot_be_proved(monkeypatch):
+    calls = []
+    eliminate = orbitsep.hermite._eliminate
+    monkeypatch.setattr(orbitsep.hermite, "_eliminate", lambda rows: calls.append(len(rows)) or eliminate(rows))
+    for n in (16, 45, 62):
+        data = hermite_multiplier(cyclic_shift_spec(n))
+        assert data.scaling == reference.fraction_solve(data.inv_exponents)
+    assert calls == []
+    # A block with an entry beyond 2**53 is refused by the guess, and one
+    # below _GUESS_MIN_DIM rows never tries it: both are eliminated.
+    big = np.eye(12, dtype=object)
+    big[0, :3] = [2**60, 3, -7]
+    small = cyclic_fixture_block(orbitsep.hermite._GUESS_MIN_DIM - 1)
+    for block in (big.tolist(), small):
+        assert scaling_vector(block) == reference.fraction_solve(block)
+    assert calls == [12, len(small)]
 
 
 @pytest.mark.parametrize(

@@ -14,13 +14,14 @@ from hypothesis.extra import numpy as hnp
 import orbitsep.io
 from orbitsep import ConfigError
 from orbitsep.io import (
+    KeyedRows,
     emit_json,
     read_image_csv,
     read_pgm,
     read_signal_json,
     write_output,
 )
-from reference import reference_emit_json
+from reference import reference_emit_json, rows_as_dict
 
 
 def test_signal_json_mixed_entries(tmp_path):
@@ -220,10 +221,37 @@ int_lists = st.lists(
     st.one_of(st.booleans(), st.integers(-(2**70), 2**70), st.integers(-(2**63), 2**63 - 1).map(np.int64)),
     max_size=6,
 )
+INT64_EDGES = (0, -1, 1, np.iinfo(np.int64).min, np.iinfo(np.int64).max)
+
+
+def keyed_rows(seed, count, key_width, value_width, magnitude, exact):
+    """KeyedRows of count rows with unique keys (the reference writes them
+    as a dict), int64 entries up to magnitude with int64's edges planted
+    among them, or, when exact, object values beyond int64."""
+    rng = np.random.default_rng(seed)
+    keys = rng.integers(-magnitude, magnitude, size=(count, key_width), endpoint=True)
+    keys[:, 0] = rng.permutation(count) + int(rng.integers(-(2**63), 2**63 - 1 - count, endpoint=True))
+    values = rng.integers(-magnitude, magnitude, size=(count, value_width), endpoint=True)
+    for array in (keys[:, 1:], values):
+        array.flat[rng.choice(array.size, size=min(array.size, len(INT64_EDGES)), replace=False)] = INT64_EDGES[: array.size]
+    if exact:
+        values = values.astype(object) * 3**50 - 1
+    return KeyedRows(keys, values)
+
+
+keyed_row_tables = st.builds(
+    keyed_rows,
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([0, 1, 2, 3, 5, 8]),  # more rows: test_keyed_rows_match_reference_across_blocks
+    st.integers(1, 3),
+    st.integers(1, 3),
+    st.sampled_from([0, 9, 10**4, 10**9, 2**63 - 1]),
+    st.booleans(),
+)
 payloads = st.dictionaries(
     st.text(max_size=4),
     st.recursive(
-        st.one_of(scalars, arrays, int_lists, int_lists.map(tuple)),
+        st.one_of(scalars, arrays, int_lists, int_lists.map(tuple), keyed_row_tables),
         lambda items: st.one_of(
             st.lists(items, max_size=4),
             st.lists(items, max_size=4).map(tuple),
@@ -240,6 +268,8 @@ def decoded(value):
     float exactly, non-finite ones as their quoted names.  Integral floats
     are spelled without a point, so they come back as ints of equal value
     (-0.0 as 0)."""
+    if isinstance(value, KeyedRows):
+        return decoded(rows_as_dict(*value))
     if isinstance(value, np.ndarray):
         return decoded(value.tolist())
     if isinstance(value, dict):
@@ -269,6 +299,18 @@ def test_emit_json_matches_reference(payload):
 @given(payloads)
 def test_emit_json_round_trips(payload):
     assert json.loads(emit_json(payload)) == decoded(payload)
+
+
+@pytest.mark.parametrize("count", [0, 1, orbitsep.io._ROWS_PER_PASS + 2])
+@pytest.mark.parametrize("exact", [False, True], ids=["int64", "beyond-int64"])
+def test_keyed_rows_match_reference_across_blocks(count, exact):
+    # One row, an empty table and a table that spans two blocks, at
+    # five pairs of key and value widths, with small entries and with int64's full range.
+    for seed, (key_width, value_width) in enumerate([(1, 1), (1, 3), (2, 2), (3, 1), (3, 3)]):
+        for magnitude in (10**4, 2**63 - 1):
+            rows = keyed_rows(seed, count, key_width, value_width, magnitude, exact)
+            payload = {"table": {"pairs": rows, "total_dim": count}}
+            assert emit_json(payload) == reference_emit_json(payload)
 
 
 @pytest.mark.parametrize("dtype,width", [(float, 1), (complex, 2)])
