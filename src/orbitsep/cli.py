@@ -211,8 +211,8 @@ def cmd_compare(args) -> dict:
     else:
         values_a, values_b = (evaluate(x)["values"] for x in (first, second))
     with np.errstate(all="ignore"):  # non-finite values give a non-finite gap
-        gap = _norm(values_a - values_b)
-        scale = max(1.0, _norm(values_a), _norm(values_b))
+        gap, *norms = _norm(np.stack([values_a - values_b, values_a, values_b])).tolist()
+    scale = max(1.0, *norms)
     payload = {**_envelope(args), "transform": tid, "transform_gap": gap}
     try:
         # Witness maps the first input onto the second under the action.
@@ -257,7 +257,7 @@ def cmd_counterexample(args) -> dict:
         rng = np.random.default_rng(child_seed(args.seed, attempts))
         attempts += 1
         y = _full_support(rng, args.n)
-        y = y / np.linalg.norm(y)
+        y = y / _norm(y)
         try:
             result = construct_counterexample(data, y)
         except DomainError:

@@ -114,11 +114,19 @@ def _unit_scaled(z: np.ndarray):
     return np.ldexp(parts, -k[..., None]).view(complex), k
 
 
-def _norm(z) -> float:
-    """Euclidean norm of a complex vector, taken on its _unit_scaled row and
-    rescaled, so it is finite whenever the norm is a finite double."""
+def _norm(z):
+    """The package's one Euclidean norm: of a complex (N,) vector, or of each
+    row of a (B, N) stack.  It is np.linalg.norm's own sum, sqrt(re . re +
+    im . im), with one dot per row and part, so a stacked row rounds as its
+    single call does; taken on the _unit_scaled rows and rescaled, it is
+    finite whenever the norm is a finite double."""
     scaled, k = _unit_scaled(np.asarray(z, dtype=complex))
-    return float(np.ldexp(np.linalg.norm(scaled), k))
+    return np.ldexp(_unit_norm(scaled), k)
+
+
+def _unit_norm(scaled):
+    """_norm of rows already _unit_scaled (k = 0), without scaling them again."""
+    return np.sqrt(np.vecdot(scaled.real, scaled.real) + np.vecdot(scaled.imag, scaled.imag))
 
 
 def act(group: GroupSpec, element, x) -> np.ndarray:
@@ -165,12 +173,8 @@ def shift_action_spec(n: int, m: int) -> GroupSpec:
     n, m = int(n), int(m)
     if n < 1 or m < 1:
         raise ConfigError(f"image sides must be positive, got {n}x{m}")
-    row_n = []
-    row_m = []
-    for k in range(1, n + 1):
-        for l in range(1, m + 1):
-            row_n.append(k % n)
-            row_m.append(l % m)
+    row_n = [k % n for k in range(1, n + 1) for _ in range(m)]
+    row_m = [l % m for _ in range(n) for l in range(1, m + 1)]
     return make_group([n, m], [row_n, row_m])
 
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ConfigError, DimensionError, DomainError, InternalCheckError
 from .exponents import _as_int_rows, _stacked, float_exponents, hermite_normal_form
-from .groups import GroupSpec, _check_signal, _unit_scaled, cyclic_shift_spec
+from .groups import GroupSpec, _check_signal, _norm, _unit_norm, _unit_scaled, cyclic_shift_spec
 from .metric import orbit_distance
 from .transforms import monomials
 
@@ -253,9 +253,9 @@ def eval_scaled_invariants(data: HermiteData, x):
     """The sign of the quadratic form plus the scale-restored invariants:
     (sign, sqrt|q| * (x/sqrt|q|)^columns).  Needs full support.
 
-    With a nonnegative scaling vector the plain norm restores the scale and
-    the sign is +1; with mixed signs the signed quadratic form takes over and
-    must not vanish.
+    With a nonnegative scaling vector the norm (groups._norm) restores the
+    scale and the sign is +1; with mixed signs the signed quadratic form
+    takes over and must not vanish.
     """
     x = _check_signal(data.group, x)
     if np.any(np.abs(x) == 0):
@@ -263,7 +263,7 @@ def eval_scaled_invariants(data: HermiteData, x):
     x, k = _unit_scaled(x)  # so no square leaves the double range
     if min(data.scaling) >= 0:
         sign = 1
-        scale = float(np.linalg.norm(x))
+        scale = _unit_norm(x)
     else:
         q = signed_quadratic(data, x)
         if q == 0.0:
@@ -305,7 +305,7 @@ def construct_counterexample(data: HermiteData, y) -> CounterexampleResult:
         )
     if np.any(np.abs(y) == 0):
         raise DomainError("counterexample seed signal must have full support")
-    if abs(np.linalg.norm(y) - 1.0) > 1e-9:
+    if abs(_norm(y) - 1.0) > 1e-9:
         raise DomainError("counterexample seed signal must have unit norm")
     if signed_quadratic(data, y) <= 0:
         raise DomainError("counterexample seed signal needs a positive quadratic form")
@@ -340,11 +340,11 @@ def construct_counterexample(data: HermiteData, y) -> CounterexampleResult:
     scaled = lambda_y * y
 
     def unsigned_map(w):
-        norm = float(np.linalg.norm(w))
+        norm = _norm(w)
         exps = float_exponents(data.inv_exponents)
         return norm * monomials(w / norm, np.arange(data.dim), exps)
 
-    g_gap = float(np.linalg.norm(unsigned_map(scaled) - unsigned_map(twisted)))
+    g_gap = float(_norm(unsigned_map(scaled) - unsigned_map(twisted)))
     distance = orbit_distance(data.group, scaled, twisted).distance
     if g_gap > COLLISION_TOL:
         raise InternalCheckError(f"collision gap {g_gap} exceeds {COLLISION_TOL}")

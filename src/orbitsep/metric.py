@@ -15,10 +15,10 @@ its plan (orbitsep.plan); only the element rows of Q are listed per call.
 The cosets within the product's error bound of a pair's best are scored
 again with the integer-exact phases all their elements share; the witness
 is the lexicographically first element of G reaching the smallest exact
-score.  Each distance is recomputed directly from its witness, so the
-reported value matches ||x - act(witness, y)|| to machine precision, and a
-stacked row equals the call on its pair alone bit for bit.  The scan scores
-its pairs in memory-bounded chunks: one metric call and one transform call each.
+score.  Each distance is groups._norm's, recomputed from its witness, so
+it matches ||x - act(witness, y)|| to machine precision, and a stacked row
+equals the call on its pair alone bit for bit.  The scan scores its pairs
+in memory-bounded chunks: one metric call and one transform call each.
 """
 
 from __future__ import annotations
@@ -169,7 +169,7 @@ def orbit_distance(group: GroupSpec, x, y):
     # The distances as act() would move y, recomputed directly.
     moved = np.exp((2j * np.pi / L) * (witnesses @ steps % L)) * y
     with np.errstate(over="ignore"):  # a distance beyond the double range is inf
-        distances = np.ldexp([np.linalg.norm(row) for row in x - moved], k)
+        distances = np.ldexp(_norm(x - moved), k)
     results = [OrbitDistanceResult(float(d), tuple(w)) for d, w in zip(distances, witnesses.tolist())]
     return results if stacked else results[0]
 
@@ -213,8 +213,8 @@ def lipschitz_ratio_scan(transform, group: GroupSpec, pairs, width: int = 0):
     orbit_distance call and one transform call on the kept pairs' x rows
     stacked over their y rows.  A chunk holds _STACK over the larger of
     |G/K| and width pairs, at least one, so memory stays flat in the number
-    of pairs.  Returns (max_ratio, (x, y)) for the maximizing pair.  A NaN
-    ratio, from a transform that overflowed, makes the maximum NaN, as
+    of pairs.  Returns (max_ratio, (x, y)) for the first maximizing pair.  A
+    NaN ratio, from a transform that overflowed, makes the maximum NaN, as
     np.max does, and the first such pair is returned, as np.argmax picks it.
     """
     width = max(plan(group).quotient.group.group_order, width)
@@ -223,19 +223,18 @@ def lipschitz_ratio_scan(transform, group: GroupSpec, pairs, width: int = 0):
     while chunk := list(itertools.islice(pairs, max(1, _STACK // width))):
         given += len(chunk)
         xs, ys = (np.array(side) for side in zip(*chunk))
-        distances = [r.distance for r in orbit_distance(group, xs, ys)]
-        kept = [i for i, d in enumerate(distances) if not d <= 1e-9]
-        if not kept:
+        distances = np.array([r.distance for r in orbit_distance(group, xs, ys)])
+        kept = np.flatnonzero(~(distances <= 1e-9))
+        if not kept.size:
             continue
         values = np.asarray(transform(np.concatenate([xs[kept], ys[kept]])))
         with np.errstate(all="ignore"):  # non-finite values give a non-finite gap
-            gaps = [_norm(row) for row in values[:len(kept)] - values[len(kept):]]
-        for i, gap in zip(kept, gaps):
-            ratio = gap / distances[i]
-            if np.isnan(ratio):
-                return ratio, chunk[i]
-            if ratio > best:
-                best, best_pair = ratio, chunk[i]
+            ratios = _norm(values[:kept.size] - values[kept.size:]) / distances[kept]
+        i = np.argmax(ratios)
+        if np.isnan(ratios[i]):
+            return float(ratios[i]), chunk[kept[i]]
+        if ratios[i] > best:
+            best, best_pair = float(ratios[i]), chunk[kept[i]]
     if not given:
         raise DomainError("no pairs were given")
     if best_pair is None:

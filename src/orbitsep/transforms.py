@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ConfigError, DimensionError
 from .exponents import ExponentTable
-from .groups import _check_signal, _unit_scaled
+from .groups import _check_signal, _unit_norm, _unit_scaled
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,13 +97,11 @@ def eval_norm_scaled(table: ExponentTable, x) -> InvariantVector:
     """||x|| times the monomial map of x/||x||; zero maps to zero.
 
     Positively homogeneous of degree 1, hence linear growth in the moduli.
-    Norm and quotient are taken on x * 2**-k, where no square leaves the double range.
+    Norm (groups._norm, as _unit_norm) and quotient are taken on x * 2**-k,
+    the _unit_scaled rows, where no square leaves the double range.
     """
     x, k = _unit_scaled(_check_signal(table.group, x, stacked=True))
-    # np.linalg.norm's own sum, sqrt(re . re + im . im), with one dot per row
-    # and part, so every row rounds as its single call does; a sum along an
-    # axis would add in another order.
-    norms = np.sqrt(np.vecdot(x.real, x.real) + np.vecdot(x.imag, x.imag))
+    norms = _unit_norm(x)
     # A zero row divides 0 by 0 here; it maps to zero below.  Beyond the
     # double range the values are inf or nan, as F gives them.
     with np.errstate(all="ignore"):
@@ -175,17 +173,15 @@ def eval_lowdim(
         raise ConfigError(f"mode must be 'as_written' or 'repaired', got {mode!r}")
     x = _check_signal(table.group, x, stacked=True)
     _check_reduction(table, ell)
-    n = table.group.dim
     moduli = np.abs(x)
     v = eval_monomial_map(table, _unit_phases(x)).values
     if mode == "as_written":
-        v[..., :n] = moduli > 0
-    reduced = np.zeros((*x.shape[:-1], len(ell)), dtype=complex)
-    rows = zip(v.reshape(-1, v.shape[-1]), moduli.reshape(-1, n), reduced.reshape(-1, len(ell)))
+        v[..., :table.group.dim] = moduli > 0
+    mu = np.min(moduli, axis=-1, keepdims=True, initial=np.inf, where=moduli > 0)
     with np.errstate(all="ignore"):  # beyond the double range: inf or nan, as PhiF gives
-        for row, m, out in rows:
-            if m.any():
-                out[:] = float(m[m > 0].min()) * (ell @ row)
+        products = np.array([ell @ row for row in v.reshape(-1, v.shape[-1])], dtype=complex)
+        reduced = mu * products.reshape(*x.shape[:-1], len(ell))
+    reduced[~moduli.any(axis=-1)] = 0
     values = np.concatenate([moduli.astype(complex), reduced], axis=-1)
     return InvariantVector(transform_id="Phi", values=values)
 

@@ -6,8 +6,8 @@ Fraction Gauss-Jordan solve, the chunked brute-force orbit metric, the
 dense FFT overlap over a quotient's grid, the distinct phase vectors of a
 group's elements, the image-side circular shift and the inverse of
 to_fourier, the seeded pair samplers of four kinds, the
-orbit-equivalence test, the Lipschitz ratio scan one pair at a time, the
-reduction matrix as first drawn, the empirical separation and
+orbit-equivalence test, the Lipschitz ratio scan one pair at a time and
+in chunks with a per-pair choice, the reduction matrix as first drawn, the empirical separation and
 proportionality checks, a JSON emitter that picks its layout from a
 registry of scalar types, and the exponent table as a dict of string
 keys, the payload that emitter takes."""
@@ -33,10 +33,12 @@ from orbitsep import (
     orbit_distance,
     shift_action_spec,
 )
+import orbitsep.metric
 from orbitsep.exponents import _basis, _minimal
 from orbitsep.groups import _check_signal, _norm, act, phase_steps
 from orbitsep.io import KeyedRows
 from orbitsep.metric import OrbitDistanceResult, _full_support, _gaussian
+from orbitsep.plan import plan
 
 EQUALITY_TOL = 1e-9
 # Natural logs of the smallest normal and of the largest double.
@@ -383,6 +385,37 @@ def ratio_scan(transform, group, pairs):
             return ratio, (x, y)
         if ratio > best:
             best, best_pair = ratio, (x, y)
+    if best_pair is None:
+        raise DomainError("every sampled pair was orbit-equivalent; use another seed")
+    return best, best_pair
+
+
+def chunked_ratio_scan(transform, group, pairs, width: int = 0):
+    """lipschitz_ratio_scan with its kept pairs, gaps, ratios and choices
+    taken one pair at a time in Python: the same chunks of
+    orbitsep.metric._STACK // width pairs, each scored with one metric call
+    and one transform call."""
+    width = max(plan(group).quotient.group.group_order, width)
+    pairs = iter(pairs)
+    best, best_pair, given = -np.inf, None, 0
+    while chunk := list(itertools.islice(pairs, max(1, orbitsep.metric._STACK // width))):
+        given += len(chunk)
+        xs, ys = (np.array(side) for side in zip(*chunk))
+        distances = [r.distance for r in orbit_distance(group, xs, ys)]
+        kept = [i for i, d in enumerate(distances) if not d <= 1e-9]
+        if not kept:
+            continue
+        values = np.asarray(transform(np.concatenate([xs[kept], ys[kept]])))
+        with np.errstate(all="ignore"):  # non-finite values give a non-finite gap
+            gaps = [_norm(row) for row in values[:len(kept)] - values[len(kept):]]
+        for i, gap in zip(kept, gaps):
+            ratio = gap / distances[i]
+            if np.isnan(ratio):
+                return ratio, chunk[i]
+            if ratio > best:
+                best, best_pair = ratio, chunk[i]
+    if not given:
+        raise DomainError("no pairs were given")
     if best_pair is None:
         raise DomainError("every sampled pair was orbit-equivalent; use another seed")
     return best, best_pair

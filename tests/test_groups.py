@@ -1,8 +1,12 @@
-"""Group construction, the diagonal action, enumeration, and the image
-shift bridge through the normalized DFT."""
+"""Group construction, the diagonal action, enumeration, the image shift
+bridge through the normalized DFT, and the package's one row norm."""
+
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orbitsep import (
     ConfigError,
@@ -15,7 +19,7 @@ from orbitsep import (
     shift_action_spec,
     to_fourier,
 )
-from orbitsep.groups import phase_steps
+from orbitsep.groups import _norm, _unit_norm, _unit_scaled, phase_steps
 from reference import from_fourier, shift_image
 
 
@@ -165,3 +169,43 @@ def test_shift_becomes_diagonal_action_under_fourier():
         lhs = to_fourier(shift_image(img, el))
         rhs = act(g, el, sig)
         assert np.abs(lhs - rhs).max() < 1e-12
+
+
+@st.composite
+def norm_stacks(draw):
+    """(B, D) complex stacks with parts +-m * 2**(e - 52), m a 53-bit
+    integer, subnormals included: e within 2 of one center, so the order of
+    the sum shows in the rounding, or over the whole double range; and some
+    zero rows and inf or NaN parts."""
+    b, d = draw(st.integers(1, 4)), draw(st.integers(1, 40))
+    center, spread = draw(st.integers(-1074, 1023)), draw(st.sampled_from([2, 2100]))
+    special = st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan])
+    finite = st.builds(lambda sign, m, e: sign * math.ldexp(m, e - 52), st.sampled_from([-1.0, 1.0]),
+                       st.integers(2**52, 2**53 - 1),
+                       st.integers(max(-1074, center - spread), min(1023, center + spread)))
+    parts = np.array(draw(st.lists(finite, min_size=2 * b * d, max_size=2 * b * d)))
+    for i, value in draw(st.lists(st.tuples(st.integers(0, 2 * b * d - 1), special), max_size=3)):
+        parts[i] = value
+    stack = parts.view(complex).reshape(b, d)
+    for row in draw(st.lists(st.integers(0, b - 1), max_size=b)):
+        stack[row] = 0
+    return stack
+
+
+def float_bits(values) -> list:
+    return np.asarray(values, dtype=np.float64).view(np.uint64).tolist()
+
+
+@settings(max_examples=300, deadline=None)
+@given(norm_stacks())
+def test_norm_of_a_stack_is_each_rows_norm_bit_for_bit(stack):
+    with np.errstate(over="ignore"):  # a norm beyond the double range is inf
+        got = _norm(stack)
+        assert got.shape == (len(stack),)
+        for b, row in enumerate(stack):
+            scaled, k = _unit_scaled(row)
+            want = np.ldexp(np.linalg.norm(scaled), k)
+            assert float_bits([got[b], _norm(row)]) == float_bits([want, want])
+        # Rows already scaled keep k = 0, so _unit_norm skips no rescaling.
+        scaled = _unit_scaled(stack)[0]
+        assert float_bits(_unit_norm(scaled)) == float_bits(_norm(scaled))

@@ -41,7 +41,8 @@ import orbitsep.plan
 from orbitsep.exponents import faithful_quotient
 from orbitsep.metric import _coset_overlap, _cut, full_support_pairs
 from reference import (
-    PAIR_KINDS, brute_orbit_distance, equivalent, fft_overlap, pairs, ratio_scan, sample_pair,
+    PAIR_KINDS, brute_orbit_distance, chunked_ratio_scan, equivalent, fft_overlap, pairs, ratio_scan,
+    sample_pair,
 )
 
 
@@ -199,6 +200,40 @@ def test_ratio_scan_nan_ratio_is_the_maximum():
             ratio, (x, y) = lipschitz_ratio_scan(transform, g, iter(drawn))
         assert np.isnan(ratio)
         assert x is drawn[1][0] and y is drawn[1][1]
+
+
+def crafted_scan(case: str):
+    """Six pairs and a transform that scales each pair's rows by its own
+    factor: "nan" turns the third pair NaN after a larger ratio and an
+    orbit-equivalent pair, "tie" repeats the second pair as the fifth at the
+    largest ratio, "skipped" puts orbit-equivalent pairs between the kept
+    ones, and "equivalent" has no pair to keep."""
+    g = shift_action_spec(2, 3)
+    kinds = {"equivalent": ["same_orbit"] * 6, "skipped": ["same_orbit", "random"] * 3,
+             "nan": ["random", "same_orbit"] + ["random"] * 4}
+    drawn = [sample_pair(g, kind, child_seed(11, i)) for i, kind in enumerate(kinds.get(case, ["random"] * 6))]
+    scales = {"nan": {0: 1e6, 2: np.nan}, "tie": {1: 1e6, 4: 1e6}, "skipped": {5: 1e6}}.get(case, {})
+    if case == "tie":
+        drawn[4] = tuple(z.copy() for z in drawn[1])
+    factor = {z.tobytes(): scales.get(i, 1.0) for i, pair in enumerate(drawn) for z in pair}
+    return g, lambda stack: stack * np.array([factor[z.tobytes()] for z in stack])[:, None], drawn
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 6])
+@pytest.mark.parametrize("case", ["nan", "tie", "skipped", "equivalent"])
+def test_ratio_scan_chooses_the_pair_the_per_pair_loop_chooses(case, size):
+    g, transform, drawn = crafted_scan(case)
+    with patch.object(orbitsep.metric, "_STACK", pairs_per_chunk(g, size)):
+        if case == "equivalent":
+            for scan in (chunked_ratio_scan, lipschitz_ratio_scan):
+                with pytest.raises(DomainError, match="orbit-equivalent"):
+                    scan(transform, g, iter(drawn))
+            return
+        want_ratio, want_pair = chunked_ratio_scan(transform, g, iter(drawn))
+        ratio, pair = lipschitz_ratio_scan(transform, g, iter(drawn))
+    assert bits(ratio) == bits(want_ratio)
+    assert pair[0] is want_pair[0] and pair[1] is want_pair[1]
+    assert pair[0] is drawn[{"nan": 2, "tie": 1, "skipped": 5}[case]][0]
 
 
 def test_ratio_scan_scores_each_chunk_with_one_call_each():

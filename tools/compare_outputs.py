@@ -15,6 +15,14 @@ given.  Each tree then runs every op, in that order, through its own
 orbitsep.cli.main in one child process, so caches warm as they do in a
 benchmark run.  Prints how many ops differ in exit code or output bytes
 and the first few of them; exits 1 on any difference.
+
+When some ops differ only in bytes (the same exit code), a value report
+follows: their outputs are parsed and walked by key path, list positions
+folded into "[]", per command.  For each path it prints the largest
+relative difference of its numbers, |a - b| / max(|a|, |b|), and the op
+where it falls; and each path whose type, length, keys or non-finite
+spelling ("NaN", "Infinity", "-Infinity") differs, with the first op where
+it does.  Nothing more is printed when no op differs.
 """
 
 from __future__ import annotations
@@ -35,6 +43,7 @@ ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ROOT / "perfbench" / "workloads.py"
 SHOW = 5  # differing ops printed
 ARGV_COMMANDS = ("exponents", "bench", "counterexample")  # the commands that read no input file
+NON_FINITE = ("NaN", "Infinity", "-Infinity")  # how the emitter spells non-finite floats
 
 
 def load_workloads():
@@ -75,6 +84,55 @@ def outcomes(src: Path, workdir: Path, tag: str) -> dict:
     codes = json.loads((out / "codes.json").read_text())
     return {key: (code, path.read_bytes() if (path := out / f"{key}.json").exists() else None)
             for key, code in codes.items()}
+
+
+def kind(value) -> str:
+    """A parsed value's JSON type; ints and floats are one "number", and the
+    emitter's non-finite spellings are their own kind."""
+    if type(value) in (int, float):
+        return "number"
+    return "non-finite" if value in NON_FINITE else type(value).__name__
+
+
+def walk(a, b, path: str):
+    """(path, relative difference, None) for each pair of numbers of two
+    parsed outputs, and (path, None, what differs) for each other difference."""
+    if kind(a) != kind(b):
+        yield path, None, f"{kind(a)} -> {kind(b)}"
+    elif isinstance(a, dict):
+        if list(a) != list(b):
+            yield path, None, f"keys {list(a)} -> {list(b)}"
+        for key in a.keys() & b.keys():
+            yield from walk(a[key], b[key], f"{path}.{key}")
+    elif isinstance(a, list):
+        if len(a) != len(b):
+            yield path, None, f"length {len(a)} -> {len(b)}"
+        for x, y in zip(a, b):
+            yield from walk(x, y, f"{path}[]")
+    elif kind(a) == "number":
+        yield path, 0.0 if a == b else abs(a - b) / max(abs(a), abs(b)), None
+    elif a != b:
+        yield path, None, f"{a!r} -> {b!r}"
+
+
+def value_report(ops, base: dict, head: dict) -> list:
+    """Lines for the ops with the same exit code whose outputs both exist and
+    differ: the largest relative difference per command and path, then what
+    else differs."""
+    largest, mismatches = {}, {}
+    for _, key, argv in ops:
+        (code_a, a), (code_b, b) = base[key], head[key]
+        if code_a != code_b or a is None or b is None or a == b:
+            continue
+        for path, ratio, what in walk(json.loads(a), json.loads(b), argv[0]):
+            if what is not None:
+                mismatches.setdefault(path, (what, key))
+            elif ratio > largest.get(path, (0.0,))[0]:
+                largest[path] = (ratio, key)
+    lines = [f"  {path}: largest relative difference {ratio:.3g} ({key})"
+             for path, (ratio, key) in sorted(largest.items())]
+    lines += [f"  {path}: {what} ({key})" for path, (what, key) in sorted(mismatches.items())]
+    return lines or ["  no value differs"]
 
 
 def main(argv=None) -> int:
@@ -120,6 +178,9 @@ def main(argv=None) -> int:
         code_a, code_b = base[key][0], head[key][0]
         what = f"exit {code_a} -> {code_b}" if code_a != code_b else "output bytes"
         print(f"  {key}: {what}: {' '.join(argv)}")
+    if any(base[key][0] == head[key][0] for key, _ in differ):
+        print("values:")
+        print("\n".join(value_report(ops, base, head)))
     return 1 if differ else 0
 
 
