@@ -30,7 +30,7 @@ from .hermite import (
     hermite_multiplier,
 )
 from .io import KeyedRows, emit_json, read_image_csv, read_pgm, read_signal_json, write_output
-from .metric import _full_support, child_seed, full_support_pairs, lipschitz_ratio_scan, orbit_distance
+from .metric import full_support_pairs, lipschitz_ratio_scan, orbit_distance
 from .plan import plan
 from .transforms import (
     eval_lowdim,
@@ -134,10 +134,10 @@ def _transform(name, group, seed, mode):
     table, Theta's weights or Phi's reduction from the group's plan.
 
     Returns (id, evaluate, bound): evaluate(x) gives one signal's payload
-    fields in output order, and for F, Theta, PhiF and Phi also takes a
-    (B, N) stack, whose "values" are the B rows; bound() gives Phi's
-    certified Lipschitz constant and is None for the other transforms.  Evaluators are looked up by name
-    when called, so wrappers installed on this module's globals see every call.
+    fields in output order, and also takes a (B, N) stack, whose "values"
+    are the B rows; bound() gives Phi's certified Lipschitz constant and is
+    None for the other transforms.  Evaluators are looked up by name when
+    called, so wrappers installed on this module's globals see every call.
     """
     if name == "rational":
         data = hermite_multiplier(group)
@@ -154,7 +154,7 @@ def _transform(name, group, seed, mode):
 
         def evaluate(x):
             sign, values = eval_scaled_invariants(data, x)
-            return {"dim": len(values), "sign": sign, "values": values}
+            return {"dim": values.shape[-1], "sign": sign, "values": values}
 
         return "G", evaluate, None
     if name not in TRANSFORMS:
@@ -206,10 +206,7 @@ def cmd_compare(args) -> dict:
     first = _load_signal(args.input_a, group, image_shape)
     second = _load_signal(args.input_b, group, image_shape)
     tid, evaluate, _ = _transform(args.transform, group, args.seed, args.mode)
-    if args.transform in BENCH_TRANSFORMS:  # one (2, N) stack, each row as its single call
-        values_a, values_b = evaluate(np.stack([first, second]))["values"]
-    else:
-        values_a, values_b = (evaluate(x)["values"] for x in (first, second))
+    values_a, values_b = evaluate(np.stack([first, second]))["values"]  # each row as its single call
     with np.errstate(all="ignore"):  # non-finite values give a non-finite gap
         gap, *norms = _norm(np.stack([values_a - values_b, values_a, values_b])).tolist()
     scale = max(1.0, *norms)
@@ -251,18 +248,14 @@ def cmd_counterexample(args) -> dict:
             "lambda = 1"
         )
     data = cyclic_fixture_data(args.n)
-    attempts = 0
-    result = None
-    while result is None and attempts < 64:
-        rng = np.random.default_rng(child_seed(args.seed, attempts))
-        attempts += 1
-        y = _full_support(rng, args.n)
-        y = y / _norm(y)
+    # The seed signal of attempt i is the first signal of bench's pair i.
+    for attempts, (y, _) in enumerate(full_support_pairs(data.group, 64, args.seed), 1):
         try:
-            result = construct_counterexample(data, y)
+            result = construct_counterexample(data, y / _norm(y))
         except DomainError:
             continue
-    if result is None:
+        break
+    else:
         raise DomainError("no usable seed signal found in 64 attempts; change --seed")
     return {
         **_envelope(args),

@@ -130,22 +130,22 @@ def _unit_norm(scaled):
 
 
 def act(group: GroupSpec, element, x) -> np.ndarray:
-    """Apply one group element to a signal.
+    """Apply group elements to signals.
 
-    element: s integers (reduced mod the orders, so any ints are accepted).
+    element: s integers, or a (B, s) stack of them, each reduced mod its
+    order in Python ints (so any ints are accepted).  x: one (N,) signal
+    or a (B, N) stack; the two broadcast, and a stacked row is moved bit
+    for bit as its single call moves it.
     Unitary: moduli are preserved exactly.
     """
-    x = _check_signal(group, x)
-    element = tuple(element)
-    if len(element) != group.num_generators:
+    x = _check_signal(group, x, stacked=True)
+    g = np.array(element, dtype=object)  # Python ints, so the reduction is exact beyond int64
+    if g.ndim not in (1, 2) or g.shape[-1] != group.num_generators:
         raise DimensionError(
-            f"element has {len(element)} components, expected {group.num_generators}"
+            f"element has shape {g.shape}, expected {group.num_generators} components per row"
         )
     L = group.phase_lcm
-    g = np.array(
-        [int(e) % p for e, p in zip(element, group.orders)], dtype=np.int64
-    )
-    turns = g @ phase_steps(group) % L
+    turns = (g % np.array(group.orders, dtype=object)).astype(np.int64) @ phase_steps(group) % L
     return np.exp((2j * np.pi / L) * turns) * x
 
 

@@ -214,7 +214,9 @@ class RationalInvariantResult:
 
 
 def eval_rational_invariants(data: HermiteData, z) -> RationalInvariantResult:
-    """Evaluate the invariant Laurent monomials (one per column).
+    """Evaluate the invariant Laurent monomials (one per column) of one (N,)
+    signal or of each row of a (B, N) stack; a stacked row comes out bit for
+    bit as its single call, with one domain_ok per row (a bool for one signal).
 
     A zero coordinate hit by a negative exponent poles the component: its
     value is reported as 0 and domain_ok turns false.  A zero hit only by
@@ -224,58 +226,64 @@ def eval_rational_invariants(data: HermiteData, z) -> RationalInvariantResult:
     coordinate order, leave the open log range of normal doubles: its value
     under- or overflowed on the way, even where it came out finite.
     """
-    z = _check_signal(data.group, z)
+    z = _check_signal(data.group, z, stacked=True)
     exps = float_exponents(data.inv_exponents).T
-    poled = ((z == 0) & (exps < 0)).any(axis=1)
-    annihilated = ((z == 0) & (exps > 0)).any(axis=1)
-    values = monomials(z, np.arange(data.dim), exps)
+    zero = (z == 0)[..., None, :]  # against each component's exponents
+    poled = (zero & (exps < 0)).any(axis=-1)
+    annihilated = (zero & (exps > 0)).any(axis=-1)
+    values = monomials(z[..., None, :], np.arange(data.dim), exps)
     values[poled | annihilated] = 0
     with np.errstate(divide="ignore", invalid="ignore"):  # log 0 and 0 * log 0, masked below
-        terms = np.where(exps != 0, exps * np.log(np.abs(z)), 0.0)
-        logs = np.concatenate([terms, np.cumsum(terms, axis=1)], axis=1)
-    in_range = ((_LOG_RANGE[0] < logs) & (logs < _LOG_RANGE[1])).all(axis=1)
-    domain_ok = not poled.any() and bool(np.isfinite(values).all()) and bool((in_range | annihilated).all())
-    return RationalInvariantResult(values=values, domain_ok=domain_ok)
+        terms = np.where(exps != 0, exps * np.log(np.abs(z))[..., None, :], 0.0)
+        logs = np.concatenate([terms, np.cumsum(terms, axis=-1)], axis=-1)
+    in_range = ((_LOG_RANGE[0] < logs) & (logs < _LOG_RANGE[1])).all(axis=-1)
+    domain_ok = ~poled.any(axis=-1) & np.isfinite(values).all(axis=-1) & (in_range | annihilated).all(axis=-1)
+    return RationalInvariantResult(values=values, domain_ok=domain_ok if z.ndim == 2 else bool(domain_ok))
 
 
-def signed_quadratic(data: HermiteData, x) -> float:
-    """Sum of sign(scaling_k) * |x_k|^2.
+def signed_quadratic(data: HermiteData, x):
+    """Sum of sign(scaling_k) * |x_k|^2: a float for one (N,) signal, one
+    per row for a (B, N) stack.
 
     Equals ||x||^2 when every scaling entry is positive; zero entries drop
-    their coordinate from the sum.
+    their coordinate from the sum.  The sum runs left to right, as cumsum
+    adds; a pairwise sum would round a row otherwise.
     """
-    x = _check_signal(data.group, x)
-    moduli_sq = np.abs(x) ** 2
-    return float(sum(s * m for s, m in zip(data.signature, moduli_sq)))
+    x = _check_signal(data.group, x, stacked=True)
+    q = np.cumsum(np.array(data.signature) * np.abs(x) ** 2, axis=-1)[..., -1]
+    return q if x.ndim == 2 else float(q)
 
 
 def eval_scaled_invariants(data: HermiteData, x):
     """The sign of the quadratic form plus the scale-restored invariants:
-    (sign, sqrt|q| * (x/sqrt|q|)^columns).  Needs full support.
+    (sign, sqrt|q| * (x/sqrt|q|)^columns).  Needs full support.  x is one
+    (N,) signal, with an int sign, or a (B, N) stack, with one sign per row;
+    a stacked row comes out bit for bit as its single call.
 
     With a nonnegative scaling vector the norm (groups._norm) restores the
     scale and the sign is +1; with mixed signs the signed quadratic form
     takes over and must not vanish.
     """
-    x = _check_signal(data.group, x)
+    x = _check_signal(data.group, x, stacked=True)
     if np.any(np.abs(x) == 0):
         raise DomainError("scaled invariants need a fully supported signal")
     x, k = _unit_scaled(x)  # so no square leaves the double range
     if min(data.scaling) >= 0:
-        sign = 1
+        sign = np.ones_like(k)
         scale = _unit_norm(x)
     else:
         q = signed_quadratic(data, x)
-        if q == 0.0:
+        if np.any(q == 0.0):
             raise DomainError(
                 "signed quadratic form vanishes; scale cannot be restored"
             )
-        sign = 1 if q > 0 else -1
-        scale = math.sqrt(abs(q))
+        sign = np.where(q > 0, 1, -1)
+        scale = np.sqrt(np.abs(q))
     exps = float_exponents(data.inv_exponents).T
-    unit = monomials(x / scale, np.arange(data.dim), exps)
+    unit = monomials((x / scale[..., None])[..., None, :], np.arange(data.dim), exps)
     with np.errstate(all="ignore"):  # beyond the double range: inf or nan, as monomials give
-        return sign, float(np.ldexp(scale, k)) * unit
+        values = np.ldexp(scale, k)[..., None] * unit
+    return (sign, values) if x.ndim == 2 else (int(sign), values)
 
 
 @dataclass(frozen=True, eq=False)

@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import DimensionError, DomainError
 from .groups import (
-    GroupSpec, _check_enumerable, _check_signal, _norm, _unit_scaled, enumerate_group, phase_steps,
+    GroupSpec, _check_enumerable, _check_signal, _norm, _unit_scaled, act, enumerate_group, phase_steps,
 )
 from .plan import plan
 
@@ -98,12 +98,12 @@ def _coset_overlap(cut, cross) -> np.ndarray:
 
 def _compile(group_plan) -> tuple:
     """The plan's read-only metric arrays: Q; lift, one element of G per
-    factor of Q; turns = lift @ steps; G's phase steps; K'; and Q's _cut."""
+    factor of Q; turns = lift @ G's phase steps; K'; and Q's _cut."""
     quotient = group_plan.quotient
     # Below the enumeration cap every entry and product here fits int64.
     lift = np.array(quotient.lift, dtype=np.int64)
-    steps = phase_steps(group_plan.group)
-    arrays = lift, lift @ steps % group_plan.group.phase_lcm, steps, np.array(quotient.kernel, dtype=np.int64)
+    turns = lift @ phase_steps(group_plan.group) % group_plan.group.phase_lcm
+    arrays = lift, turns, np.array(quotient.kernel, dtype=np.int64)
     for array in arrays:
         array.flags.writeable = False
     return quotient.group, *arrays, _cut(quotient.group)
@@ -143,7 +143,7 @@ def orbit_distance(group: GroupSpec, x, y):
     group_plan = plan(group)
     if group_plan.metric is None:
         group_plan.metric = _compile(group_plan)
-    quotient, lift, turns, steps, kernel, cut = group_plan.metric
+    quotient, lift, turns, kernel, cut = group_plan.metric
     elements = enumerate_group(quotient)
     L, n = group.phase_lcm, group.dim
     # One power of two per pair puts every part in (-1, 1): no product below overflows.
@@ -166,10 +166,8 @@ def orbit_distance(group: GroupSpec, x, y):
         candidates = np.flatnonzero(~(scores < scores.max() - slack))
         tied = _nearest(elements, candidates, turns, cross[b], const, L)
         witnesses[b] = least_member(kernel, tied @ lift)
-    # The distances as act() would move y, recomputed directly.
-    moved = np.exp((2j * np.pi / L) * (witnesses @ steps % L)) * y
     with np.errstate(over="ignore"):  # a distance beyond the double range is inf
-        distances = np.ldexp(_norm(x - moved), k)
+        distances = np.ldexp(_norm(x - act(group, witnesses, y)), k)
     results = [OrbitDistanceResult(float(d), tuple(w)) for d, w in zip(distances, witnesses.tolist())]
     return results if stacked else results[0]
 

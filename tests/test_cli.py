@@ -522,15 +522,34 @@ def test_phi_on_another_group_keeps_the_first_groups_reduction(capsys, monkeypat
     assert [(table.group.dim, seed) for table, seed in calls] == [(6, 7), (4, 8)]
 
 
-# The evaluator compare calls for each stackable transform.
-EVALUATORS = {"f": "eval_monomial_map", "theta": "eval_phase_map", "phif": "eval_norm_scaled", "phi": "eval_lowdim"}
+# The evaluator compare calls for each transform.
+EVALUATORS = {"f": "eval_monomial_map", "theta": "eval_phase_map", "phif": "eval_norm_scaled", "phi": "eval_lowdim",
+              "rational": "eval_rational_invariants", "g": "eval_scaled_invariants"}
+
+
+def one_row_at_a_time(evaluator):
+    """evaluator with a (B, N) stack taken as B direct single-signal calls,
+    their results put together as the stack's one result."""
+
+    def evaluate(*args):
+        stack = [v for v in args if isinstance(v, np.ndarray)][-1]
+        results = [evaluator(*(row if v is stack else v for v in args)) for row in stack]
+        first = results[0]
+        if isinstance(first, tuple):  # G's (sign, values)
+            return tuple(np.array(part) for part in zip(*results))
+        if isinstance(first, orbitsep.RationalInvariantResult):
+            return type(first)(np.stack([r.values for r in results]), np.array([r.domain_ok for r in results]))
+        return type(first)(first.transform_id, np.stack([r.values for r in results]))
+
+    return evaluate
 
 
 @pytest.mark.parametrize("transform", EVALUATORS)
 def test_stacked_compare_emits_the_bytes_of_two_single_calls(capsys, monkeypatch, tmp_path, transform):
-    # compare evaluates its two inputs as one (2, N) stack; with the stack
-    # switched off it makes two single calls, and every byte must agree,
-    # transform_gap included, at zero and near 2**1000 and 2**-1000.
+    # compare evaluates its two inputs as one (2, N) stack; every byte must
+    # agree with the compare whose values come from two direct single-signal
+    # calls, transform_gap and errors included, at zero and near 2**1000 and
+    # 2**-1000.
     rng = np.random.default_rng(37)
     x, y = rng.standard_normal((2, 12)).view(complex)
     cases = [(x, y), (np.zeros(6), y), (np.zeros(6), np.zeros(6)), (x * 2.0**1000, y * 2.0**1000),
@@ -544,9 +563,9 @@ def test_stacked_compare_emits_the_bytes_of_two_single_calls(capsys, monkeypatch
                 str(write_signal(tmp_path, f"a{k}.json", a)), str(write_signal(tmp_path, f"b{k}.json", b))]
         stacked = run(capsys, *argv)
         with monkeypatch.context() as single:
-            single.setattr(orbitsep.cli, "BENCH_TRANSFORMS", ())
+            single.setattr(orbitsep.cli, EVALUATORS[transform], one_row_at_a_time(original))
             assert run(capsys, *argv) == stacked
-    assert shapes == [(2, 6), (6,), (6,)] * len(cases)
+    assert shapes == [(2, 6)] * len(cases)
 
 
 def top_parser_run(capsys, argv):

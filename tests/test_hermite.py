@@ -1,6 +1,7 @@
 """Hermite reduction, rational invariants, the signed scale restoration,
 and the scale-collision counterexample."""
 
+import contextlib
 import math
 from fractions import Fraction
 
@@ -530,6 +531,76 @@ def test_scaled_invariants_domain_errors():
     # mixed-sign scaling with an exactly vanishing quadratic form: 9 = 4+4+1
     with pytest.raises(DomainError):
         eval_scaled_invariants(data, np.array([3.0, 2.0, 2.0, 1.0], complex))
+
+
+# Nonnegative scalings (cyclic 12, the n = 3 fixture with its zero entry)
+# and mixed-sign ones, with negative exponents that pole at a zero.
+STACK_DATA = [hermite_multiplier(g) for g in (cyclic_shift_spec(12), shift_action_spec(3, 4), shift_action_spec(2, 3),
+                                              make_group([4, 6], [[1, 2, 3], [5, 0, 1]]))]
+STACK_DATA += [cyclic_fixture_data(3), cyclic_fixture_data(6)]
+
+
+def bits(value):
+    return np.asarray(value).tobytes()
+
+
+@st.composite
+def stacks(draw):
+    """(data, z, full, elements): a (B, N) stack, B = 1 to 4, of signals
+    at scales 2**-1060 (subnormal) to 2**1000, one scale per row; z has
+    planted zeros, full has none; one element of s ints per row, unreduced
+    and beyond int64."""
+    data = draw(st.sampled_from(STACK_DATA))
+    rows = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scales = draw(st.lists(st.integers(-1060, 1000), min_size=rows, max_size=rows))
+    full = np.ldexp(rng.standard_normal((rows, 2 * data.dim)), np.array(scales)[:, None]).view(complex)
+    z = np.where(rng.random(full.shape) < draw(st.floats(0, 0.5)), 0, full)
+    element = st.lists(st.integers(-2**70, 2**70), min_size=data.group.num_generators,
+                       max_size=data.group.num_generators)
+    return data, z, full, draw(st.lists(element, min_size=rows, max_size=rows))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(stacks())
+def test_stacked_rows_match_single_calls(stack):
+    # Rational, G, the signed quadratic form and act each take one (N,)
+    # signal or a (B, N) stack, and each stacked row comes out bit for bit
+    # as its single call: one domain_ok, sign and element per row.
+    data, z, full, elements = stack
+    rational = eval_rational_invariants(data, z)
+    assert rational.domain_ok.shape == (len(z),)
+    for row, ok, values in zip(z, rational.domain_ok, rational.values):
+        single = eval_rational_invariants(data, row)
+        assert single.domain_ok is bool(ok)
+        assert bits(single.values) == bits(values)
+    with np.errstate(all="ignore"):  # squares beyond the double range: G's rows are scaled first
+        quadratic = signed_quadratic(data, full)
+        for row, value in zip(full, quadratic):
+            single = signed_quadratic(data, row)
+            # Left to right, as a Python sum adds; a pairwise sum rounds otherwise.
+            left_to_right = sum(s * m for s, m in zip(data.signature, np.abs(row) ** 2))
+            assert type(single) is float and bits(single) == bits(value) == bits(left_to_right)
+    try:
+        signs, values = eval_scaled_invariants(data, full)
+    except DomainError:  # a vanishing form or an underflowed entry in some row
+        failed = 0
+        for row in full:
+            with contextlib.suppress(DomainError):
+                eval_scaled_invariants(data, row)
+                continue
+            failed += 1
+        assert failed
+    else:
+        for row, sign, row_values in zip(full, signs, values):
+            single_sign, single_values = eval_scaled_invariants(data, row)
+            assert type(single_sign) is int and single_sign == sign
+            assert bits(single_values) == bits(row_values)
+    moved = act(data.group, elements, z)
+    for element, row, row_moved in zip(elements, z, moved):
+        assert bits(act(data.group, element, row)) == bits(row_moved)
+    reduced = np.array([[e % p for e, p in zip(element, data.group.orders)] for element in elements])
+    assert bits(act(data.group, reduced, z)) == bits(moved)
 
 
 def test_counterexample_matches_closed_form():

@@ -732,7 +732,7 @@ def test_plan_metric_arrays_are_read_only():
     group = PLAN_GROUPS["1e4a"]
     orbit_distance(group, *plan_pairs(group)[1])
     _, *arrays, (lead, trail, _) = orbitsep.plan.plan(group).metric
-    assert len(arrays) == 4  # lift, turns, steps, kernel
+    assert len(arrays) == 3  # lift, turns, kernel
     for array in (*arrays, lead, trail):
         with pytest.raises(ValueError, match="read-only"):
             array[...] = 0

@@ -1,0 +1,123 @@
+"""Mutation gate: each entry breaks one fast path or check of orbitsep in a
+temporary copy of src/, and the test it names must then fail.
+
+    python3 tools/mutants.py
+
+Run from the repository root.  An entry is (file under src/, old text, new
+text, pytest node id).  For each one the tool copies ./src into a temporary
+directory, replaces the one occurrence of the old text, and runs the named
+test of ./tests with PYTHONPATH at that copy, never touching the checkout.
+It prints one line per entry:
+
+- killed: the test failed, as it must;
+- survived: the test passed on the mutant;
+- stale: the old text does not occur exactly once in the file;
+- error: pytest ended otherwise (no such test, a collection error).
+
+and exits 1 unless every entry is killed.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+TIMEOUT_S = 900  # per entry; the slowest named test runs in under a minute
+
+MUTANTS = [
+    # The int64 KeyedRows byte pass: the sign word, the inner zero padding
+    # and the offset into the padded spellings.
+    ("orbitsep/io.py",
+     "cells[:, :, 1] = np.where(block < 0, _MINUS_WORD, 0)",
+     "cells[:, :, 1] = 0",
+     "tests/test_io.py::test_keyed_rows_match_reference_across_blocks"),
+    ("orbitsep/io.py",
+     "words = np.concatenate([lead, digits])",
+     "words = np.concatenate([lead, lead])",
+     "tests/test_io.py::test_keyed_rows_match_reference_across_blocks"),
+    ("orbitsep/io.py",
+     "            index[more > 0] += _WORD_BASE\n",
+     "",
+     "tests/test_io.py::test_keyed_rows_match_reference_across_blocks"),
+    # The scaling solve's float guess: the B @ Z proof, the 2**53 bound on
+    # its products, and the guess itself.
+    ("orbitsep/hermite.py",
+     " or (a @ z != q * np.eye(len(a))).any()",
+     "",
+     "tests/test_hermite.py::test_singular_systems_with_a_solution_raise"),
+    ("orbitsep/hermite.py",
+     "not len(a) * top * float(np.abs(z).max()) < _FLOAT_EXACT or ",
+     "",
+     "tests/test_hermite.py::test_float_guess_is_refused_where_its_product_rounds"),
+    ("orbitsep/hermite.py",
+     "    if len(rows) < _GUESS_MIN_DIM:\n        return None\n",
+     "    return None\n",
+     "tests/test_hermite.py::test_float_guess_skips_elimination_until_it_cannot_be_proved"),
+    # Bareiss elimination's sign on a row swap.
+    ("orbitsep/hermite.py",
+     "            sign = -sign\n",
+     "",
+     "tests/test_hermite.py::test_bareiss_solve_and_determinant_match_oracles"),
+    # Stacked rational invariants and signed form: the pole mask per row,
+    # and the left-to-right sum.
+    ("orbitsep/hermite.py",
+     "poled = (zero & (exps < 0)).any(axis=-1)",
+     "poled = (zero.any(axis=0) & (exps < 0)).any(axis=-1)",
+     "tests/test_hermite.py::test_stacked_rows_match_single_calls"),
+    ("orbitsep/hermite.py",
+     "np.cumsum(np.array(data.signature) * np.abs(x) ** 2, axis=-1)[..., -1]",
+     "np.sum(np.array(data.signature) * np.abs(x) ** 2, axis=-1)",
+     "tests/test_hermite.py::test_stacked_rows_match_single_calls"),
+    # The discrete-log table takes the first divisor that holds.
+    ("orbitsep/exponents.py",
+     "    for x in divisors:\n",
+     "    for x in divisors[1:]:\n",
+     "tests/test_exponents.py::test_discrete_logs_build_the_lattice_table"),
+    # The metric rescores every coset within the product's error bound.
+    ("orbitsep/metric.py",
+     "slack = 1e-9 * max(const, 1e-290)",
+     "slack = 0.0",
+     "tests/test_metric.py::test_near_ties_rescored_over_several_blocks_match_brute_force"),
+]
+
+
+def check(entry) -> str:
+    """Apply one entry to a temporary copy of ./src and run its test;
+    returns killed, survived, stale or error."""
+    path, old, new, test = entry
+    with tempfile.TemporaryDirectory() as tmp:
+        src = Path(tmp) / "src"
+        shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+        target = src / path
+        text = target.read_text()
+        if text.count(old) != 1:
+            return "stale"
+        target.write_text(text.replace(old, new))
+        # Run from the temporary directory, so Hypothesis keeps no example
+        # database in the checkout; pytest still finds the checkout's ini.
+        done = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", str(ROOT / test)],
+            cwd=tmp, env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, text=True, timeout=TIMEOUT_S,
+        )
+    return {0: "survived", 1: "killed"}.get(done.returncode, "error")
+
+
+def main() -> int:
+    results = []
+    for entry in MUTANTS:
+        path, old, new, test = entry
+        results.append(check(entry))
+        print(f"{results[-1]:8}  {path}: {old.strip()!r} -> {new.strip()!r}  [{test}]", flush=True)
+    killed = results.count("killed")
+    print(f"{killed} of {len(results)} mutants killed")
+    return 0 if killed == len(results) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
