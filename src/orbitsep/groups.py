@@ -144,8 +144,9 @@ def act(group: GroupSpec, element, x) -> np.ndarray:
         raise DimensionError(
             f"element has shape {g.shape}, expected {group.num_generators} components per row"
         )
+    from .plan import plan  # the plan module imports this one
     L = group.phase_lcm
-    turns = (g % np.array(group.orders, dtype=object)).astype(np.int64) @ phase_steps(group) % L
+    turns = (g % np.array(group.orders, dtype=object)).astype(np.int64) @ plan(group).phase_steps % L
     return np.exp((2j * np.pi / L) * turns) * x
 
 

@@ -246,11 +246,12 @@ def signed_quadratic(data: HermiteData, x):
     per row for a (B, N) stack.
 
     Equals ||x||^2 when every scaling entry is positive; zero entries drop
-    their coordinate from the sum.  The sum runs left to right, as cumsum
-    adds; a pairwise sum would round a row otherwise.
+    their coordinate.  Rows are _unit_scaled, then summed left to right as
+    cumsum adds (pairwise rounds otherwise): inf past doubles, no warning.
     """
-    x = _check_signal(data.group, x, stacked=True)
-    q = np.cumsum(np.array(data.signature) * np.abs(x) ** 2, axis=-1)[..., -1]
+    x, k = _unit_scaled(_check_signal(data.group, x, stacked=True))
+    with np.errstate(over="ignore"):
+        q = np.ldexp(np.cumsum(np.array(data.signature) * np.abs(x) ** 2, axis=-1)[..., -1], 2 * k)
     return q if x.ndim == 2 else float(q)
 
 

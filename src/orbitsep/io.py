@@ -4,13 +4,13 @@ The JSON emitter is hand rolled so the output bytes are a pure function of
 the payload: insertion-ordered keys, floats at 17 significant digits
 (round-trip safe), complex numbers as [re, im] pairs, exact rationals as
 quoted strings, non-finite floats as quoted names (strict JSON has no
-Infinity literal).  One float rule serves scalars and whole 1-D float64 or
-complex128 arrays: one %-format of "%.17g" items, whose non-finite
-spellings are mapped through the one _NON_FINITE table.  Lists of plain
-ints are joined in one pass.  KeyedRows of int64 are written by one numpy
-byte pass per block of rows (digits looked up four at a time, NUL padding
-dropped once), those of exact Python ints by one %d-format per block; keys
-and strings are quoted as json.dumps does.
+Infinity literal).  One float rule serves scalars and 1-D float64 or
+complex128 arrays: one %-format of "%.17g" items per block, non-finite
+spellings mapped through the one _NON_FINITE table.  Lists of plain ints
+are joined in one pass.  Large KeyedRows blocks of int64 are one numpy
+byte pass each (digits looked up four at a time, cells sized per column,
+NULs dropped once), the others one %d-format; keys and strings are quoted
+as json.dumps does.  The pieces are joined once.
 """
 
 from __future__ import annotations
@@ -187,7 +187,9 @@ class KeyedRows(NamedTuple):
     values: np.ndarray
 
 
-_ROWS_PER_PASS = 1 << 13  # one block's text is held at a time, not the table's
+_ROWS_PER_PASS = 1 << 13  # KeyedRows rows per byte pass
+_BYTE_PASS_ROWS = 1 << 7  # a smaller int64 block is cheaper as one %d-format
+_FLOATS_PER_PASS = 1 << 12  # float array values per %-format
 _CONTAINERS = (dict, list, tuple, np.ndarray)
 _WORD_DIGITS = 4  # decimal digits per uint32 word of ASCII bytes
 _WORD_BASE = 10**_WORD_DIGITS
@@ -219,95 +221,105 @@ _MINUS_WORD = _words("-")[0]
 
 
 @functools.lru_cache(maxsize=64)
-def _row_words(depth: int, key_width: int, value_width: int, cell: int):
-    """One row of a KeyedRows block in uint32 words, NUL padded: the indent
-    and the opening quote, one cell of `cell` words per integer, each cell
-    led by its separator word, then "],\n".  Returns the row (read-only)
-    and the index of its first cell."""
+def _row_words(depth: int, key_width: int, spans: tuple):
+    """One row of a KeyedRows block in uint32 words, NUL padded: the indent and
+    the opening quote, one cell per integer, then "],\n".  Per column, spans
+    holds its largest magnitude's digits and whether it has a negative; a cell
+    is its separator word, a sign word if negative, and one word per four
+    digits, and without a sign word a separator that fits in the NULs leading
+    the top digit word shares it.  Returns the row (read-only) and the index
+    one past each cell."""
+    seps = [""] + [","] * (key_width - 1) + ['": ['] + [", "] * (len(spans) - key_width - 1)
+    cells = [-(-digits // _WORD_DIGITS) + negative + (negative or len(sep) > -digits % _WORD_DIGITS)
+             for sep, (digits, negative) in zip(seps, spans)]
     head = _words("  " * (depth + 1) + '"')
-    cells = np.zeros((key_width + value_width, cell), np.uint32)
-    seps = [","] * (key_width - 1) + ['": ['] + [", "] * (value_width - 1)
-    cells[1:, 0] = [_words(sep)[0] for sep in seps]
-    row = np.concatenate([head, cells.ravel(), _words("],\n")])
+    ends = len(head) + np.cumsum(cells)
+    row = np.concatenate([head, np.zeros(ends[-1] - len(head), np.uint32), _words("],\n")])
+    row[(ends - cells)[1:]] = [_words(sep)[0] for sep in seps[1:]]
     row.flags.writeable = False
-    return row, len(head)
+    return row, ends
 
 
-def _int64_rows_bytes(block: np.ndarray, depth: int, key_width: int) -> bytes:
-    """The rows of an int64 block in one byte pass, each row ending in
-    ",\n".  Every integer fills a cell of words: its separator, a sign word
-    when the block has a negative, and one word per four digits, taken from
-    _digit_words; the NULs that pad the words are dropped at the end."""
-    low, high = int(block.min()), int(block.max())
-    chunks = -(-len(str(max(high, -low))) // _WORD_DIGITS)
-    row, start = _row_words(depth, key_width, block.shape[1] - key_width, 1 + (low < 0) + chunks)
-    out = np.empty((len(block), len(row)), np.uint32)
+def _int64_rows_bytes(columns, depth: int, key_width: int) -> bytes:
+    """The rows of an int64 block, given as its columns, in one byte pass,
+    each row ending in ",\n": _row_words cells filled from _digit_words, and
+    the NULs that pad the words dropped at the end."""
+    bounds = [(int(column.min()), int(column.max())) for column in columns]
+    spans = tuple((len(str(max(high, -low))), low < 0) for low, high in bounds)
+    row, ends = _row_words(depth, key_width, spans)
+    out = np.empty((len(columns[0]), len(row)), np.uint32)
     out[:] = row
-    cells = out[:, start:-1].reshape(block.shape + (-1,))
     words, inner = _digit_words()
-    if chunks == 1 and low >= 0:
-        cells[:, :, -1] = words[block]
-    else:
-        rest = np.abs(block).view(np.uint64)  # |int64 min| wraps to -2**63, which reads 2**63 unsigned
-        for c in range(1, chunks + 1):
-            more = rest // _WORD_BASE
-            index = (rest - more * _WORD_BASE).astype(np.intp)
-            index[more > 0] += _WORD_BASE
-            cells[:, :, -c] = (words if c == 1 else inner)[index]
-            rest = more
-        if low < 0:
-            cells[:, :, 1] = np.where(block < 0, _MINUS_WORD, 0)
+    for column, (digits, negative), end in zip(columns, spans, ends.tolist()):
+        count = -(-digits // _WORD_DIGITS)
+        rest = np.abs(column).view(np.uint64) if negative else column  # |int64 min| reads 2**63 unsigned
+        for c in range(1, count + 1):
+            index = rest
+            if c < count:  # the top chunk of the column has no digits above it
+                rest = index // _WORD_BASE
+                index = (index - rest * _WORD_BASE).astype(np.intp)
+                index[rest > 0] += _WORD_BASE
+            out[:, end - c] = (words if c == 1 else inner)[index] | row[end - c]  # a shared separator
+        if negative:
+            out[:, end - count - 1] = np.where(column < 0, _MINUS_WORD, 0)
     return out.tobytes().translate(None, b"\0")
 
 
-def _keyed_rows_text(rows: KeyedRows, depth: int) -> str:
-    """int64 blocks by the byte pass; blocks of exact Python ints (object
-    arrays, beyond int64) by one %d-format each."""
+def _keyed_rows_text(rows: KeyedRows, depth: int, out: list) -> None:
+    """int64 blocks of _BYTE_PASS_ROWS rows or more by the byte pass, other
+    blocks (exact Python ints beyond int64 too) by one %d-format; a piece each."""
     keys, values = rows
-    parts = []
+    out.append("{\n" if len(keys) else "{}")
     for lo in range(0, len(keys), _ROWS_PER_PASS):
-        block = np.concatenate((keys[lo:lo + _ROWS_PER_PASS], values[lo:lo + _ROWS_PER_PASS]), axis=1)
-        if block.dtype == np.int64:
-            parts.append(_int64_rows_bytes(block, depth, keys.shape[1]))
+        block = keys[lo:lo + _ROWS_PER_PASS], values[lo:lo + _ROWS_PER_PASS]
+        if keys.dtype == values.dtype == np.int64 and len(block[0]) >= _BYTE_PASS_ROWS:
+            out.append(_int64_rows_bytes([*block[0].T, *block[1].T], depth, keys.shape[1]).decode())
         else:
             row = "  " * (depth + 1) + '"' + ",".join(["%d"] * keys.shape[1]) + '": ['
             row += ", ".join(["%d"] * values.shape[1]) + "],\n"
-            parts.append((row * len(block) % tuple(block.ravel().tolist())).encode())
-    return "{\n" + b"".join(parts)[:-2].decode() + "\n" + "  " * depth + "}" if parts else "{}"
+            out.append(row * len(block[0]) % tuple(np.concatenate(block, axis=1).ravel().tolist()))
+    if len(keys):
+        out[-1] = out[-1][:-2]  # the last row's ",\n"
+        out.append("\n" + "  " * depth + "}")
 
 
-def _emit(value, depth: int) -> str:
+def _emit(value, depth: int, out: list) -> None:
+    """Append the JSON text of value to out, piece by piece."""
     if not isinstance(value, _CONTAINERS):
-        return _scalar_text(value)
-    if isinstance(value, KeyedRows):
-        return _keyed_rows_text(value, depth)
-    if isinstance(value, np.ndarray):
+        out.append(_scalar_text(value))
+    elif isinstance(value, KeyedRows):
+        _keyed_rows_text(value, depth, out)
+    elif isinstance(value, np.ndarray):
         item = _ARRAY_ITEM.get(value.dtype) if value.ndim == 1 else None
         if item is None:
-            return _emit(value.tolist(), depth)
-        values = np.ascontiguousarray(value).view(np.float64).tolist()
-        return "[" + _float_text(", ".join([item] * len(value)), tuple(values)) + "]"
-    if not value:
-        return "{}" if isinstance(value, dict) else "[]"
-    pad = "  " * (depth + 1)
-    close = "  " * depth
-    if isinstance(value, dict):
-        parts = [
-            f"{pad}{encode_basestring_ascii(str(key))}: {_emit(item, depth + 1)}"
-            for key, item in value.items()
-        ]
-        return "{\n" + ",\n".join(parts) + "\n" + close + "}"
-    if all(type(item) is int for item in value):  # not bool, not np.int64
-        return "[" + ", ".join(map(str, value)) + "]"
-    if not any(isinstance(item, _CONTAINERS) for item in value):
-        return "[" + ", ".join(_scalar_text(item) for item in value) + "]"
-    parts = [f"{pad}{_emit(item, depth + 1)}" for item in value]
-    return "[\n" + ",\n".join(parts) + "\n" + close + "]"
+            return _emit(value.tolist(), depth, out)
+        out.append("[")
+        for lo in range(0, len(value), _FLOATS_PER_PASS):
+            block = np.ascontiguousarray(value[lo:lo + _FLOATS_PER_PASS])
+            if lo:
+                out.append(", ")
+            out.append(_float_text(", ".join([item] * len(block)), tuple(block.view(np.float64).tolist())))
+        out.append("]")
+    elif not value:
+        out.append("{}" if isinstance(value, dict) else "[]")
+    elif isinstance(value, dict) or any(isinstance(item, _CONTAINERS) for item in value):
+        opening, closing = "{}" if isinstance(value, dict) else "[]"
+        for i, item in enumerate(value):
+            out.append(("," if i else opening) + "\n" + "  " * (depth + 1))
+            if opening == "{":
+                out.append(encode_basestring_ascii(str(item)) + ": ")
+            _emit(value[item] if opening == "{" else item, depth + 1, out)
+        out.append("\n" + "  " * depth + closing)
+    elif all(type(item) is int for item in value):  # not bool, not np.int64
+        out.append("[" + ", ".join(map(str, value)) + "]")
+    else:
+        out.append("[" + ", ".join(_scalar_text(item) for item in value) + "]")
 
 
 def emit_json(payload: dict) -> str:
-    """Deterministic JSON text for a report dict, newline terminated."""
-    return _emit(payload, 0) + "\n"
+    """Deterministic JSON text for a report dict, newline terminated, joined once."""
+    _emit(payload, 0, out := [])
+    return "".join([*out, "\n"])
 
 
 def write_output(text: str, out_path=None) -> None:

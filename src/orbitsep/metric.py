@@ -102,7 +102,7 @@ def _compile(group_plan) -> tuple:
     quotient = group_plan.quotient
     # Below the enumeration cap every entry and product here fits int64.
     lift = np.array(quotient.lift, dtype=np.int64)
-    turns = lift @ phase_steps(group_plan.group) % group_plan.group.phase_lcm
+    turns = lift @ group_plan.phase_steps % group_plan.group.phase_lcm
     arrays = lift, turns, np.array(quotient.kernel, dtype=np.int64)
     for array in arrays:
         array.flags.writeable = False

@@ -1,15 +1,16 @@
 """One plan per group: what every layer keeps for a group it has seen.
 
 Its parts depend on the group alone, are built on first use and are
-read-only: G/K, the exponent tables per tuple size, Theta's default weights,
-one slot for Phi's seeded reduction, and the orbit metric's arrays.  The
-builders and the draw are looked up in this module's globals when called,
-so wrappers installed there see every real build and draw.
+read-only: act's phase steps, G/K, the exponent tables per tuple size, Theta's
+default weights, one slot for Phi's seeded reduction, and the orbit metric's
+arrays.  The builders and the draw are looked up in this module's globals
+when called, so wrappers installed there see every real build and draw.
 """
 
 import functools
 
-from .exponents import build_exponent_table, compile_quotient
+from .exponents import _read_only, build_exponent_table, compile_quotient
+from .groups import phase_steps
 from .transforms import default_beta, default_reduction
 
 
@@ -19,6 +20,10 @@ class Plan:
         self._tables = {}  # max_tuple_size -> ExponentTable
         self._reduction = None  # (seed, ell)
         self.metric = None  # the orbit metric's arrays, which the metric module builds
+
+    @functools.cached_property
+    def phase_steps(self):  # act's exact phase increments
+        return _read_only(phase_steps(self.group))
 
     @functools.cached_property
     def quotient(self):  # G/K, as exponents.faithful_quotient gives it

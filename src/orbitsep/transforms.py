@@ -23,6 +23,9 @@ from .errors import ConfigError, DimensionError
 from .exponents import ExponentTable
 from .groups import _check_signal, _unit_norm, _unit_scaled
 
+_GRID_ROWS = 1 << 11  # table rows per pass of the power grid, and the fewest that take it
+_DRAW_VALUES = 1 << 16  # normals drawn per chunk of make_reduction
+
 
 @dataclass(frozen=True, eq=False)
 class InvariantVector:
@@ -54,6 +57,15 @@ def default_beta(table: ExponentTable) -> BetaWeights:
     return BetaWeights(tuple(np.ones_like(exps) for _, exps in table.blocks))
 
 
+def _grid_top(z, indices, exponents):
+    """The top exponent of a table block of _GRID_ROWS rows or more and of
+    nonnegative exponents whose N * (top + 1) powers are fewer than its factors, else None."""
+    if indices.shape != exponents.shape or len(indices) < _GRID_ROWS or exponents.min() < 0:
+        return None
+    top = int(exponents.max())
+    return top if z.shape[-1] * (top + 1) < exponents.size else None
+
+
 def monomials(z, indices, exponents) -> np.ndarray:
     """prod_j z[..., indices[..., j]] ** exponents[..., j] along the last axis.
 
@@ -62,10 +74,18 @@ def monomials(z, indices, exponents) -> np.ndarray:
     and the same conversion CPython's complex ** int makes.  Overflow gives
     inf or nan, never a warning.  take gathers C contiguous, so a stacked
     row's product rounds as the single row's does; z[..., indices] on a
-    stack comes out in another memory order.
+    stack comes out in another memory order.  A grid block (_grid_top) gathers
+    one power per coordinate and exponent 0 .. top: the same bits (a*b*c is not).
     """
     with np.errstate(all="ignore"):
-        return np.prod(z.take(indices, axis=-1) ** exponents, axis=-1)
+        if (top := _grid_top(z, indices, exponents)) is None:
+            return np.prod(z.take(indices, axis=-1) ** exponents, axis=-1)
+        grid = (z[..., None] ** np.arange(top + 1, dtype=float)).reshape(*z.shape[:-1], -1)
+        out = np.empty(z.shape[:-1] + indices.shape[:-1], dtype=complex)
+        for lo in range(0, len(indices), _GRID_ROWS):
+            flat = indices[lo:lo + _GRID_ROWS] * (top + 1) + exponents[lo:lo + _GRID_ROWS].astype(np.intp)
+            np.prod(grid.take(flat, axis=-1), axis=-1, out=out[..., lo:lo + _GRID_ROWS])
+        return out
 
 
 def eval_monomial_map(table: ExponentTable, x) -> InvariantVector:
@@ -122,14 +142,15 @@ def make_reduction(seed: int, in_dim: int, out_dim: int) -> np.ndarray:
     if in_dim < 1 or out_dim < 1:
         raise ConfigError(f"reduction dims must be positive, got {out_dim}x{in_dim}")
     rng = np.random.default_rng(seed)
-    # Real parts first, then imaginary parts, each drawn into one real
-    # buffer and copied into its slots of the complex matrix, which is then
-    # divided in place: the draws and the rounding of (re + 1j * im) / sqrt(2),
-    # whose assembly is exact, with one real temporary.
+    # Real parts first, then imaginary parts, each drawn in row chunks (the
+    # stream of one whole draw) into one bounded real buffer and copied into
+    # its slots of the complex matrix, which is then divided in place: the
+    # draws and the rounding of (re + 1j * im) / sqrt(2), assembled exactly.
     ell = np.empty((out_dim, in_dim), dtype=complex)
-    normals = np.empty((out_dim, in_dim))
-    for part in (ell.real, ell.imag):
-        part[...] = rng.standard_normal(out=normals)
+    rows = max(1, _DRAW_VALUES // in_dim)
+    normals = np.empty((min(rows, out_dim), in_dim))
+    for chunk in (part[lo:lo + rows] for part in (ell.real, ell.imag) for lo in range(0, out_dim, rows)):
+        chunk[...] = rng.standard_normal(out=normals[:len(chunk)])
     ell /= math.sqrt(2.0)
     return ell
 

@@ -38,6 +38,7 @@ from orbitsep import (
 import orbitsep.hermite
 from orbitsep.errors import InternalCheckError
 from orbitsep.exponents import _reduce
+from orbitsep.groups import _unit_scaled
 from orbitsep.hermite import hermite_as_dict
 from orbitsep.metric import _full_support, child_seed
 
@@ -544,6 +545,14 @@ def bits(value):
     return np.asarray(value).tobytes()
 
 
+def ldexp_or_inf(x, e):
+    """math.ldexp, with the infinity of x's sign beyond the double range."""
+    try:
+        return math.ldexp(x, e)
+    except OverflowError:
+        return math.copysign(math.inf, x)
+
+
 @st.composite
 def stacks(draw):
     """(data, z, full, elements): a (B, N) stack, B = 1 to 4, of signals
@@ -574,13 +583,14 @@ def test_stacked_rows_match_single_calls(stack):
         single = eval_rational_invariants(data, row)
         assert single.domain_ok is bool(ok)
         assert bits(single.values) == bits(values)
-    with np.errstate(all="ignore"):  # squares beyond the double range: G's rows are scaled first
-        quadratic = signed_quadratic(data, full)
-        for row, value in zip(full, quadratic):
-            single = signed_quadratic(data, row)
-            # Left to right, as a Python sum adds; a pairwise sum rounds otherwise.
-            left_to_right = sum(s * m for s, m in zip(data.signature, np.abs(row) ** 2))
-            assert type(single) is float and bits(single) == bits(value) == bits(left_to_right)
+    quadratic = signed_quadratic(data, full)
+    for row, value in zip(full, quadratic):
+        single = signed_quadratic(data, row)
+        # Left to right, as a Python sum adds; a pairwise sum rounds otherwise.
+        # The rows are _unit_scaled first, so no square leaves the double range.
+        scaled, k = _unit_scaled(row)
+        left_to_right = ldexp_or_inf(sum(s * m for s, m in zip(data.signature, np.abs(scaled) ** 2)), 2 * int(k))
+        assert type(single) is float and bits(single) == bits(value) == bits(left_to_right)
     try:
         signs, values = eval_scaled_invariants(data, full)
     except DomainError:  # a vanishing form or an underflowed entry in some row
@@ -601,6 +611,22 @@ def test_stacked_rows_match_single_calls(stack):
         assert bits(act(data.group, element, row)) == bits(row_moved)
     reduced = np.array([[e % p for e, p in zip(element, data.group.orders)] for element in elements])
     assert bits(act(data.group, reduced, z)) == bits(moved)
+
+
+def test_signed_quadratic_is_taken_on_scaled_rows():
+    # Squares of entries above about 1.3e154 leave the double range: the
+    # form is taken on the _unit_scaled rows, so it rescales exactly where
+    # it is a double and is an infinity of its sign beyond, without a
+    # warning (the suite raises on a RuntimeWarning).
+    data = cyclic_fixture_data(6)  # mixed signs
+    y = np.random.default_rng(4).standard_normal(12).view(complex)
+    q = signed_quadratic(data, y)
+    assert q != 0
+    assert signed_quadratic(data, np.ldexp(y.view(float), 500).view(complex)) == math.ldexp(q, 1000)
+    huge = np.ldexp(y.view(float), 600).view(complex)
+    assert signed_quadratic(data, huge) == math.copysign(math.inf, q)
+    stacked = signed_quadratic(data, np.stack([huge, y]))
+    assert bits(stacked) == bits([math.copysign(math.inf, q), q])
 
 
 def test_counterexample_matches_closed_form():

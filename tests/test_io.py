@@ -301,7 +301,8 @@ def test_emit_json_round_trips(payload):
     assert json.loads(emit_json(payload)) == decoded(payload)
 
 
-@pytest.mark.parametrize("count", [0, 1, orbitsep.io._ROWS_PER_PASS + 2])
+@pytest.mark.parametrize("count", [0, 1, orbitsep.io._BYTE_PASS_ROWS - 1, orbitsep.io._BYTE_PASS_ROWS,
+                                   orbitsep.io._ROWS_PER_PASS + 2])
 @pytest.mark.parametrize("exact", [False, True], ids=["int64", "beyond-int64"])
 def test_keyed_rows_match_reference_across_blocks(count, exact):
     # One row, an empty table and a table that spans two blocks, at
@@ -311,6 +312,23 @@ def test_keyed_rows_match_reference_across_blocks(count, exact):
             rows = keyed_rows(seed, count, key_width, value_width, magnitude, exact)
             payload = {"table": {"pairs": rows, "total_dim": count}}
             assert emit_json(payload) == reference_emit_json(payload)
+
+
+BLOCK = orbitsep.io._FLOATS_PER_PASS
+
+
+@pytest.mark.parametrize("count", [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
+@pytest.mark.parametrize("dtype,width", [(float, 1), (complex, 2)])
+def test_float_arrays_match_reference_across_blocks(count, dtype, width):
+    # One block short, one block, and one and two blocks plus one value,
+    # with non-finite values on both sides of each block edge, whole and
+    # as a strided view.
+    values = np.random.default_rng(count).standard_normal(2 * width * count).view(dtype)
+    for edge in range(BLOCK, 2 * count, BLOCK):
+        values[edge - 1: edge + 1] = [math.nan, -math.inf]
+    for array in (values[:count], values[::2]):
+        payload = {"values": array, "nested": [array, {"again": array}]}
+        assert emit_json(payload) == reference_emit_json(payload)
 
 
 @pytest.mark.parametrize("dtype,width", [(float, 1), (complex, 2)])

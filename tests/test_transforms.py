@@ -1,9 +1,15 @@
 """The four invariant transforms, the seeded reduction, the certified
 Lipschitz constants, and the proportionality check."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 import reference
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import orbitsep.transforms
 
 from orbitsep import (
     BetaWeights,
@@ -12,6 +18,7 @@ from orbitsep import (
     DomainError,
     act,
     build_exponent_table,
+    cyclic_shift_spec,
     default_beta,
     default_reduction,
     enumerate_group,
@@ -25,6 +32,7 @@ from orbitsep import (
     shift_action_spec,
 )
 from orbitsep.groups import _unit_scaled
+from orbitsep.transforms import _grid_top, monomials
 from reference import minimal_single
 
 DIAG = make_group([2, 3], [[1, 0], [0, 1]])
@@ -219,6 +227,83 @@ def test_make_reduction_is_the_matrix_first_drawn_bit_for_bit(shape):
         got = make_reduction(seed, shape[1], shape[0])
         want = reference.drawn_reduction(seed, shape[1], shape[0])
         assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("draw_values", [1, 10, 21])
+def test_make_reduction_keeps_its_bits_when_the_chunks_split_unevenly(monkeypatch, draw_values):
+    # Chunks of one row (fewer values than a row), and of 2 and 4 rows of 5
+    # values over 7 rows: the last chunk is short.
+    monkeypatch.setattr(orbitsep.transforms, "_DRAW_VALUES", draw_values)
+    for seed in range(5):
+        got = make_reduction(seed, 5, 7)
+        assert got.tobytes() == reference.drawn_reduction(seed, 5, 7).tobytes()
+
+
+# Blocks of exponent tables, some with a grid smaller than their factors and
+# some not, and the signal length they index.
+TABLE_BLOCKS = [(group.dim, indices, exps) for group in (
+    cyclic_shift_spec(16), shift_action_spec(2, 3), shift_action_spec(3, 4), make_group([10, 1000], [[7, 2, 5], [641, 687, 597]])
+) for indices, exps in build_exponent_table(group).blocks]
+
+
+@st.composite
+def synthetic_blocks(draw):
+    """(N, indices, exponents): random float exponents 0 .. top, both ends planted."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, size, count, top = draw(st.integers(1, 6)), draw(st.integers(1, 3)), draw(st.integers(1, 40)), draw(st.integers(0, 6))
+    exps = rng.integers(0, top, size=(count, size), endpoint=True).astype(float)
+    exps.flat[0], exps.flat[-1] = 0.0, top
+    return n, rng.integers(0, n, size=(count, size)).astype(np.intp), exps
+
+
+@st.composite
+def kernel_inputs(draw):
+    """(grid rows, z, indices, exponents): one signal or a stack of 1 to 4,
+    with planted zeros, subnormal, huge, infinite and NaN entries, and the
+    rows per pass of the power grid, so that small blocks take it too."""
+    grid_rows = draw(st.sampled_from([1, 3, 64, orbitsep.transforms._GRID_ROWS]))
+    n, indices, exps = draw(st.one_of(st.sampled_from(TABLE_BLOCKS), synthetic_blocks()))
+    rows = draw(st.sampled_from([(), (1,), (2,), (3,), (4,)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    z = rng.standard_normal(rows + (2 * n,)).view(complex)
+    special = np.array([0, 5e-324, 2.5e-310 + 1e-320j, 1e300, -1e300j, np.inf, complex(np.nan, 1), complex(1, np.inf)])
+    planted = rng.random(z.shape) < draw(st.floats(0, 0.5))
+    z[planted] = rng.choice(special, size=int(planted.sum()))
+    return grid_rows, z, indices, exps
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(kernel_inputs())
+def test_monomial_grid_matches_direct_power(inputs):
+    grid_rows, z, indices, exps = inputs
+    with np.errstate(all="ignore"):
+        want = np.prod(z.take(indices, axis=-1) ** exps, axis=-1)
+    with mock.patch.object(orbitsep.transforms, "_GRID_ROWS", grid_rows):
+        got = monomials(z, indices, exps)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_grid_is_taken_only_when_smaller_than_the_factors(monkeypatch):
+    z = np.ones(4, complex)
+    indices = np.zeros((7, 2), np.intp)
+    exps = np.full((7, 2), 2.0)  # 14 factors against a grid of 4 * 3 powers
+    assert _grid_top(z, indices, exps) is None  # fewer rows than one pass
+    monkeypatch.setattr(orbitsep.transforms, "_GRID_ROWS", 7)
+    assert _grid_top(z, indices, exps) == 2
+    assert _grid_top(np.ones((3, 4), complex), indices, exps) == 2
+    assert _grid_top(z, indices[:6], exps[:6]) is None  # 6 rows
+    monkeypatch.setattr(orbitsep.transforms, "_GRID_ROWS", 6)
+    assert _grid_top(z, indices[:6], exps[:6]) is None  # 12 factors: no smaller
+    assert _grid_top(z, indices, -exps) is None  # a Laurent block
+    assert _grid_top(z, np.arange(2), exps) is None  # the rational invariants' broadcast
+    monkeypatch.setattr(orbitsep.transforms, "_GRID_ROWS", 1)
+    taken = [_grid_top(np.ones(n), indices, exps) is not None for n, indices, exps in TABLE_BLOCKS]
+    assert any(taken) and not all(taken)
+    # At the full pass length, the triples of shift 8x8 and cyclic 62 take the grid.
+    monkeypatch.undo()
+    for group in (shift_action_spec(8, 8), cyclic_shift_spec(62)):
+        (indices, exps) = build_exponent_table(group).blocks[2]
+        assert _grid_top(np.ones((2, group.dim)), indices, exps) is not None
 
 
 def stack_rows(rng, n: int, count: int) -> np.ndarray:

@@ -33,17 +33,37 @@ MUTANTS = [
     # The int64 KeyedRows byte pass: the sign word, the inner zero padding
     # and the offset into the padded spellings.
     ("orbitsep/io.py",
-     "cells[:, :, 1] = np.where(block < 0, _MINUS_WORD, 0)",
-     "cells[:, :, 1] = 0",
+     "out[:, end - count - 1] = np.where(column < 0, _MINUS_WORD, 0)",
+     "out[:, end - count - 1] = 0",
      "tests/test_io.py::test_keyed_rows_match_reference_across_blocks"),
     ("orbitsep/io.py",
      "words = np.concatenate([lead, digits])",
      "words = np.concatenate([lead, lead])",
      "tests/test_io.py::test_keyed_rows_match_reference_across_blocks"),
     ("orbitsep/io.py",
-     "            index[more > 0] += _WORD_BASE\n",
+     "                index[rest > 0] += _WORD_BASE\n",
      "",
      "tests/test_io.py::test_keyed_rows_match_reference_across_blocks"),
+    # The float arrays' separator between two blocks of values.
+    ("orbitsep/io.py",
+     'out.append(", ")',
+     'out.append(",")',
+     "tests/test_io.py::test_float_arrays_match_reference_across_blocks"),
+    # The monomial kernel's power grid: each coordinate's row offset in the
+    # grid, and the bound that selects it.
+    ("orbitsep/transforms.py",
+     "indices[lo:lo + _GRID_ROWS] * (top + 1)",
+     "indices[lo:lo + _GRID_ROWS] * top",
+     "tests/test_transforms.py::test_monomial_grid_matches_direct_power"),
+    ("orbitsep/transforms.py",
+     "z.shape[-1] * (top + 1) < exponents.size",
+     "z.shape[-1] * (top + 1) <= exponents.size",
+     "tests/test_transforms.py::test_grid_is_taken_only_when_smaller_than_the_factors"),
+    # The reduction's draw, row chunk by row chunk: the short last chunk.
+    ("orbitsep/transforms.py",
+     "rng.standard_normal(out=normals[:len(chunk)])",
+     "rng.standard_normal(out=normals)",
+     "tests/test_transforms.py::test_make_reduction_keeps_its_bits_when_the_chunks_split_unevenly"),
     # The scaling solve's float guess: the B @ Z proof, the 2**53 bound on
     # its products, and the guess itself.
     ("orbitsep/hermite.py",
