@@ -5,12 +5,16 @@ the payload: insertion-ordered keys, floats at 17 significant digits
 (round-trip safe), complex numbers as [re, im] pairs, exact rationals as
 quoted strings, non-finite floats as quoted names (strict JSON has no
 Infinity literal).  One float rule serves scalars and 1-D float64 or
-complex128 arrays: one %-format of "%.17g" items per block, non-finite
-spellings mapped through the one _NON_FINITE table.  Lists of plain ints
-are joined in one pass.  Large KeyedRows blocks of int64 are one numpy
-byte pass each (digits looked up four at a time, cells sized per column,
-NULs dropped once), the others one %d-format; keys and strings are quoted
-as json.dumps does.  The pieces are joined once.
+complex128 arrays: "%.17g", non-finite spellings mapped through the one
+_NON_FINITE table.  An array block of _FLOATS_PER_PASS floats or more is one
+numpy byte pass that gives the bytes of "%.17g" (digits from a certified
+double-double rounding, cells NUL padded, NULs dropped once), and falls
+back whole to the %-format of smaller blocks when it holds a value the pass
+cannot certify.  Lists of plain ints are joined in one pass.  Large
+KeyedRows blocks of int64 are one numpy byte pass each (digits looked up
+four at a time, cells sized per column, NULs dropped once), the others one
+%d-format; keys and strings are quoted as json.dumps does.  The pieces are
+joined once, and write_output writes the text in slices.
 """
 
 from __future__ import annotations
@@ -189,13 +193,15 @@ class KeyedRows(NamedTuple):
 
 _ROWS_PER_PASS = 1 << 13  # KeyedRows rows per byte pass
 _BYTE_PASS_ROWS = 1 << 7  # a smaller int64 block is cheaper as one %d-format
-_FLOATS_PER_PASS = 1 << 12  # float array values per %-format
+_FLOATS_PER_PASS = 1 << 12  # float array block floor (a complex value counts two)
+_WRITE_SLICE = 1 << 16  # characters per write of the output text
 _CONTAINERS = (dict, list, tuple, np.ndarray)
+_INT = {int}
 _WORD_DIGITS = 4  # decimal digits per uint32 word of ASCII bytes
 _WORD_BASE = 10**_WORD_DIGITS
 
 
-@functools.cache  # built on the first int64 KeyedRows, not at import
+@functools.cache  # built on the first byte pass, not at import
 def _digit_words():
     """0 .. _WORD_BASE - 1 spelled in uint32 words of ASCII bytes, right
     aligned: entry v padded on the left with NULs ("0" for 0), entry
@@ -240,28 +246,37 @@ def _row_words(depth: int, key_width: int, spans: tuple):
     return row, ends
 
 
-def _int64_rows_bytes(columns, depth: int, key_width: int) -> bytes:
-    """The rows of an int64 block, given as its columns, in one byte pass,
-    each row ending in ",\n": _row_words cells filled from _digit_words, and
-    the NULs that pad the words dropped at the end."""
-    bounds = [(int(column.min()), int(column.max())) for column in columns]
+def _int64_rows_bytes(columns: np.ndarray, depth: int, key_width: int) -> bytes:
+    """The rows of an int64 block, given as its columns (keys, then values,
+    one row each of a C-contiguous array), in one byte pass, each row ending
+    in ",\n": _row_words cells, sized from each column's bounds, filled
+    from _digit_words by one gather per four digits over every column that
+    has them, and the NULs that pad the words dropped at the end."""
+    bounds = zip(columns.min(axis=1).tolist(), columns.max(axis=1).tolist())
     spans = tuple((len(str(max(high, -low))), low < 0) for low, high in bounds)
     row, ends = _row_words(depth, key_width, spans)
-    out = np.empty((len(columns[0]), len(row)), np.uint32)
+    counts = [-(-digits // _WORD_DIGITS) for digits, _ in spans]
+    signed = [j for j, (_, negative) in enumerate(spans) if negative]
+    out = np.empty((columns.shape[1], len(row)), np.uint32)
     out[:] = row
     words, inner = _digit_words()
-    for column, (digits, negative), end in zip(columns, spans, ends.tolist()):
-        count = -(-digits // _WORD_DIGITS)
-        rest = np.abs(column).view(np.uint64) if negative else column  # |int64 min| reads 2**63 unsigned
-        for c in range(1, count + 1):
-            index = rest
-            if c < count:  # the top chunk of the column has no digits above it
-                rest = index // _WORD_BASE
-                index = (index - rest * _WORD_BASE).astype(np.intp)
-                index[rest > 0] += _WORD_BASE
-            out[:, end - c] = (words if c == 1 else inner)[index] | row[end - c]  # a shared separator
-        if negative:
-            out[:, end - count - 1] = np.where(column < 0, _MINUS_WORD, 0)
+    live = list(range(len(spans)))  # the columns with a c-th word, in step with rest
+    rest = np.abs(columns).view(np.uint64) if signed else columns  # |int64 min| reads 2**63 unsigned
+    for c in range(1, max(counts) + 1):
+        if any(counts[j] < c for j in live):
+            kept = [i for i, j in enumerate(live) if counts[j] >= c]
+            live, rest = [live[i] for i in kept], rest[kept]
+        index = rest
+        if any(counts[j] > c for j in live):  # a top word needs no division
+            rest = index // _WORD_BASE
+            index = (index - rest * _WORD_BASE).astype(np.intp, copy=False)
+            index += (rest > 0) * _WORD_BASE  # digits above: the "0" padded spelling
+        cells = ends[live] - c
+        taken = np.take(words if c == 1 else inner, index.astype(np.intp, copy=False))
+        taken |= row[cells, None]  # a shared separator
+        out[:, cells] = taken.T
+    if signed:
+        out[:, ends[signed] - np.take(counts, signed) - 1] = np.where(columns[signed] < 0, _MINUS_WORD, 0).T
     return out.tobytes().translate(None, b"\0")
 
 
@@ -273,7 +288,9 @@ def _keyed_rows_text(rows: KeyedRows, depth: int, out: list) -> None:
     for lo in range(0, len(keys), _ROWS_PER_PASS):
         block = keys[lo:lo + _ROWS_PER_PASS], values[lo:lo + _ROWS_PER_PASS]
         if keys.dtype == values.dtype == np.int64 and len(block[0]) >= _BYTE_PASS_ROWS:
-            out.append(_int64_rows_bytes([*block[0].T, *block[1].T], depth, keys.shape[1]).decode())
+            columns = np.empty((keys.shape[1] + values.shape[1], len(block[0])), np.int64)
+            columns[:keys.shape[1]], columns[keys.shape[1]:] = block[0].T, block[1].T
+            out.append(_int64_rows_bytes(columns, depth, keys.shape[1]).decode())
         else:
             row = "  " * (depth + 1) + '"' + ",".join(["%d"] * keys.shape[1]) + '": ['
             row += ", ".join(["%d"] * values.shape[1]) + "],\n"
@@ -281,6 +298,171 @@ def _keyed_rows_text(rows: KeyedRows, depth: int, out: list) -> None:
     if len(keys):
         out[-1] = out[-1][:-2]  # the last row's ",\n"
         out.append("\n" + "  " * depth + "}")
+
+
+# The float byte pass spells each finite x as "%.17g" does: D, the 17
+# significant digits of |x| rounded half to even, and its decimal exponent X.
+# X starts as floor(log10 |x|); y = |x| * 10**(16 - X) is formed as a
+# double-double hi + lo (Dekker's product with the double nearest the power,
+# plus |x| times that power's residual), off by under 1e-14 while y < 1e17.
+# A guess of X off by one shows as y outside [1e16, 1e17), tested on hi + lo,
+# and moves one decade.  D = round(y) is certified when frac(y) is farther
+# than _TIE_MARGIN from 1/2, or when 10**k is a double (0 <= k <= 22): then
+# the product is exact and a true tie is broken to even here.  D = 10**17
+# carries into X + 1.
+_SIGNIFICANT = 17
+_EXPONENTS = range(-272, 283)  # every X a value in _WINDOW reaches
+_WINDOW = (1e-270, 1e280)  # every product and residual above stays a normal double
+_TIE_MARGIN = 1e-9  # far above the product's error
+_SPLIT = 134217729.0  # 2**27 + 1: Veltkamp's split of a double into halves
+_LE64 = np.dtype("<u8")  # 8 text bytes, the first in the low byte
+
+
+def _le64(text: str) -> int:
+    return int.from_bytes(text.encode(), "little")
+
+
+@functools.cache  # built on the first float byte pass, not at import
+def _decimal_tables():
+    """Per exponent X (row X - _EXPONENTS.start): the scale 10**(16 - X) as
+    (double, its two Veltkamp halves, residual) and whether the double is
+    exact; the sign and "0.000" prefix word and the "e+XX" suffix word; and
+    per (X, significant digits kept) the row of the three field masks.
+
+    A cell is five little-endian words: the prefix (right aligned, its first
+    byte left for "["), three field words, and the suffix (its last three
+    bytes left for separators).  Field byte 3 + j holds digit j, and the
+    point goes in at byte 3 + p, p digits before it: the masks keep digits
+    below the point, the digits shifted one byte up above it, and put the
+    point itself, up to the digits kept.  Also the trailing zero digits of
+    each four-digit word."""
+    xs = np.array(_EXPONENTS)
+    scale = np.empty((len(xs), 4))
+    exact = np.empty(len(xs), bool)
+    for i, x in enumerate(xs.tolist()):
+        power = Fraction(10) ** (16 - x)
+        double = float(power)
+        c = double * _SPLIT
+        high = c - (c - double)
+        scale[i] = double, high, double - high, float(power - Fraction(double))
+        exact[i] = power == double
+    fixed = (xs >= -4) & (xs < _SIGNIFICANT)
+    prefix = np.zeros((2, len(xs)), _LE64)
+    suffix = np.zeros(len(xs), _LE64)
+    for i, x in enumerate(xs.tolist()):
+        lead = "0." + "0" * (-x - 1) if -4 <= x < 0 else ""
+        for sign in (0, 1):
+            text = "-" * sign + lead
+            prefix[sign, i] = _le64(text) << 8 * (8 - len(text))
+        suffix[i] = _le64("" if fixed[i] else "e%+03d" % x)
+    # p: X + 1 in fixed notation, 1 in exponent notation, and past the
+    # digits when the prefix holds the point ("0.000" of X < 0)
+    point = np.where(fixed, np.where(xs >= 0, xs + 1, _SIGNIFICANT), 1)
+    kept = np.arange(_SIGNIFICANT + 1)  # digits left when trailing zeros go
+    width = np.where(kept > point[:, None], kept + 1, point[:, None])  # field bytes
+    width[fixed & (xs < 0)] = kept
+    row = (point[:, None] * (_SIGNIFICANT + 2) + width).ravel()
+    b = np.arange(24)
+    p, w = np.divmod(np.arange((_SIGNIFICANT + 1) * (_SIGNIFICANT + 2))[:, None], _SIGNIFICANT + 2)
+    below = (b >= 3) & (b < 3 + np.minimum(p, w))
+    above = (b > 3 + p) & (b < 3 + w)
+    masks = [np.where(m, fill, 0).astype(np.uint8).view(_LE64)
+             for m, fill in ((below, 0xFF), (above, 0xFF), ((b == 3 + p) & (b < 3 + w), ord(".")))]
+    v = np.arange(_WORD_BASE)
+    trailing = sum((v % 10**e == 0).astype(np.int8) for e in range(1, _WORD_DIGITS + 1))
+    return scale, exact, prefix.ravel(), suffix, row, masks, trailing
+
+
+def _scaled(a: np.ndarray, scale: np.ndarray):
+    """a times the scale rows as a double-double (hi, lo)."""
+    double, high, low, residual = scale.T
+    c = a * _SPLIT
+    a_high = c - (c - a)
+    a_low = a - a_high
+    hi = a * double
+    return hi, ((a_high * high - hi) + a_high * low + a_low * high) + a_low * low + a * residual
+
+
+def _float_cells(values: np.ndarray):
+    """The "%.17g" cells of a contiguous float64 block, as (n, 5) words of
+    NUL padded ASCII bytes; None when a value is not finite, lies outside
+    _WINDOW (zeros aside) or rounds too near a tie to certify."""
+    scale, exact, prefix, suffix, row, (below, above, dot), trailing = _decimal_tables()
+    a = np.abs(values)
+    zero = a == 0
+    a += zero  # a zero is spelled as 1.0 is, then its digits are cleared
+    if not ((a >= _WINDOW[0]) & (a < _WINDOW[1])).all():
+        return None
+    x = np.floor(np.log10(a)).astype(np.intp) - _EXPONENTS.start
+    hi, lo = _scaled(a, np.take(scale, x, axis=0))
+    shift = ((hi - 1e17) + lo >= 0).view(np.int8) - ((hi - 1e16) + lo < 0).view(np.int8)
+    moved = np.flatnonzero(shift)
+    if len(moved):
+        x[moved] += shift[moved]
+        hi[moved], lo[moved] = _scaled(a[moved], np.take(scale, x[moved], axis=0))
+    whole = np.floor(lo)
+    frac = lo - whole
+    d = hi.astype(np.int64) + whole.astype(np.int64)
+    d += (frac > 0.5) | ((frac == 0.5) & (d & 1 == 1))
+    certified = (np.take(exact, x) | (np.abs(frac - 0.5) > _TIE_MARGIN)) & (d >= 10**16) & (d <= 10**17)
+    if not certified.all():
+        return None
+    carry = d == 10**17
+    d[carry] = 10**16
+    x += carry
+    d[zero] = 0
+    lead = d // 10**16
+    rest = d - lead * 10**16
+    top = rest // 10**8
+    bottom = rest - top * 10**8
+    w1 = top // _WORD_BASE
+    w3 = bottom // _WORD_BASE
+    quads = (lead, w1, top - w1 * _WORD_BASE, w3, bottom - w3 * _WORD_BASE)
+    t1, t2, t3, t4 = (np.take(trailing, q) for q in quads[1:])
+    kept = _SIGNIFICANT - (t4 + (t4 == 4) * (t3 + (t3 == 4) * (t2 + (t2 == 4) * t1)))
+    index = np.zeros((len(d), 6), np.intp)  # a sixth word pads the field; the masks clear it
+    for i, q in enumerate(quads):
+        index[:, i] = q
+    words, _ = _digit_words()
+    digits = np.take(words[_WORD_BASE:], index).view(_LE64).ravel()
+    shifted = digits << np.uint64(8)
+    shifted[1:] |= digits[:-1] >> np.uint64(56)
+    masks = np.take(row, x * (_SIGNIFICANT + 1) + kept)
+    field = np.take(below, masks, axis=0).ravel()
+    field &= digits
+    shifted &= np.take(above, masks, axis=0).ravel()
+    field |= shifted
+    field |= np.take(dot, masks, axis=0).ravel()
+    cells = np.empty((len(d), 5), _LE64)
+    cells[:, 1:4] = field.reshape(-1, 3)
+    cells[:, 0] = np.take(prefix, np.signbit(values) * len(_EXPONENTS) + x)
+    cells[:, 4] = np.take(suffix, x)
+    return cells
+
+
+# Separators in the cells' free bytes: "[" before a real part, ", " after
+# a real part or a float, "]" and ", " after an imaginary part.
+_OPEN, _COMMA, _CLOSE, _CLOSE_COMMA = (
+    np.uint64(_le64(text)) for text in ("[", "\0\0\0\0\0, ", "\0\0\0\0\0]", "\0\0\0\0\0\0, "))
+
+
+def _float_block_text(block: np.ndarray, item: str) -> str:
+    """One block of a float64 or complex128 array, item separated: by the
+    byte pass when it holds _FLOATS_PER_PASS floats or more and the pass
+    certifies every value, otherwise by one %-format of item."""
+    floats = block.view(np.float64)
+    cells = _float_cells(floats) if len(floats) >= _FLOATS_PER_PASS else None
+    if cells is None:
+        return _float_text(", ".join([item] * len(block)), tuple(floats.tolist()))
+    if block.dtype == np.complex128:
+        cells[0::2, 0] |= _OPEN
+        cells[0::2, 4] |= _COMMA
+        cells[1::2, 4] |= _CLOSE | _CLOSE_COMMA
+        cells[-1, 4] ^= _CLOSE_COMMA
+    else:
+        cells[:, 4] |= _COMMA
+        cells[-1, 4] ^= _COMMA
+    return cells.tobytes().translate(None, b"\0").decode()
 
 
 def _emit(value, depth: int, out: list) -> None:
@@ -293,15 +475,20 @@ def _emit(value, depth: int, out: list) -> None:
         item = _ARRAY_ITEM.get(value.dtype) if value.ndim == 1 else None
         if item is None:
             return _emit(value.tolist(), depth, out)
+        # blocks of _FLOATS_PER_PASS floats up to twice that, or one smaller block
+        count = len(value)
+        blocks = max(1, count * value.itemsize // (8 * _FLOATS_PER_PASS))
         out.append("[")
-        for lo in range(0, len(value), _FLOATS_PER_PASS):
-            block = np.ascontiguousarray(value[lo:lo + _FLOATS_PER_PASS])
-            if lo:
+        for i in range(blocks):
+            if i:
                 out.append(", ")
-            out.append(_float_text(", ".join([item] * len(block)), tuple(block.view(np.float64).tolist())))
+            block = np.ascontiguousarray(value[i * count // blocks:(i + 1) * count // blocks])
+            out.append(_float_block_text(block, item))
         out.append("]")
     elif not value:
         out.append("{}" if isinstance(value, dict) else "[]")
+    elif not isinstance(value, dict) and set(map(type, value)) == _INT:  # not bool, not np.int64
+        out.append("[" + ", ".join(map(str, value)) + "]")
     elif isinstance(value, dict) or any(isinstance(item, _CONTAINERS) for item in value):
         opening, closing = "{}" if isinstance(value, dict) else "[]"
         for i, item in enumerate(value):
@@ -310,8 +497,6 @@ def _emit(value, depth: int, out: list) -> None:
                 out.append(encode_basestring_ascii(str(item)) + ": ")
             _emit(value[item] if opening == "{" else item, depth + 1, out)
         out.append("\n" + "  " * depth + closing)
-    elif all(type(item) is int for item in value):  # not bool, not np.int64
-        out.append("[" + ", ".join(map(str, value)) + "]")
     else:
         out.append("[" + ", ".join(_scalar_text(item) for item in value) + "]")
 
@@ -323,10 +508,13 @@ def emit_json(payload: dict) -> str:
 
 
 def write_output(text: str, out_path=None) -> None:
-    """Write to the given path, or stdout when no path is given."""
+    """Write to the given path, in slices of _WRITE_SLICE characters so no
+    encoded copy of the whole text is made, or to stdout when no path is given."""
     if out_path:
         try:
-            Path(out_path).write_text(text)
+            with Path(out_path).open("w") as sink:
+                for lo in range(0, len(text), _WRITE_SLICE):
+                    sink.write(text[lo:lo + _WRITE_SLICE])
         except OSError as exc:
             raise ConfigError(f"cannot write {out_path}: {exc}") from exc
     else:

@@ -3,6 +3,7 @@
 import json
 import math
 import struct
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import orbitsep.cli
 import orbitsep.io
 from orbitsep import ConfigError
 from orbitsep.io import (
@@ -321,8 +323,8 @@ BLOCK = orbitsep.io._FLOATS_PER_PASS
 @pytest.mark.parametrize("dtype,width", [(float, 1), (complex, 2)])
 def test_float_arrays_match_reference_across_blocks(count, dtype, width):
     # One block short, one block, and one and two blocks plus one value,
-    # with non-finite values on both sides of each block edge, whole and
-    # as a strided view.
+    # with non-finite values on both sides of each multiple of BLOCK values
+    # (so the blocks that hold them fall back), whole and as a strided view.
     values = np.random.default_rng(count).standard_normal(2 * width * count).view(dtype)
     for edge in range(BLOCK, 2 * count, BLOCK):
         values[edge - 1: edge + 1] = [math.nan, -math.inf]
@@ -333,8 +335,9 @@ def test_float_arrays_match_reference_across_blocks(count, dtype, width):
 
 @pytest.mark.parametrize("dtype,width", [(float, 1), (complex, 2)])
 def test_float_arrays_are_emitted_without_the_scalar_rule(monkeypatch, dtype, width):
-    # A 1-D float64 or complex128 array is one %-format, non-finite entries
-    # included, not one _scalar_text call per entry.
+    # A 1-D float64 or complex128 array is formatted per block, by the byte
+    # pass or one %-format, non-finite entries included, not one
+    # _scalar_text call per entry.
     calls = []
     scalar_text = orbitsep.io._scalar_text
     monkeypatch.setattr(orbitsep.io, "_scalar_text", lambda value: calls.append(value) or scalar_text(value))
@@ -344,3 +347,151 @@ def test_float_arrays_are_emitted_without_the_scalar_rule(monkeypatch, dtype, wi
     text = emit_json(payload)
     assert calls == []
     assert text == reference_emit_json(payload)
+
+
+# The float byte pass.  Raw bit patterns over every binary exponent, half
+# of them drawn inside the pass's window, planted among a block of random
+# in-window patterns, so that most blocks take the pass and the rest fall
+# back whole.
+WINDOW_EXPONENTS = (1023 - 896, 1023 + 929)  # biased exponents of 2**-896 .. 2**930, inside 1e-270 .. 1e280
+
+
+def from_bits(sign, exponent, mantissa):
+    return struct.unpack("<d", struct.pack("<Q", sign << 63 | exponent << 52 | mantissa))[0]
+
+
+pattern_doubles = st.builds(
+    from_bits, st.integers(0, 1), st.one_of(st.integers(0, 2047), st.integers(*WINDOW_EXPONENTS)),
+    st.integers(0, 2**52 - 1),
+)
+
+
+def window_patterns(seed, count):
+    rng = np.random.default_rng(seed)
+    bits = rng.integers(0, 2, count, dtype=np.uint64) << np.uint64(63)
+    bits |= rng.integers(*WINDOW_EXPONENTS, count, endpoint=True).astype(np.uint64) << np.uint64(52)
+    bits |= rng.integers(0, 2**52, count, dtype=np.uint64)
+    return bits.view(np.float64)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.lists(pattern_doubles, min_size=1, max_size=8), st.integers(0, 2**32 - 1), st.sampled_from([float, complex]))
+def test_float_byte_pass_matches_reference(planted, seed, dtype):
+    floats = window_patterns(seed, BLOCK)
+    floats[np.random.default_rng(seed).choice(BLOCK, len(planted), replace=False)] = planted
+    payload = {"values": floats.view(dtype)}
+    assert emit_json(payload) == reference_emit_json(payload)
+
+
+def inexact_near_ties():
+    """Doubles x with y = x * 10**k in [1e16, 1e17) within 2**-40 of a half
+    integer, where 10**k (k = 23 .. 27) is no double: x = m / 2**(k + s)
+    gives y = m * 5**k / 2**s, and m solves m * 5**k = 2**(s - 1) + delta
+    modulo 2**s.  delta = 0 gives the true ties, such as 3 * 2**-24."""
+    found = []
+    for k in range(23, 28):
+        for s in range(40, 64):
+            inverse = pow(5**k, -1, 2**s)
+            low, high = -(-(10**16 << s) // 5**k), min(2**53, -(-(10**17 << s) // 5**k))
+            for delta in (-2, -1, 0, 1, 2):
+                m = (2 ** (s - 1) + delta) * inverse % 2**s
+                found += [m / 2 ** (k + s) for m in range(low + (m - low) % 2**s, high, 2**s)]
+    return found
+
+
+POWERS = [10.0**k for k in range(-269, 280)]
+# Per case: the values, and whether the byte pass certifies a block of them.
+PLANTED_FLOATS = {
+    "zeros": ([0.0, -0.0], True),
+    "powers of ten and neighbours": ([*POWERS, *np.nextafter(POWERS, 0), *np.nextafter(POWERS, math.inf)], True),
+    # 18 significant digits ending in 5, with 10**17 a double: ties broken to even.
+    "dyadic ties": (list(np.arange(26214, 262144, 29) / 2**18), True),
+    "quarters and eighths near 1e15": ([1e15 + f / 8 for f in range(-16, 17)] + [2091755748717130.75], True),
+    "%g switches": ([1e-4, 1e-5, 1e16, 1e17, 9.9999999999999999e16, 99999999999999984.0]
+                    + [*np.nextafter([1e-4, 1e-5, 1e17], 0), *np.nextafter([1e-4, 1e-5, 1e17], math.inf)], True),
+    "window edges": ([1e-270, 9.999e279, -1e-270], True),
+    "near ties where 10**k is no double": (inexact_near_ties(), False),
+    "subnormals": ([5e-324, -2.5e-310, 2.2250738585072009e-308], False),
+    "outside the window": ([9.99e-271, 1e280, -1.7976931348623157e308], False),
+    "non-finite": ([math.nan, NEGATIVE_NAN, math.inf, -math.inf], False),
+}
+
+
+@pytest.mark.parametrize("case", PLANTED_FLOATS)
+def test_planted_floats_match_reference_in_the_byte_pass(case):
+    values, certified = PLANTED_FLOATS[case]
+    floats = np.resize(np.concatenate([values, np.negative(values)]), max(BLOCK, 2 * len(values)))
+    assert (orbitsep.io._float_cells(floats) is not None) == certified
+    for array in (floats, floats.view(complex)):
+        payload = {"values": array}
+        assert emit_json(payload) == reference_emit_json(payload)
+
+
+def test_a_product_near_a_tie_is_certified_only_where_the_power_is_a_double(monkeypatch):
+    # No double lands within the tie margin of a tie by chance, so move the
+    # double-double's low part there: frac(y) = 1/2 + 1e-12.
+    scaled = orbitsep.io._scaled
+
+    def near_tie(a, scale):
+        hi, lo = scaled(a, scale)
+        return hi, np.floor(lo) + 0.5 + 1e-12
+
+    monkeypatch.setattr(orbitsep.io, "_scaled", near_tie)
+    assert orbitsep.io._float_cells(np.array([1.5e-7])) is None  # 10**23
+    assert orbitsep.io._float_cells(np.array([1.5e-5])) is not None  # 10**21: exact, so the tie is too
+
+
+@pytest.mark.parametrize("count,passes", [(BLOCK - 1, []), (BLOCK, [BLOCK]), (BLOCK + 1, [BLOCK + 1]),
+                                          (2 * BLOCK + 1, [BLOCK, BLOCK + 1])])
+@pytest.mark.parametrize("dtype,width", [(float, 1), (complex, 2)])
+def test_byte_pass_takes_blocks_from_the_floor(monkeypatch, count, passes, dtype, width):
+    # count floats (count // 2 complex values): one block under the floor
+    # keeps the %-format, an array at or above it is cut into blocks of
+    # BLOCK floats up to twice that, each one byte pass.
+    taken = []
+    cells = orbitsep.io._float_cells
+    monkeypatch.setattr(orbitsep.io, "_float_cells", lambda floats: taken.append(len(floats)) or cells(floats))
+    count -= count % width
+    values = np.random.default_rng(count).standard_normal(count).view(dtype)
+    payload = {"values": values}
+    assert emit_json(payload) == reference_emit_json(payload)
+    assert taken == [p - p % width for p in passes]
+
+
+@pytest.mark.parametrize("bad", [math.nan, 3 * 2.0**-24], ids=["NaN", "inexact tie"])
+def test_a_block_with_one_uncertified_value_falls_back_whole(monkeypatch, bad):
+    results = []
+    cells = orbitsep.io._float_cells
+    monkeypatch.setattr(orbitsep.io, "_float_cells", lambda floats: results.append(cells(floats)) or results[-1])
+    values = np.random.default_rng(1).standard_normal(3 * BLOCK)
+    values[BLOCK + 5] = bad
+    payload = {"values": values}
+    assert emit_json(payload) == reference_emit_json(payload)
+    assert [cells is None for cells in results] == [False, True, False]
+
+
+def test_emit_of_an_8x8_f_payload_peaks_under_the_parents(monkeypatch, tmp_path):
+    # The peak is the final join of the pieces; a byte pass block's
+    # temporaries stay below it.  Before the float byte pass emit_json
+    # peaked at 3.74 MB on this payload, and under 3.78 MB on others.
+    image = tmp_path / "img.csv"
+    image.write_text("\n".join(",".join(map(str, row)) for row in np.random.default_rng(8).integers(0, 256, (8, 8))))
+    payloads = []
+    monkeypatch.setattr(orbitsep.cli, "emit_json", lambda payload: payloads.append(payload) or "")
+    monkeypatch.setattr(orbitsep.cli, "write_output", lambda text, out_path=None: None)
+    assert orbitsep.cli.main(["invariants", "--shift", "8x8", "--transform", "f", str(image)]) == 0
+    emit_json(payloads[0])  # the tables are built once per process
+    tracemalloc.start()
+    try:
+        emit_json(payloads[0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.78e6
+
+
+def test_write_output_writes_a_text_longer_than_one_slice(tmp_path):
+    text = "".join(map(str, range(orbitsep.io._WRITE_SLICE)))  # about five slices
+    target = tmp_path / "long.json"
+    write_output(text, target)
+    assert target.read_text() == text

@@ -33,15 +33,15 @@ MUTANTS = [
     # The int64 KeyedRows byte pass: the sign word, the inner zero padding
     # and the offset into the padded spellings.
     ("orbitsep/io.py",
-     "out[:, end - count - 1] = np.where(column < 0, _MINUS_WORD, 0)",
-     "out[:, end - count - 1] = 0",
+     "np.where(columns[signed] < 0, _MINUS_WORD, 0).T",
+     "0",
      "tests/test_io.py::test_keyed_rows_match_reference_across_blocks"),
     ("orbitsep/io.py",
      "words = np.concatenate([lead, digits])",
      "words = np.concatenate([lead, lead])",
      "tests/test_io.py::test_keyed_rows_match_reference_across_blocks"),
     ("orbitsep/io.py",
-     "                index[rest > 0] += _WORD_BASE\n",
+     "            index += (rest > 0) * _WORD_BASE  # digits above: the \"0\" padded spelling\n",
      "",
      "tests/test_io.py::test_keyed_rows_match_reference_across_blocks"),
     # The float arrays' separator between two blocks of values.
@@ -49,6 +49,33 @@ MUTANTS = [
      'out.append(", ")',
      'out.append(",")',
      "tests/test_io.py::test_float_arrays_match_reference_across_blocks"),
+    # The float byte pass: the decade test on hi + lo, round half to even
+    # where the scale is exact, the tie margin, which scales are exact, the
+    # sign of -0; and the sliced write of the output text.
+    ("orbitsep/io.py",
+     "((hi - 1e16) + lo < 0)",
+     "(hi < 1e16)",
+     "tests/test_io.py::test_planted_floats_match_reference_in_the_byte_pass"),
+    ("orbitsep/io.py",
+     "d += (frac > 0.5) | ((frac == 0.5) & (d & 1 == 1))",
+     "d += frac >= 0.5",
+     "tests/test_io.py::test_planted_floats_match_reference_in_the_byte_pass"),
+    ("orbitsep/io.py",
+     "_TIE_MARGIN = 1e-9",
+     "_TIE_MARGIN = 0.0",
+     "tests/test_io.py::test_a_product_near_a_tie_is_certified_only_where_the_power_is_a_double"),
+    ("orbitsep/io.py",
+     "exact[i] = power == double",
+     "exact[i] = True",
+     "tests/test_io.py::test_planted_floats_match_reference_in_the_byte_pass"),
+    ("orbitsep/io.py",
+     "np.signbit(values)",
+     "(values < 0)",
+     "tests/test_io.py::test_planted_floats_match_reference_in_the_byte_pass"),
+    ("orbitsep/io.py",
+     "text[lo:lo + _WRITE_SLICE]",
+     "text[lo:lo + _WRITE_SLICE - 1]",
+     "tests/test_io.py::test_write_output_writes_a_text_longer_than_one_slice"),
     # The monomial kernel's power grid: each coordinate's row offset in the
     # grid, and the bound that selects it.
     ("orbitsep/transforms.py",
