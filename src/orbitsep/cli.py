@@ -89,9 +89,7 @@ def _resolve_group(args):
         n, m = _parse_shift(args.shift)
         return shift_action_spec(n, m), (n, m)
     if not args.orders or not args.matrix:
-        raise ConfigError(
-            "group declaration required: --shift NxM, or --orders and --matrix"
-        )
+        raise ConfigError("group declaration required: --shift NxM, or --orders and --matrix")
     return make_group(_parse_ints(args.orders, "--orders"), _parse_matrix(args.matrix)), None
 
 
@@ -121,12 +119,7 @@ def _load_signal(path, group, image_shape):
 
 
 def _envelope(args) -> dict:
-    return {
-        "seed": args.seed,
-        "tolerance": args.tol,
-        "mode": args.mode,
-        "version": __version__,
-    }
+    return {"seed": args.seed, "tolerance": args.tol, "mode": args.mode, "version": __version__}
 
 
 def _transform(name, group, seed, mode):
@@ -220,24 +213,10 @@ def cmd_compare(args) -> dict:
         # zero has lost them: in each case the values cannot decide.
         lost = any(x.any() and not values.any() for x, values in ((first, values_a), (second, values_b)))
         undecided = lost or math.isnan(gap) or (scale == math.inf and gap > 0)
-        payload.update(
-            {
-                "equivalent": None if undecided else gap <= args.tol * scale,
-                "distance": None,
-                "witness": None,
-                "oracle": False,
-            }
-        )
-        return payload
-    payload.update(
-        {
-            "equivalent": oracle.distance < args.tol,
-            "distance": oracle.distance,
-            "witness": list(oracle.witness),
-            "oracle": True,
-        }
-    )
-    return payload
+        return {**payload, "equivalent": None if undecided else gap <= args.tol * scale,
+                "distance": None, "witness": None, "oracle": False}
+    return {**payload, "equivalent": oracle.distance < args.tol, "distance": oracle.distance,
+            "witness": list(oracle.witness), "oracle": True}
 
 
 def cmd_counterexample(args) -> dict:
@@ -257,16 +236,9 @@ def cmd_counterexample(args) -> dict:
         break
     else:
         raise DomainError("no usable seed signal found in 64 attempts; change --seed")
-    return {
-        **_envelope(args),
-        "n": args.n,
-        "lambda_y": result.lambda_y,
-        "g_gap": result.g_gap,
-        "orbit_distance": result.orbit_distance,
-        "attempts": attempts,
-        "scaled": result.scaled,
-        "twisted": result.twisted,
-    }
+    return {**_envelope(args), "n": args.n, "lambda_y": result.lambda_y, "g_gap": result.g_gap,
+            "orbit_distance": result.orbit_distance, "attempts": attempts,
+            "scaled": result.scaled, "twisted": result.twisted}
 
 
 def cmd_bench(args) -> dict:

@@ -295,11 +295,31 @@ class ExponentTable:
             yield from zip(map(tuple, indices.tolist()), map(tuple, exponents.tolist()))
 
     @functools.cached_property
-    def blocks(self) -> tuple:
-        """arrays with float64 exponents, the form the transform kernel takes."""
-        return tuple((indices, float_exponents(exponents)) for indices, exponents in self.arrays)
+    def gather(self):
+        """(steps, passes), decided once: how the transforms gather each factor
+        z_k ** e.  A grid table (nonnegative int64 exponents, and fewer powers
+        N * (top + 1) than factors) has steps 0 .. top in float64 and takes a
+        factor from the powers z_k ** steps at k * (top + 1) + e; otherwise
+        steps is None and a factor is z_k taken at k and powered by float e.
+        passes holds (block, rows, columns, index, exps) per _PASS_ROWS rows of
+        a block: its rows, their output columns, the gather index and the float
+        exponents (None on a grid), all read-only."""
+        exponents = [exps for _, exps in self.arrays]
+        top = max(int(exps.max()) for exps in exponents if exps.size)
+        grid = all(exps.dtype == np.int64 and not (exps < 0).any() for exps in exponents) and (
+            self.group.dim * (top + 1) < sum(exps.size for exps in exponents))
+        blocks = [(_read_only(k * (top + 1) + e), None) if grid else (k, float_exponents(e)) for k, e in self.arrays]
+        passes, start = [], 0
+        for block, (index, exps) in enumerate(blocks):
+            for lo in range(0, len(index), _PASS_ROWS):
+                rows = slice(lo, min(lo + _PASS_ROWS, len(index)))
+                columns = slice(start + lo, start + rows.stop)
+                passes.append((block, rows, columns, index[rows], None if grid else exps[rows]))
+            start += len(index)
+        return (_read_only(np.arange(top + 1, dtype=float)) if grid else None), tuple(passes)
 
 
+_PASS_ROWS = 1 << 11  # table rows per pass of the transforms' factor gather
 # Triples, or table entries, handled per numpy pass of the discrete-log
 # path; larger blocks raised the peak RSS of shift 8x8 and ran no faster.
 _BLOCK = 1 << 13

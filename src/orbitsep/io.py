@@ -10,7 +10,7 @@ _NON_FINITE table.  An array block of _FLOATS_PER_PASS floats or more is one
 numpy byte pass that gives the bytes of "%.17g" (digits from a certified
 double-double rounding, cells NUL padded, NULs dropped once), and falls
 back whole to the %-format of smaller blocks when it holds a value the pass
-cannot certify.  Lists of plain ints are joined in one pass.  Large
+cannot certify.  Lists and tuples of plain ints are spelled by str.  Large
 KeyedRows blocks of int64 are one numpy byte pass each (digits looked up
 four at a time, cells sized per column, NULs dropped once), the others one
 %d-format; keys and strings are quoted as json.dumps does.  The pieces are
@@ -390,9 +390,9 @@ def _float_cells(values: np.ndarray):
     scale, exact, prefix, suffix, row, (below, above, dot), trailing = _decimal_tables()
     a = np.abs(values)
     zero = a == 0
-    a += zero  # a zero is spelled as 1.0 is, then its digits are cleared
-    if not ((a >= _WINDOW[0]) & (a < _WINDOW[1])).all():
+    if not (zero | (a >= _WINDOW[0]) & (a < _WINDOW[1])).all():  # before any arithmetic: a signaling NaN warns
         return None
+    a += zero  # a zero is spelled as 1.0 is, then its digits are cleared
     x = np.floor(np.log10(a)).astype(np.intp) - _EXPONENTS.start
     hi, lo = _scaled(a, np.take(scale, x, axis=0))
     shift = ((hi - 1e17) + lo >= 0).view(np.int8) - ((hi - 1e16) + lo < 0).view(np.int8)
@@ -488,7 +488,7 @@ def _emit(value, depth: int, out: list) -> None:
     elif not value:
         out.append("{}" if isinstance(value, dict) else "[]")
     elif not isinstance(value, dict) and set(map(type, value)) == _INT:  # not bool, not np.int64
-        out.append("[" + ", ".join(map(str, value)) + "]")
+        out.append(str(value if isinstance(value, list) else list(value)))  # a tuple's str is (...)
     elif isinstance(value, dict) or any(isinstance(item, _CONTAINERS) for item in value):
         opening, closing = "{}" if isinstance(value, dict) else "[]"
         for i, item in enumerate(value):

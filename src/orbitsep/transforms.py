@@ -1,8 +1,9 @@
-"""The four invariant transforms on an exponent table and their one kernel.
-
-All four are exactly invariant under the group action by construction, and
-each takes one (N,) signal or a (B, N) stack of them, whose rows come out
-bit for bit as B calls on single signals give them:
+"""The four invariant transforms on an exponent table, each exactly invariant
+under the group action by construction.  Each takes one (N,) signal or a
+(B, N) stack, whose rows come out bit for bit as single calls give them, and
+takes its factors z_k ** e from the table's one gather, decided once
+(ExponentTable.gather): from a power grid on a grid table, else by direct
+power.  monomials is the direct kernel of the Laurent invariants (hermite).
 - monomial map: one invariant monomial per coordinate subset (separating).
 - phase map: moduli-weighted phase monomials (only unit phases are powered).
 - norm-scaled map: norm times the monomial map of the normalized signal,
@@ -23,7 +24,6 @@ from .errors import ConfigError, DimensionError
 from .exponents import ExponentTable
 from .groups import _check_signal, _unit_norm, _unit_scaled
 
-_GRID_ROWS = 1 << 11  # table rows per pass of the power grid, and the fewest that take it
 _DRAW_VALUES = 1 << 16  # normals drawn per chunk of make_reduction
 
 
@@ -54,44 +54,43 @@ class BetaWeights:
 
 def default_beta(table: ExponentTable) -> BetaWeights:
     """All weights 1, in the table's block layout."""
-    return BetaWeights(tuple(np.ones_like(exps) for _, exps in table.blocks))
-
-
-def _grid_top(z, indices, exponents):
-    """The top exponent of a table block of _GRID_ROWS rows or more and of
-    nonnegative exponents whose N * (top + 1) powers are fewer than its factors, else None."""
-    if indices.shape != exponents.shape or len(indices) < _GRID_ROWS or exponents.min() < 0:
-        return None
-    top = int(exponents.max())
-    return top if z.shape[-1] * (top + 1) < exponents.size else None
+    return BetaWeights(tuple(np.ones(exps.shape) for _, exps in table.arrays))
 
 
 def monomials(z, indices, exponents) -> np.ndarray:
-    """prod_j z[..., indices[..., j]] ** exponents[..., j] along the last axis.
-
-    The kernel behind F, PhiF, Phi and the Laurent invariants; z is one
-    signal or a stack of them.  exponents are float64: exact below 2**53,
-    and the same conversion CPython's complex ** int makes.  Overflow gives
-    inf or nan, never a warning.  take gathers C contiguous, so a stacked
-    row's product rounds as the single row's does; z[..., indices] on a
-    stack comes out in another memory order.  A grid block (_grid_top) gathers
-    one power per coordinate and exponent 0 .. top: the same bits (a*b*c is not).
-    """
+    """prod_j z[..., indices[..., j]] ** exponents[..., j] along the last axis
+    by direct power: the Laurent kernel of the rational invariants, G and the
+    counterexample.  z is one signal or a stack of them.  exponents are
+    float64: exact below 2**53, and the same conversion CPython's complex **
+    int makes.  Overflow gives inf or nan, never a warning.  take gathers C
+    contiguous, so a stacked row's product rounds as the single row's does;
+    z[..., indices] on a stack comes out in another memory order."""
     with np.errstate(all="ignore"):
-        if (top := _grid_top(z, indices, exponents)) is None:
-            return np.prod(z.take(indices, axis=-1) ** exponents, axis=-1)
-        grid = (z[..., None] ** np.arange(top + 1, dtype=float)).reshape(*z.shape[:-1], -1)
-        out = np.empty(z.shape[:-1] + indices.shape[:-1], dtype=complex)
-        for lo in range(0, len(indices), _GRID_ROWS):
-            flat = indices[lo:lo + _GRID_ROWS] * (top + 1) + exponents[lo:lo + _GRID_ROWS].astype(np.intp)
-            np.prod(grid.take(flat, axis=-1), axis=-1, out=out[..., lo:lo + _GRID_ROWS])
-        return out
+        return np.prod(z.take(indices, axis=-1) ** exponents, axis=-1)
+
+
+def _factors(table: ExponentTable, z, first: int = 0):
+    """Yield (block, rows, columns, factors) per pass of ExponentTable.gather
+    over the blocks from first on: factors[..., i, j] is the j-th factor
+    z_k ** e of row i, taken C contiguous as in monomials.  A grid table
+    powers each coordinate once per step and takes the factors from those
+    powers: the same bits (a*b*c is not).  Callers ignore float errors."""
+    steps, passes = table.gather
+    if steps is not None:
+        z = (z[..., None] ** steps).reshape(z.shape[:-1] + (z.shape[-1] * len(steps),))
+    for block, rows, columns, index, exps in passes:
+        if block >= first:
+            factors = z.take(index, axis=-1)
+            yield block, rows, columns, factors if exps is None else factors ** exps
 
 
 def eval_monomial_map(table: ExponentTable, x) -> InvariantVector:
     """The separating monomial map: one monomial per subset, fixed order."""
     x = _check_signal(table.group, x, stacked=True)
-    values = np.concatenate([monomials(x, idx, exps) for idx, exps in table.blocks], axis=-1)
+    values = np.empty(x.shape[:-1] + (table.total_dim,), dtype=complex)
+    with np.errstate(all="ignore"):  # multiply.reduce: np.prod's loop, without its Python wrapper
+        for _, _, columns, factors in _factors(table, x):
+            np.multiply.reduce(factors, axis=-1, out=values[..., columns])
     return InvariantVector(transform_id="F", values=values)
 
 
@@ -100,17 +99,19 @@ def eval_phase_map(table: ExponentTable, beta: BetaWeights, x) -> InvariantVecto
     moduli-weighted unit-phase monomials; any subset touching a zero entry is
     exactly zero.  beta must be laid out in this table's blocks."""
     x = _check_signal(table.group, x, stacked=True)
-    if [w.shape for w in beta.blocks] != [exps.shape for _, exps in table.blocks]:
+    if [w.shape for w in beta.blocks] != [exps.shape for _, exps in table.arrays]:
         raise DimensionError("beta weights are not laid out in this table's blocks")
     moduli = np.abs(x)
     phases = _unit_phases(x)
+    values = np.empty(x.shape[:-1] + (table.total_dim,), dtype=complex)
     with np.errstate(all="ignore"):
-        values = [(moduli ** beta.blocks[0][:, 0]).astype(complex)]
-        for (idx, exps), w in zip(table.blocks[1:], beta.blocks[1:]):
-            subset = moduli.take(idx, axis=-1)
-            value = np.prod(subset ** w * phases.take(idx, axis=-1) ** exps, axis=-1)
-            values.append(np.where((subset == 0).any(axis=-1), 0j, value))
-    return InvariantVector(transform_id="Theta", values=np.concatenate(values, axis=-1))
+        np.power(moduli, beta.blocks[0][:, 0], out=values[..., :table.group.dim])
+        for block, rows, columns, factors in _factors(table, phases, first=1):
+            subset = moduli.take(table.arrays[block][0][rows], axis=-1)
+            out = values[..., columns]
+            np.multiply.reduce(subset ** beta.blocks[block][rows] * factors, axis=-1, out=out)
+            out[(subset == 0).any(axis=-1)] = 0
+    return InvariantVector(transform_id="Theta", values=values)
 
 
 def eval_norm_scaled(table: ExponentTable, x) -> InvariantVector:

@@ -436,8 +436,9 @@ def test_parser_built_once(capsys):
 def test_cached_table_arrays_are_read_only():
     plan = orbitsep.plan.plan(orbitsep.shift_action_spec(2, 3))
     table = plan.table()
-    arrays = [a for pair in (*table.arrays, *table.blocks) for a in pair]
-    assert len(arrays) == 12
+    steps, passes = table.gather  # 2x3 is a grid table: its steps and one flat index per block
+    arrays = [*(a for pair in table.arrays for a in pair), steps, *(index for *_, index, _ in passes)]
+    assert len(arrays) == 10
     for array in [*arrays, plan.reduction(5), *plan.beta.blocks]:  # the retained reduction and weights too
         with pytest.raises(ValueError, match="read-only"):
             array[...] = 0

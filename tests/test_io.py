@@ -291,6 +291,17 @@ def decoded(value):
     return value
 
 
+@pytest.mark.parametrize("ints", [
+    [7], (7,), [0, -1, 2**63, -(2**63) - 1, 10**40], (3, -4, 2**64), [[1, 2], (3,), []], ((-5, 6), [7]),
+], ids=["one", "one-tuple", "list", "tuple", "nested-lists", "nested-tuples"])
+def test_lists_and_tuples_of_plain_ints_match_reference(ints):
+    # They are spelled by str of a list: str((1, 2)) is "(1, 2)", so a tuple
+    # must still come out as a JSON array.
+    payload = {"ints": ints, "rows": [ints, ints]}
+    assert emit_json(payload) == reference_emit_json(payload)
+    assert json.loads(emit_json(payload))["ints"] == json.loads(json.dumps(ints))
+
+
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(payloads)
 def test_emit_json_matches_reference(payload):
@@ -458,7 +469,7 @@ def test_byte_pass_takes_blocks_from_the_floor(monkeypatch, count, passes, dtype
     assert taken == [p - p % width for p in passes]
 
 
-@pytest.mark.parametrize("bad", [math.nan, 3 * 2.0**-24], ids=["NaN", "inexact tie"])
+@pytest.mark.parametrize("bad", [math.nan, from_bits(0, 2047, 1), 3 * 2.0**-24], ids=["NaN", "signaling NaN", "inexact tie"])
 def test_a_block_with_one_uncertified_value_falls_back_whole(monkeypatch, bad):
     results = []
     cells = orbitsep.io._float_cells

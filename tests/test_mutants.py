@@ -2,6 +2,7 @@
 src/ and runs the test the entry names, which must fail; the whole gate
 runs beside tier-1, and one entry runs here."""
 
+import ast
 import importlib.util
 from pathlib import Path
 
@@ -28,3 +29,12 @@ def test_an_entry_whose_old_text_is_gone_is_stale():
     mutants = load_mutants()
     path, old, new, test = mutants.MUTANTS[0]
     assert mutants.check((path, old + "no longer in the file", new, test)) == "stale"
+
+
+def test_every_entry_names_text_found_once_and_a_test_that_exists():
+    # So a refactor that strands an entry fails here, not only in the gate.
+    for path, old, new, test in load_mutants().MUTANTS:
+        assert (ROOT / "src" / path).read_text().count(old) == 1, (path, old)
+        file, name = test.split("::")
+        tree = ast.parse((ROOT / file).read_text())
+        assert name.split("[")[0] in {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}, test

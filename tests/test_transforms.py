@@ -1,6 +1,8 @@
 """The four invariant transforms, the seeded reduction, the certified
 Lipschitz constants, and the proportionality check."""
 
+import itertools
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -9,6 +11,7 @@ import reference
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import orbitsep.exponents
 import orbitsep.transforms
 
 from orbitsep import (
@@ -31,8 +34,9 @@ from orbitsep import (
     make_reduction,
     shift_action_spec,
 )
+from orbitsep.exponents import ExponentTable, float_exponents
 from orbitsep.groups import _unit_scaled
-from orbitsep.transforms import _grid_top, monomials
+from orbitsep.transforms import _unit_phases, monomials
 from reference import minimal_single
 
 DIAG = make_group([2, 3], [[1, 0], [0, 1]])
@@ -84,7 +88,7 @@ def test_transforms_match_scalar_reference(group):
     rng = np.random.default_rng(17)
     table = build_exponent_table(group)
     # Weights of 0 make the zero rule visible: 0 ** 0 is 1, not 0.
-    singles, *rest = (exps.shape for _, exps in table.blocks)
+    singles, *rest = (exps.shape for _, exps in table.arrays)
     beta = BetaWeights(
         (1.0 + rng.integers(0, 2, singles), *(rng.integers(0, 3, shape) * 1.0 for shape in rest))
     )
@@ -239,71 +243,143 @@ def test_make_reduction_keeps_its_bits_when_the_chunks_split_unevenly(monkeypatc
         assert got.tobytes() == reference.drawn_reduction(seed, 5, 7).tobytes()
 
 
-# Blocks of exponent tables, some with a grid smaller than their factors and
-# some not, and the signal length they index.
-TABLE_BLOCKS = [(group.dim, indices, exps) for group in (
-    cyclic_shift_spec(16), shift_action_spec(2, 3), shift_action_spec(3, 4), make_group([10, 1000], [[7, 2, 5], [641, 687, 597]])
-) for indices, exps in build_exponent_table(group).blocks]
+def direct_monomial_map(table, x):
+    """F as whole table blocks of direct powers: the bits the gather must give."""
+    return np.concatenate([monomials(x, idx, float_exponents(exps)) for idx, exps in table.arrays], axis=-1)
+
+
+def direct_phase_map(table, beta, x):
+    """Theta as whole table blocks of direct powers of the unit phases."""
+    moduli, phases = np.abs(x), _unit_phases(x)
+    with np.errstate(all="ignore"):
+        values = [(moduli ** beta.blocks[0][:, 0]).astype(complex)]
+        for (idx, exps), w in zip(table.arrays[1:], beta.blocks[1:]):
+            subset = moduli.take(idx, axis=-1)
+            value = np.prod(subset ** w * phases.take(idx, axis=-1) ** float_exponents(exps), axis=-1)
+            values.append(np.where((subset == 0).any(axis=-1), 0j, value))
+    return np.concatenate(values, axis=-1)
+
+
+# Tables of every tuple size, grid tables and direct ones.
+REAL_TABLES = [build_exponent_table(group, size) for group in (
+    cyclic_shift_spec(16), shift_action_spec(2, 3), shift_action_spec(3, 4),
+    make_group([10, 1000], [[7, 2, 5], [641, 687, 597]]), make_group([100, 100, 100], [[11, 45], [48, 68], [92, 88]]),
+) for size in (1, 2, 3)]
 
 
 @st.composite
-def synthetic_blocks(draw):
-    """(N, indices, exponents): random float exponents 0 .. top, both ends planted."""
+def synthetic_tables(draw):
+    """A table over N = 1 .. 6 coordinates with random rows and exponents
+    0 .. top, both ends planted; some hold one negative exponent, or hold
+    their exponents as Python ints."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    n, size, count, top = draw(st.integers(1, 6)), draw(st.integers(1, 3)), draw(st.integers(1, 40)), draw(st.integers(0, 6))
-    exps = rng.integers(0, top, size=(count, size), endpoint=True).astype(float)
-    exps.flat[0], exps.flat[-1] = 0.0, top
-    return n, rng.integers(0, n, size=(count, size)).astype(np.intp), exps
+    n, top = draw(st.integers(1, 6)), draw(st.integers(0, 6))
+    arrays = []
+    for size in (1, 2, 3):
+        count = n if size == 1 else draw(st.integers(0, 40))
+        indices = np.arange(n)[:, None] if size == 1 else rng.integers(0, n, size=(count, size))
+        arrays.append([indices.astype(np.intp), rng.integers(0, top, size=(count, size), endpoint=True)])
+    arrays[0][1][0, 0], arrays[0][1][-1, 0] = 0, top
+    kind = draw(st.sampled_from(["int64", "negative", "object"]))
+    if kind == "negative":
+        arrays[0][1][0, 0] = -1
+    elif kind == "object":
+        arrays = [(indices, exps.astype(object)) for indices, exps in arrays]
+    return ExponentTable(make_group([2], [[1] * n]), tuple(map(tuple, arrays)))
 
 
 @st.composite
-def kernel_inputs(draw):
-    """(grid rows, z, indices, exponents): one signal or a stack of 1 to 4,
-    with planted zeros, subnormal, huge, infinite and NaN entries, and the
-    rows per pass of the power grid, so that small blocks take it too."""
-    grid_rows = draw(st.sampled_from([1, 3, 64, orbitsep.transforms._GRID_ROWS]))
-    n, indices, exps = draw(st.one_of(st.sampled_from(TABLE_BLOCKS), synthetic_blocks()))
+def gather_inputs(draw):
+    """(table, beta, z): a real or synthetic table whose gather is decided in
+    passes of 1, 3, 64 or the full rows; weights >= 1 on singles and >= 0,
+    some 0, elsewhere; one signal or a stack of 1 to 4, with planted zeros,
+    subnormal, huge, infinite and NaN entries."""
+    table = draw(st.one_of(st.sampled_from(REAL_TABLES), synthetic_tables()))
+    table = ExponentTable(table.group, table.arrays)  # a fresh gather
+    with mock.patch.object(orbitsep.exponents, "_PASS_ROWS", draw(st.sampled_from([1, 3, 64, 2048]))):
+        table.gather
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    weights = [rng.choice([0.0, 0.5, 1.0, 2.5], size=exps.shape) for _, exps in table.arrays]
+    weights[0] += 1.0
     rows = draw(st.sampled_from([(), (1,), (2,), (3,), (4,)]))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    z = rng.standard_normal(rows + (2 * n,)).view(complex)
+    z = rng.standard_normal(rows + (2 * table.group.dim,)).view(complex)
     special = np.array([0, 5e-324, 2.5e-310 + 1e-320j, 1e300, -1e300j, np.inf, complex(np.nan, 1), complex(1, np.inf)])
     planted = rng.random(z.shape) < draw(st.floats(0, 0.5))
     z[planted] = rng.choice(special, size=int(planted.sum()))
-    return grid_rows, z, indices, exps
+    return table, BetaWeights(tuple(weights)), z
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
-@given(kernel_inputs())
-def test_monomial_grid_matches_direct_power(inputs):
-    grid_rows, z, indices, exps = inputs
-    with np.errstate(all="ignore"):
-        want = np.prod(z.take(indices, axis=-1) ** exps, axis=-1)
-    with mock.patch.object(orbitsep.transforms, "_GRID_ROWS", grid_rows):
-        got = monomials(z, indices, exps)
+@given(gather_inputs())
+def test_grid_and_passes_match_whole_block_direct_powers(inputs):
+    table, beta, z = inputs
+    got, want = eval_monomial_map(table, z).values, direct_monomial_map(table, z)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    with np.errstate(all="ignore"):  # the unit phases of infinite entries are nan
+        got, want = eval_phase_map(table, beta, z).values, direct_phase_map(table, beta, z)
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
-def test_grid_is_taken_only_when_smaller_than_the_factors(monkeypatch):
-    z = np.ones(4, complex)
-    indices = np.zeros((7, 2), np.intp)
-    exps = np.full((7, 2), 2.0)  # 14 factors against a grid of 4 * 3 powers
-    assert _grid_top(z, indices, exps) is None  # fewer rows than one pass
-    monkeypatch.setattr(orbitsep.transforms, "_GRID_ROWS", 7)
-    assert _grid_top(z, indices, exps) == 2
-    assert _grid_top(np.ones((3, 4), complex), indices, exps) == 2
-    assert _grid_top(z, indices[:6], exps[:6]) is None  # 6 rows
-    monkeypatch.setattr(orbitsep.transforms, "_GRID_ROWS", 6)
-    assert _grid_top(z, indices[:6], exps[:6]) is None  # 12 factors: no smaller
-    assert _grid_top(z, indices, -exps) is None  # a Laurent block
-    assert _grid_top(z, np.arange(2), exps) is None  # the rational invariants' broadcast
-    monkeypatch.setattr(orbitsep.transforms, "_GRID_ROWS", 1)
-    taken = [_grid_top(np.ones(n), indices, exps) is not None for n, indices, exps in TABLE_BLOCKS]
-    assert any(taken) and not all(taken)
-    # At the full pass length, the triples of shift 8x8 and cyclic 62 take the grid.
-    monkeypatch.undo()
-    for group in (shift_action_spec(8, 8), cyclic_shift_spec(62)):
-        (indices, exps) = build_exponent_table(group).blocks[2]
-        assert _grid_top(np.ones((2, group.dim)), indices, exps) is not None
+def edge_table(top, dtype=np.int64, negative=False):
+    """N = 4 with all its 4 singles, 6 pairs and 4 triples, 28 factors, every
+    exponent top (one -1 if negative)."""
+    arrays = [(np.array(list(itertools.combinations(range(4), size)), dtype=np.intp), None) for size in (1, 2, 3)]
+    arrays = [(indices, np.full(indices.shape, top, dtype=dtype)) for indices, _ in arrays]
+    if negative:
+        arrays[2][1][0, 0] = -1
+    return ExponentTable(make_group([7], [[1, 2, 3, 4]]), tuple(arrays))
+
+
+def test_grid_is_decided_once_per_table_from_its_factor_count():
+    # 4 * (5 + 1) = 24 powers are fewer than the 28 factors; 4 * (6 + 1) are as many.
+    assert edge_table(5).gather[0] is not None
+    assert edge_table(6).gather[0] is None
+    assert edge_table(5, negative=True).gather[0] is None
+    assert edge_table(5, dtype=object).gather[0] is None
+    for group in (SHIFT, shift_action_spec(8, 8), cyclic_shift_spec(62)):
+        assert build_exponent_table(group).gather[0] is not None
+        singles_only = build_exponent_table(group, 1)  # N * (top + 1) >= N, and two empty blocks
+        assert singles_only.gather[0] is None and len(singles_only.gather[1]) == 1
+    assert build_exponent_table(make_group([100, 100, 100], [[11, 45], [48, 68], [92, 88]])).gather[0] is None
+    table = build_exponent_table(SHIFT)
+    assert table.gather is table.gather  # decided once
+
+
+def test_grid_arrays_are_read_only_flat_indices():
+    direct = build_exponent_table(make_group([100, 100, 100], [[11, 45], [48, 68], [92, 88]]))
+    for table in (build_exponent_table(shift_action_spec(4, 4)), edge_table(5), direct):
+        steps, passes = table.gather
+        arrays = [steps] if steps is not None else []
+        for block, rows, columns, index, exps in passes:
+            indices, exponents = table.arrays[block]
+            if steps is None:
+                assert (index == indices[rows]).all() and (exps == exponents[rows]).all()
+                arrays.append(exps)
+            else:
+                assert exps is None and (index // len(steps) == indices[rows]).all()
+                assert (steps[index % len(steps)] == exponents[rows]).all()
+            assert columns.stop - columns.start == len(index)
+            arrays.append(index)
+        assert arrays and not any(array.flags.writeable for array in arrays)
+
+
+@pytest.mark.parametrize("group, rows, parent_peak", [
+    (shift_action_spec(8, 8), (), 1_400_384), (shift_action_spec(8, 8), (2,), 2_800_224), (cyclic_shift_spec(62), (), 1_273_312),
+], ids=["shift8x8", "shift8x8-stack", "cyclic62"])
+def test_monomial_map_peak_stays_under_the_parents(group, rows, parent_peak):
+    # Before the table-level gather, F peaked at these bytes here: passes of
+    # 2048 rows and a concatenation of the blocks.  Gathering the 8x8
+    # triples whole would take 2 MB per signal on its own.
+    table = build_exponent_table(group)
+    x = np.random.default_rng(5).standard_normal(rows + (2 * group.dim,)).view(complex)
+    eval_monomial_map(table, x)  # the gather is decided on the first call
+    tracemalloc.start()
+    try:
+        eval_monomial_map(table, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= parent_peak
 
 
 def stack_rows(rng, n: int, count: int) -> np.ndarray:
@@ -367,6 +443,16 @@ def test_stacked_transforms_take_one_or_two_axes_only():
             fn(np.ones((2, 2, 6)))
         with pytest.raises(DimensionError):
             fn(np.ones((2, 5)))
+
+
+def test_an_empty_stack_gives_no_rows():
+    # A grid table's powers of no rows reshape by their explicit width.
+    direct = make_group([100, 100, 100], [[11, 45], [48, 68], [92, 88]])
+    for table in (build_exponent_table(SHIFT), build_exponent_table(direct)):
+        for fn in transforms_under_test(table):
+            assert fn(np.empty((0, table.group.dim))).values.shape == (0, fn(np.ones(table.group.dim)).dim)
+    table = build_exponent_table(shift_action_spec(8, 8))
+    assert eval_monomial_map(table, np.empty((0, 64))).values.shape == (0, table.total_dim)
 
 
 def test_lowdim_shape_and_zero():

@@ -44,6 +44,11 @@ MUTANTS = [
      "            index += (rest > 0) * _WORD_BASE  # digits above: the \"0\" padded spelling\n",
      "",
      "tests/test_io.py::test_keyed_rows_match_reference_across_blocks"),
+    # A list or tuple of plain ints spelled by str of a list.
+    ("orbitsep/io.py",
+     "str(value if isinstance(value, list) else list(value))",
+     "str(value)",
+     "tests/test_io.py::test_lists_and_tuples_of_plain_ints_match_reference"),
     # The float arrays' separator between two blocks of values.
     ("orbitsep/io.py",
      'out.append(", ")',
@@ -76,16 +81,20 @@ MUTANTS = [
      "text[lo:lo + _WRITE_SLICE]",
      "text[lo:lo + _WRITE_SLICE - 1]",
      "tests/test_io.py::test_write_output_writes_a_text_longer_than_one_slice"),
-    # The monomial kernel's power grid: each coordinate's row offset in the
-    # grid, and the bound that selects it.
+    # The exponent table's power grid: each coordinate's offset in the grid,
+    # the rule that decides it, and Theta's gather of the unit phases from it.
+    ("orbitsep/exponents.py",
+     "_read_only(k * (top + 1) + e)",
+     "_read_only(k * top + e)",
+     "tests/test_transforms.py::test_grid_and_passes_match_whole_block_direct_powers"),
+    ("orbitsep/exponents.py",
+     "self.group.dim * (top + 1) < sum(",
+     "self.group.dim * (top + 1) <= sum(",
+     "tests/test_transforms.py::test_grid_is_decided_once_per_table_from_its_factor_count"),
     ("orbitsep/transforms.py",
-     "indices[lo:lo + _GRID_ROWS] * (top + 1)",
-     "indices[lo:lo + _GRID_ROWS] * top",
-     "tests/test_transforms.py::test_monomial_grid_matches_direct_power"),
-    ("orbitsep/transforms.py",
-     "z.shape[-1] * (top + 1) < exponents.size",
-     "z.shape[-1] * (top + 1) <= exponents.size",
-     "tests/test_transforms.py::test_grid_is_taken_only_when_smaller_than_the_factors"),
+     "_factors(table, phases, first=1)",
+     "_factors(table, x, first=1)",
+     "tests/test_transforms.py::test_grid_and_passes_match_whole_block_direct_powers"),
     # The reduction's draw, row chunk by row chunk: the short last chunk.
     ("orbitsep/transforms.py",
      "rng.standard_normal(out=normals[:len(chunk)])",
