@@ -12,13 +12,15 @@ N columns wide, scores every coset of K at once; a stack of pairs stacks
 its leading tables into the same one product.  Q, the two tables and the
 other arrays that depend on the group alone are built once per group, in
 its plan (orbitsep.plan); only the element rows of Q are listed per call.
-The cosets within the product's error bound of a pair's best are scored
-again with the integer-exact phases all their elements share; the witness
-is the lexicographically first element of G reaching the smallest exact
-score.  Each distance is groups._norm's, recomputed from its witness, so
-it matches ||x - act(witness, y)|| to machine precision, and a stacked row
-equals the call on its pair alone bit for bit.  The scan scores its pairs
-in memory-bounded chunks: one metric call and one transform call each.
+One scan over the stack's overlaps lists the cosets within the product's
+error bound of their pair's best; blocks of them are scored again, row by
+row, with the integer-exact phases all their elements share.  The witness
+is the first element of G reaching its pair's smallest exact score: one
+lexsort keyed by pair per block, and one over the blocks' winners.  Each
+distance is groups._norm's, recomputed from its witness, so it matches
+||x - act(witness, y)|| to machine precision, and a stacked row equals the
+call on its pair alone bit for bit.  The scan scores its pairs in
+memory-bounded chunks: one metric call and one transform call each.
 """
 
 from __future__ import annotations
@@ -48,16 +50,6 @@ _STACK = 1 << 19
 class OrbitDistanceResult:
     distance: float
     witness: tuple
-
-
-def least_member(kernel, rows) -> tuple:
-    """The least element of G in the cosets of K through the integer rows:
-    kernel is faithful_quotient(G).kernel, and each pivot column i moves
-    entry i into [0, kernel[i][i]) without changing the coset."""
-    rows = np.array(rows, dtype=np.int64)
-    for i, column in enumerate(np.asarray(kernel, dtype=np.int64).T):
-        rows -= (rows[:, i] // column[i])[:, None] * column
-    return tuple(rows[np.lexsort(rows.T[::-1])[0]].tolist())
 
 
 def _phases(shape, steps, L) -> np.ndarray:
@@ -109,21 +101,13 @@ def _compile(group_plan) -> tuple:
     return quotient.group, *arrays, _cut(quotient.group)
 
 
-def _nearest(elements, candidates, turns, cross, const, L) -> np.ndarray:
-    """The rows of elements among candidates with the smallest exact score
-    const - 2 Re <x, g.y>, from phases exact in integers; the identity alone
-    when no score is finite."""
-    n = len(candidates)
-    blocks = -(-n // _CHUNK)
-    # Even blocks, never one row for two or more candidates: a one-row
-    # product rounds differently from the multi-row blocks it is compared with.
-    exact = np.concatenate([
-        np.exp((-2j * np.pi / L) * (elements[block] @ turns % L)) @ cross
-        for block in (candidates[i * n // blocks:(i + 1) * n // blocks] for i in range(blocks))
-    ])
-    vals = const - 2.0 * exact.real
-    best = vals.min()  # not finite only for non-finite input: row 0, the identity, stands
-    return elements[candidates[vals == best]] if best < np.inf else elements[:1]
+def _least(scores, members, pair) -> tuple:
+    """Each pair's lexicographically least (score, member) row, and the pairs;
+    the rows' pairs ascend with none skipped, so each pair's rows sort in place."""
+    order = np.lexsort((*members.T[::-1], scores, pair))
+    pairs = np.arange(pair[0], pair[-1] + 1)
+    first = order[np.searchsorted(pair, pairs)]
+    return scores[first], members[first], pairs
 
 
 def orbit_distance(group: GroupSpec, x, y):
@@ -151,21 +135,36 @@ def orbit_distance(group: GroupSpec, x, y):
     x, y = xy[:, :n], xy[:, n:]
     # ||x - g.y||^2 = ||x||^2 + ||y||^2 - 2 Re(conj(phi_g) . (x * conj(y)))
     cross = x * np.conj(y)
+    const = np.vecdot(x, x).real + np.vecdot(y, y).real
     overlap = _coset_overlap(cut, cross)
-    witnesses = np.empty((len(xy), group.num_generators), dtype=np.int64)
-    for b, scores in enumerate(overlap):
-        const = float(np.vdot(x[b], x[b]).real + np.vdot(y[b], y[b]).real)
-        # Each entry is a sum of 2N products, the two for coordinate k bounded
-        # together by |cross_k|, and sum |cross_k| <= const / 2, so it errs by
-        # about 2N * eps * sum |cross_k| <= N * eps * const, near 2e-12 * const
-        # at N = 10^4; the exact best coset lies within twice that of the
-        # product's best, far inside the slack.  The floor keeps the slack
-        # above subnormal rounding; a non-finite overlap makes every coset a
-        # candidate.
-        slack = 1e-9 * max(const, 1e-290)
-        candidates = np.flatnonzero(~(scores < scores.max() - slack))
-        tied = _nearest(elements, candidates, turns, cross[b], const, L)
-        witnesses[b] = least_member(kernel, tied @ lift)
+    # Each entry is a sum of 2N products, the two for coordinate k bounded
+    # together by |cross_k|, and sum |cross_k| <= const / 2, so it errs by
+    # about 2N * eps * sum |cross_k| <= N * eps * const, near 2e-12 * const
+    # at N = 10^4; the exact best coset lies within twice that of the
+    # product's best, far inside the slack.  The floor keeps the slack
+    # above subnormal rounding; a non-finite overlap makes every coset a
+    # candidate.
+    slack = 1e-9 * np.maximum(const, 1e-290)
+    top = np.maximum.reduce(overlap, axis=(1, 2, 3)) - slack
+    # pair * |G/K| + coset, ascending; every pair has one at least, its best.
+    below = overlap < top[:, None, None, None]
+    candidates = np.flatnonzero(np.invert(below, out=below))
+    # Kernel column i moves entry i into [0, kernel[i][i]) in its coset; columns with later entries go first, in order.
+    carried = [i for i, column in enumerate(kernel.T.tolist()) if any(column[i + 1:])]
+    least = []  # per block, each of its pairs' least (exact score, member of G)
+    for start in range(0, len(candidates), _CHUNK):
+        pair, coset = np.divmod(candidates[start:start + _CHUNK], len(elements))
+        rows = elements[coset]
+        # Integer-exact phases, summed row by row, so a candidate scores alike in any block.
+        phases = np.exp((-2j * np.pi / L) * (rows @ turns % L))
+        exact = np.add.reduce(phases * cross.take(pair, axis=0), axis=-1).real
+        members = rows @ lift
+        for i in carried:
+            members -= (members[:, i] // kernel[i, i])[:, None] * kernel[:, i]
+        members %= kernel.diagonal()
+        # NaN ties with inf: a pair with no finite score has every coset as a candidate, so takes the identity.
+        least.append(_least(np.fmin(const[pair] - 2.0 * exact, np.inf), members, pair))
+    _, witnesses, _ = _least(*map(np.concatenate, zip(*least))) if len(least) > 1 else least[0]
     with np.errstate(over="ignore"):  # a distance beyond the double range is inf
         distances = np.ldexp(_norm(x - act(group, witnesses, y)), k)
     results = [OrbitDistanceResult(float(d), tuple(w)) for d, w in zip(distances, witnesses.tolist())]

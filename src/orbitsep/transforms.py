@@ -176,7 +176,8 @@ def _unit_phases(x) -> np.ndarray:
     # N(x): x_k/|x_k| on the support, exactly 0 elsewhere; on x_k * 2**-e_k, 1/|x_k| is finite.
     x = _unit_scaled(x[..., None])[0][..., 0]
     moduli = np.abs(x)
-    return np.where(moduli > 0, x / np.where(moduli > 0, moduli, 1.0), 0j)
+    with np.errstate(all="ignore"):  # an infinite entry's phase is inf / inf, nan
+        return np.where(moduli > 0, x / np.where(moduli > 0, moduli, 1.0), 0j)
 
 
 def eval_lowdim(

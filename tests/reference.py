@@ -3,14 +3,15 @@ complex ** int product per component, multiplied left to right starting
 from 1), the exhaustive minimal-exponent oracle, the closed form of the
 single exponents, the lattice solver run on one subset at a time, the
 Fraction Gauss-Jordan solve, the chunked brute-force orbit metric, the
-dense FFT overlap over a quotient's grid, the distinct phase vectors of a
-group's elements, the image-side circular shift and the inverse of
-to_fourier, the seeded pair samplers of four kinds, the
+least element of G in a coset of the kernel K (the metric's witness
+rule), the dense FFT overlap over a quotient's grid, the distinct phase
+vectors of a group's elements, the image-side circular shift and the
+inverse of to_fourier, the seeded pair samplers of four kinds, the
 orbit-equivalence test, the Lipschitz ratio scan one pair at a time and
-in chunks with a per-pair choice, the reduction matrix as first drawn, the empirical separation and
-proportionality checks, a JSON emitter that picks its layout from a
-registry of scalar types, and the exponent table as a dict of string
-keys, the payload that emitter takes."""
+in chunks with a per-pair choice, the reduction matrix as first drawn,
+the empirical separation and proportionality checks, a JSON emitter that
+picks its layout from a registry of scalar types, and the exponent table
+as a dict of string keys, the payload that emitter takes."""
 
 import cmath
 import functools
@@ -281,6 +282,16 @@ def brute_orbit_distance(group, x, y, chunk: int = 4096) -> OrbitDistanceResult:
     witness = tuple(int(v) for v in elements[best_idx])
     distance = float(np.linalg.norm(x - act(group, witness, y)))
     return OrbitDistanceResult(distance=distance, witness=witness)
+
+
+def least_member(kernel, rows) -> tuple:
+    """The least element of G in the cosets of K through the integer rows:
+    kernel is faithful_quotient(G).kernel, and each pivot column i moves
+    entry i into [0, kernel[i][i]) without changing the coset."""
+    rows = np.array(rows, dtype=np.int64)
+    for i, column in enumerate(np.asarray(kernel, dtype=np.int64).T):
+        rows -= (rows[:, i] // column[i])[:, None] * column
+    return tuple(rows[np.lexsort(rows.T[::-1])[0]].tolist())
 
 
 def fft_overlap(quotient, cross) -> np.ndarray:

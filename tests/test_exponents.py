@@ -32,11 +32,11 @@ from orbitsep.exponents import (
     phase_generators,
 )
 from orbitsep.groups import enumerate_group, phase_steps
-from orbitsep.metric import least_member
 from reference import (
     brute_phase_vectors,
     brute_quotient_order,
     lcm_single,
+    least_member,
     minimal_pair,
     minimal_single,
     minimal_triple,

@@ -408,8 +408,8 @@ def test_fft_metric_matches_brute_force_on_order_1e6():
 
 
 def test_all_tied_elements_rescored_in_bounded_memory():
-    # Every one of the 10^6 elements acts trivially, so every element is a
-    # candidate; scoring them in one block would take about 1.5 GB.
+    # Every one of the 10^6 elements acts trivially, so G/K has one coset:
+    # one candidate, and no array over the elements of G.
     g = make_group([1000, 1000], [[0] * 64, [0] * 64])
     rng = np.random.default_rng(7)
     x, y = random_signal(rng, 64), random_signal(rng, 64)
@@ -454,6 +454,17 @@ def test_non_finite_overlap_keeps_the_identity_witness():
         with np.errstate(all="ignore"):  # non-finite input makes numpy warn
             res = orbit_distance(g, x, y)
         assert res.witness == (0, 0)
+
+
+def test_a_pair_scored_inf_and_nan_keeps_the_identity_witness_in_a_stack():
+    # On Z_4 an infinite entry scores some cosets inf and others inf - inf,
+    # NaN; no score is finite, so the identity stands beside a finite pair.
+    g = make_group([4], [[1]])
+    xs = np.array([[np.inf], [1 + 1j], [-np.inf], [1]])
+    ys = np.array([[1 + 1j], [np.inf], [0.5 - 2j], [-1j]])
+    with np.errstate(all="ignore"):  # non-finite input makes numpy warn
+        got = orbit_distance(g, xs, ys)
+    assert [row.witness for row in got] == [(0,), (0,), (0,), (1,)]
 
 
 def test_signals_near_the_top_of_the_double_range():
@@ -669,6 +680,20 @@ def test_warm_bench_of_2000_samples_peaks_below_8_mb(tmp_path):
     assert warm_peak(lambda: orbitsep.cli.main(argv)) < 8 * 2**20
 
 
+@pytest.mark.parametrize("pairs, mib", [(1, 14.5), (4, 17.4)])
+def test_all_tied_cosets_of_order_1e6_take_the_identity_in_bounded_memory(pairs, mib):
+    # y = 0 scores every one of the 125000 cosets alike, so all are
+    # candidates: 31 blocks of 4096 for one pair, 123 for the scan's stack
+    # of four, each held with its winners only.  The bounds are the peaks
+    # that rescoring each pair of the stack on its own reaches.
+    rng = np.random.default_rng(17)
+    xs, ys = random_signal(rng, 4 * pairs).reshape(pairs, 4), np.zeros((pairs, 4), dtype=complex)
+    got = orbit_distance(ORDER_1E6, xs, ys)
+    assert [row.witness for row in got] == [(0, 0, 0)] * pairs
+    assert [row.distance for row in got] == [float(np.linalg.norm(x)) for x in xs]
+    assert warm_peak(lambda: orbit_distance(ORDER_1E6, xs, ys)) < mib * 2**20
+
+
 def test_warm_scan_of_20_pairs_on_order_1e6_peaks_below_12_mb():
     # Four pairs per chunk of 125000 cosets each: the overlaps take 4 MB
     # and the element rows 3 MB.
@@ -736,3 +761,33 @@ def test_plan_metric_arrays_are_read_only():
     for array in (*arrays, lead, trail):
         with pytest.raises(ValueError, match="read-only"):
             array[...] = 0
+
+
+@st.composite
+def tie_heavy_stacks(draw):
+    """One to seven pairs on a group whose cosets tie: characters with a
+    common factor, a kernel of order 4 whose basis has an entry below a
+    pivot, or a trivial quotient.  Pairs have zero entries, zero signals or
+    one orbit; a block size for the candidates from 1 up, so blocks split
+    the pairs."""
+    group = draw(st.sampled_from([PLAN_GROUPS["kernel"], SCAN_GROUPS["10x10x10"],
+                                  make_group((4, 6), ((0,) * 4,) * 2)]))
+    stack = []
+    for _ in range(draw(st.integers(1, 7))):
+        x, y = draw(signal_pairs(group))
+        zero = draw(st.sampled_from(["", "", "x", "y", "xy"]))
+        stack.append((0 * x if "x" in zero else x, 0 * y if "y" in zero else y))
+    return group, stack, draw(st.sampled_from([1, 2, 3, 7, 4096]))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(tie_heavy_stacks())
+def test_stacked_witnesses_on_tie_heavy_groups_match_brute_force(case):
+    # Each pair's best score and least member come out of candidate blocks
+    # that start and end anywhere in the stack; every row is the oracle's.
+    group, stack, chunk = case
+    xs, ys = (np.array([pair[side] for pair in stack]) for side in (0, 1))
+    with patch.object(orbitsep.metric, "_CHUNK", chunk):
+        got = orbit_distance(group, xs, ys)
+    for row, (x, y) in zip(got, stack, strict=True):
+        assert_same_result(row, brute_orbit_distance(group, x, y))

@@ -315,9 +315,25 @@ def test_grid_and_passes_match_whole_block_direct_powers(inputs):
     table, beta, z = inputs
     got, want = eval_monomial_map(table, z).values, direct_monomial_map(table, z)
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
-    with np.errstate(all="ignore"):  # the unit phases of infinite entries are nan
-        got, want = eval_phase_map(table, beta, z).values, direct_phase_map(table, beta, z)
+    got, want = eval_phase_map(table, beta, z).values, direct_phase_map(table, beta, z)
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_an_infinite_entry_has_a_nan_phase_and_raises_no_warning():
+    # Theta and Phi take its unit phase, inf / inf, under the suite's
+    # error::RuntimeWarning filter; its modulus stays inf.
+    table = build_exponent_table(SHIFT)
+    x = np.ones(6, dtype=complex)
+    x[0] = complex(np.inf, 1)
+    beta = default_beta(table)
+    theta = eval_phase_map(table, beta, x).values
+    assert theta.tobytes() == direct_phase_map(table, beta, x).tobytes()
+    assert theta[0] == np.inf and (theta[1:6] == 1).all()
+    touches = np.concatenate([(idx == 0).any(axis=-1) for idx, _ in table.arrays[1:]])
+    assert np.isnan(theta[6:][touches]).all() and np.isfinite(theta[6:][~touches]).all()
+    phi = eval_lowdim(table, default_reduction(table, 0), x).values
+    assert phi[:6].tobytes() == np.abs(x).astype(complex).tobytes()
+    assert np.isnan(phi[6:]).all()
 
 
 def edge_table(top, dtype=np.int64, negative=False):

@@ -134,11 +134,40 @@ MUTANTS = [
      "    for x in divisors:\n",
      "    for x in divisors[1:]:\n",
      "tests/test_exponents.py::test_discrete_logs_build_the_lattice_table"),
-    # The metric rescores every coset within the product's error bound.
+    # The metric rescores every coset within the product's error bound; each
+    # pair takes the least member at its own best exact score, its rows
+    # sorted apart from other pairs', and the blocks' winners are merged.
     ("orbitsep/metric.py",
-     "slack = 1e-9 * max(const, 1e-290)",
+     "slack = 1e-9 * np.maximum(const, 1e-290)",
      "slack = 0.0",
      "tests/test_metric.py::test_near_ties_rescored_over_several_blocks_match_brute_force"),
+    ("orbitsep/metric.py",
+     "np.lexsort((*members.T[::-1], scores, pair))",
+     "np.lexsort((*members.T[::-1], pair))",
+     "tests/test_metric.py::test_exact_rescoring_breaks_near_ties"),
+    ("orbitsep/metric.py",
+     "first = order[np.searchsorted(pair, pairs)]",
+     "first = order[np.zeros_like(pairs)]",
+     "tests/test_metric.py::test_stacked_witnesses_on_tie_heavy_groups_match_brute_force"),
+    ("orbitsep/metric.py",
+     "np.lexsort((*members.T[::-1], scores, pair))",
+     "np.lexsort((*members.T[::-1], scores))",
+     "tests/test_metric.py::test_stacked_witnesses_on_tie_heavy_groups_match_brute_force"),
+    ("orbitsep/metric.py",
+     "_least(*map(np.concatenate, zip(*least))) if len(least) > 1 else least[0]",
+     "least[-1]",
+     "tests/test_metric.py::test_all_tied_cosets_of_order_1e6_take_the_identity_in_bounded_memory"),
+    # A kernel column that carries into later entries runs its step in
+    # order, and a NaN score ties with inf, so no finite score keeps the
+    # identity.
+    ("orbitsep/metric.py",
+     "if any(column[i + 1:])]",
+     "if False]",
+     "tests/test_metric.py::test_fft_metric_matches_brute_force"),
+    ("orbitsep/metric.py",
+     "np.fmin(const[pair] - 2.0 * exact, np.inf)",
+     "const[pair] - 2.0 * exact",
+     "tests/test_metric.py::test_a_pair_scored_inf_and_nan_keeps_the_identity_witness_in_a_stack"),
 ]
 
 
