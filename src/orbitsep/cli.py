@@ -27,7 +27,6 @@ from .hermite import (
     eval_rational_invariants,
     eval_scaled_invariants,
     hermite_as_dict,
-    hermite_multiplier,
 )
 from .io import KeyedRows, emit_json, read_image_csv, read_pgm, read_signal_json, write_output
 from .metric import full_support_pairs, lipschitz_ratio_scan, orbit_distance
@@ -123,8 +122,8 @@ def _envelope(args) -> dict:
 
 
 def _transform(name, group, seed, mode):
-    """Build the named transform's Hermite data once, or read its exponent
-    table, Theta's weights or Phi's reduction from the group's plan.
+    """Read the named transform's data from the group's plan: the Hermite
+    data, the exponent table, Theta's weights or Phi's reduction.
 
     Returns (id, evaluate, bound): evaluate(x) gives one signal's payload
     fields in output order, and also takes a (B, N) stack, whose "values"
@@ -132,8 +131,11 @@ def _transform(name, group, seed, mode):
     None for the other transforms.  Evaluators are looked up by name when
     called, so wrappers installed on this module's globals see every call.
     """
+    if name not in TRANSFORMS:
+        raise ConfigError(f"unknown transform {name!r}; expected one of {TRANSFORMS}")
+    group_plan = plan(group)
     if name == "rational":
-        data = hermite_multiplier(group)
+        data = group_plan.hermite
         hermite = hermite_as_dict(data)
 
         def evaluate(x):
@@ -143,16 +145,13 @@ def _transform(name, group, seed, mode):
 
         return "rational", evaluate, None
     if name == "g":
-        data = hermite_multiplier(group)
+        data = group_plan.hermite
 
         def evaluate(x):
             sign, values = eval_scaled_invariants(data, x)
             return {"dim": values.shape[-1], "sign": sign, "values": values}
 
         return "G", evaluate, None
-    if name not in TRANSFORMS:
-        raise ConfigError(f"unknown transform {name!r}; expected one of {TRANSFORMS}")
-    group_plan = plan(group)
     table = group_plan.table()
     bound = None
     if name == "f":

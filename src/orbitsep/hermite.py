@@ -5,16 +5,17 @@ with the exponent solver.  All exact work is in integers: one fraction-free
 (Bareiss) elimination gives the determinant; the scaling solve is a float64
 guess that an exact integer identity proves, with that elimination as its
 fallback, and Fractions appear only in its result.  Otherwise floats appear
-only when a Laurent monomial is evaluated at a concrete signal.  The
-pipeline: stack the
-character exponents against the negated generator orders, reduce to column
-Hermite form, read the invariant Laurent exponents out of the kernel block
-of the unimodular multiplier, then solve for the rational scaling vector
-that makes the invariants jointly homogeneous of degree one.
+only at a concrete signal, powered by the block's float64 copy, made once
+per HermiteData, which a group's plan (orbitsep.plan) holds.  The pipeline:
+stack the character exponents against the negated generator orders, reduce
+to column Hermite form, read the invariant Laurent exponents out of the
+kernel block of the unimodular multiplier, then solve for the rational
+scaling vector that makes the invariants jointly homogeneous of degree one.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -26,7 +27,6 @@ from .errors import ConfigError, DimensionError, DomainError, InternalCheckError
 from .exponents import _as_int_rows, _stacked, float_exponents, hermite_normal_form
 from .groups import GroupSpec, _check_signal, _norm, _unit_norm, _unit_scaled, cyclic_shift_spec
 from .metric import orbit_distance
-from .transforms import monomials
 
 COLLISION_TOL = 1e-8
 SEPARATION_FLOOR = 1e-3
@@ -145,6 +145,10 @@ class HermiteData:
     def dim(self) -> int:
         return len(self.inv_exponents)
 
+    @functools.cached_property
+    def float_block(self) -> np.ndarray:  # inv_exponents as float_exponents gives them, once
+        return float_exponents(self.inv_exponents)
+
 
 def _column_invariance_exact(group: GroupSpec, block) -> None:
     # A column is invariant iff its exponent combination vanishes mod order.
@@ -227,15 +231,15 @@ def eval_rational_invariants(data: HermiteData, z) -> RationalInvariantResult:
     under- or overflowed on the way, even where it came out finite.
     """
     z = _check_signal(data.group, z, stacked=True)
-    exps = float_exponents(data.inv_exponents).T
+    exps = data.float_block.T
     zero = (z == 0)[..., None, :]  # against each component's exponents
     poled = (zero & (exps < 0)).any(axis=-1)
     annihilated = (zero & (exps > 0)).any(axis=-1)
-    values = monomials(z[..., None, :], np.arange(data.dim), exps)
-    values[poled | annihilated] = 0
-    with np.errstate(divide="ignore", invalid="ignore"):  # log 0 and 0 * log 0, masked below
+    with np.errstate(all="ignore"):  # overflow, log 0 and 0 * log 0, masked below
+        values = np.prod(z[..., None, :] ** exps, axis=-1)
         terms = np.where(exps != 0, exps * np.log(np.abs(z))[..., None, :], 0.0)
         logs = np.concatenate([terms, np.cumsum(terms, axis=-1)], axis=-1)
+    values[poled | annihilated] = 0
     in_range = ((_LOG_RANGE[0] < logs) & (logs < _LOG_RANGE[1])).all(axis=-1)
     domain_ok = ~poled.any(axis=-1) & np.isfinite(values).all(axis=-1) & (in_range | annihilated).all(axis=-1)
     return RationalInvariantResult(values=values, domain_ok=domain_ok if z.ndim == 2 else bool(domain_ok))
@@ -269,7 +273,7 @@ def eval_scaled_invariants(data: HermiteData, x):
     if np.any(np.abs(x) == 0):
         raise DomainError("scaled invariants need a fully supported signal")
     x, k = _unit_scaled(x)  # so no square leaves the double range
-    if min(data.scaling) >= 0:
+    if min(data.signature) >= 0:
         sign = np.ones_like(k)
         scale = _unit_norm(x)
     else:
@@ -280,10 +284,9 @@ def eval_scaled_invariants(data: HermiteData, x):
             )
         sign = np.where(q > 0, 1, -1)
         scale = np.sqrt(np.abs(q))
-    exps = float_exponents(data.inv_exponents).T
-    unit = monomials((x / scale[..., None])[..., None, :], np.arange(data.dim), exps)
-    with np.errstate(all="ignore"):  # beyond the double range: inf or nan, as monomials give
-        values = np.ldexp(scale, k)[..., None] * unit
+    unit = x / scale[..., None]
+    with np.errstate(all="ignore"):  # beyond the double range: inf or nan
+        values = np.ldexp(scale, k)[..., None] * np.prod(unit[..., None, :] ** data.float_block.T, axis=-1)
     return (sign, values) if x.ndim == 2 else (int(sign), values)
 
 
@@ -308,7 +311,7 @@ def construct_counterexample(data: HermiteData, y) -> CounterexampleResult:
     measurement, not a redundancy.
     """
     y = _check_signal(data.group, y)
-    if min(data.scaling) >= 0:
+    if min(data.signature) >= 0:
         raise DomainError(
             "scaling vector is nonnegative; every scale collision forces lambda = 1"
         )
@@ -350,8 +353,8 @@ def construct_counterexample(data: HermiteData, y) -> CounterexampleResult:
 
     def unsigned_map(w):
         norm = _norm(w)
-        exps = float_exponents(data.inv_exponents)
-        return norm * monomials(w / norm, np.arange(data.dim), exps)
+        with np.errstate(all="ignore"):
+            return norm * np.prod((w / norm) ** data.float_block, axis=-1)
 
     g_gap = float(_norm(unsigned_map(scaled) - unsigned_map(twisted)))
     distance = orbit_distance(data.group, scaled, twisted).distance

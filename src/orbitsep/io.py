@@ -338,14 +338,16 @@ def _decimal_tables():
     each four-digit word."""
     xs = np.array(_EXPONENTS)
     scale = np.empty((len(xs), 4))
-    exact = np.empty(len(xs), bool)
     for i, x in enumerate(xs.tolist()):
-        power = Fraction(10) ** (16 - x)
-        double = float(power)
+        # 10**(16 - x) is num / den; int true division rounds correctly.
+        num, den = (10 ** (16 - x), 1) if x <= 16 else (1, 10 ** (x - 16))
+        double = num / den
+        n, d = double.as_integer_ratio()
+        residual = num * d - n * den  # (power - double) * den * d, exactly
         c = double * _SPLIT
         high = c - (c - double)
-        scale[i] = double, high, double - high, float(power - Fraction(double))
-        exact[i] = power == double
+        scale[i] = double, high, double - high, residual / (den * d)
+    exact = scale[:, 3] == 0
     fixed = (xs >= -4) & (xs < _SIGNIFICANT)
     prefix = np.zeros((2, len(xs)), _LE64)
     suffix = np.zeros(len(xs), _LE64)

@@ -124,10 +124,7 @@ def orbit_distance(group: GroupSpec, x, y):
     _check_enumerable(group)
     if stacked and not len(x):
         return []
-    group_plan = plan(group)
-    if group_plan.metric is None:
-        group_plan.metric = _compile(group_plan)
-    quotient, lift, turns, kernel, cut = group_plan.metric
+    quotient, lift, turns, kernel, cut = plan(group).metric
     elements = enumerate_group(quotient)
     L, n = group.phase_lcm, group.dim
     # One power of two per pair puts every part in (-1, 1): no product below overflows.

@@ -2,9 +2,10 @@
 
 Its parts depend on the group alone, are built on first use and are
 read-only: act's phase steps, G/K, the exponent tables per tuple size, Theta's
-default weights, one slot for Phi's seeded reduction, and the orbit metric's
-arrays.  The builders and the draw are looked up in this module's globals
-when called, so wrappers installed there see every real build and draw.
+default weights, one slot for Phi's seeded reduction, the Hermite data and
+the orbit metric's arrays.  Builders and the draw are looked up when called,
+here or in the hermite or metric module, so wrappers installed there see
+every real build and draw.
 """
 
 import functools
@@ -19,7 +20,6 @@ class Plan:
         self.group = group
         self._tables = {}  # max_tuple_size -> ExponentTable
         self._reduction = None  # (seed, ell)
-        self.metric = None  # the orbit metric's arrays, which the metric module builds
 
     @functools.cached_property
     def phase_steps(self):  # act's exact phase increments
@@ -28,6 +28,16 @@ class Plan:
     @functools.cached_property
     def quotient(self):  # G/K, as exponents.faithful_quotient gives it
         return compile_quotient(self.group)
+
+    @functools.cached_property
+    def hermite(self):  # the rational invariants' HermiteData
+        from . import hermite  # hermite imports metric, which imports this module
+        return hermite.hermite_multiplier(self.group)
+
+    @functools.cached_property
+    def metric(self):  # the orbit metric's arrays, as metric._compile builds them
+        from . import metric
+        return metric._compile(self)
 
     def table(self, max_tuple_size=3):
         if max_tuple_size not in self._tables:

@@ -3,7 +3,8 @@ under the group action by construction.  Each takes one (N,) signal or a
 (B, N) stack, whose rows come out bit for bit as single calls give them, and
 takes its factors z_k ** e from the table's one gather, decided once
 (ExponentTable.gather): from a power grid on a grid table, else by direct
-power.  monomials is the direct kernel of the Laurent invariants (hermite).
+power.  This is the package's one table kernel; the Laurent invariants
+(hermite) power the signal by their HermiteData's float block directly.
 - monomial map: one invariant monomial per coordinate subset (separating).
 - phase map: moduli-weighted phase monomials (only unit phases are powered).
 - norm-scaled map: norm times the monomial map of the normalized signal,
@@ -57,22 +58,10 @@ def default_beta(table: ExponentTable) -> BetaWeights:
     return BetaWeights(tuple(np.ones(exps.shape) for _, exps in table.arrays))
 
 
-def monomials(z, indices, exponents) -> np.ndarray:
-    """prod_j z[..., indices[..., j]] ** exponents[..., j] along the last axis
-    by direct power: the Laurent kernel of the rational invariants, G and the
-    counterexample.  z is one signal or a stack of them.  exponents are
-    float64: exact below 2**53, and the same conversion CPython's complex **
-    int makes.  Overflow gives inf or nan, never a warning.  take gathers C
-    contiguous, so a stacked row's product rounds as the single row's does;
-    z[..., indices] on a stack comes out in another memory order."""
-    with np.errstate(all="ignore"):
-        return np.prod(z.take(indices, axis=-1) ** exponents, axis=-1)
-
-
 def _factors(table: ExponentTable, z, first: int = 0):
     """Yield (block, rows, columns, factors) per pass of ExponentTable.gather
     over the blocks from first on: factors[..., i, j] is the j-th factor
-    z_k ** e of row i, taken C contiguous as in monomials.  A grid table
+    z_k ** e of row i, taken C contiguous by take.  A grid table
     powers each coordinate once per step and takes the factors from those
     powers: the same bits (a*b*c is not).  Callers ignore float errors."""
     steps, passes = table.gather

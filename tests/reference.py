@@ -1,7 +1,8 @@
 """Test-only references: scalar products for the vectorised transforms (one
 complex ** int product per component, multiplied left to right starting
-from 1), the exhaustive minimal-exponent oracle, the closed form of the
-single exponents, the lattice solver run on one subset at a time, the
+from 1), the direct-power monomial kernel (one np.prod per component, the
+bits the fast paths keep), the exhaustive minimal-exponent oracle, the
+closed form of the single exponents, the lattice solver run on one subset at a time, the
 Fraction Gauss-Jordan solve, the chunked brute-force orbit metric, the
 least element of G in a coset of the kernel K (the metric's witness
 rule), the dense FFT overlap over a quotient's grid, the distinct phase
@@ -10,8 +11,9 @@ inverse of to_fourier, the seeded pair samplers of four kinds, the
 orbit-equivalence test, the Lipschitz ratio scan one pair at a time and
 in chunks with a per-pair choice, the reduction matrix as first drawn,
 the empirical separation and proportionality checks, a JSON emitter that
-picks its layout from a registry of scalar types, and the exponent table
-as a dict of string keys, the payload that emitter takes."""
+picks its layout from a registry of scalar types, the float byte pass's
+decimal tables with their scales from Fraction powers, and the exponent
+table as a dict of string keys, the payload that emitter takes."""
 
 import cmath
 import functools
@@ -37,7 +39,7 @@ from orbitsep import (
 import orbitsep.metric
 from orbitsep.exponents import _basis, _minimal
 from orbitsep.groups import _check_signal, _norm, act, phase_steps
-from orbitsep.io import KeyedRows
+from orbitsep.io import _EXPONENTS, _LE64, _SIGNIFICANT, _SPLIT, _WORD_BASE, _WORD_DIGITS, KeyedRows, _le64
 from orbitsep.metric import OrbitDistanceResult, _full_support, _gaussian
 from orbitsep.plan import plan
 
@@ -59,6 +61,16 @@ def monomial(z, indices, exponents) -> complex:
     for k, e in zip(indices, exponents):
         value *= complex(z[k]) ** int(e)
     return value
+
+
+def monomials(z, indices, exponents) -> np.ndarray:
+    """prod_j z[..., indices[..., j]] ** exponents[..., j] along the last axis
+    by direct power, in one np.prod: the bits the table gather and the
+    Laurent evaluators must give.  exponents are float64, as
+    exponents.float_exponents gives them.  take gathers C contiguous, so a
+    stacked row's product rounds as the single row's does."""
+    with np.errstate(all="ignore"):
+        return np.prod(z.take(indices, axis=-1) ** exponents, axis=-1)
 
 
 def monomial_map(table, x) -> np.ndarray:
@@ -576,6 +588,48 @@ def reference_emit_json(payload: dict) -> str:
     as a dict of one entry per row; the package's emitter must give the
     same text."""
     return _reference_emit(payload, 0) + "\n"
+
+
+def decimal_tables():
+    """io._decimal_tables with its scales from Fraction powers: the scale
+    10**(16 - X), its residual and whether it is exact, rounded by float of
+    a Fraction; the prefix, suffix, row, masks and trailing tables as the
+    byte pass takes them."""
+    xs = np.array(_EXPONENTS)
+    scale = np.empty((len(xs), 4))
+    exact = np.empty(len(xs), bool)
+    for i, x in enumerate(xs.tolist()):
+        power = Fraction(10) ** (16 - x)
+        double = float(power)
+        c = double * _SPLIT
+        high = c - (c - double)
+        scale[i] = double, high, double - high, float(power - Fraction(double))
+        exact[i] = power == double
+    fixed = (xs >= -4) & (xs < _SIGNIFICANT)
+    prefix = np.zeros((2, len(xs)), _LE64)
+    suffix = np.zeros(len(xs), _LE64)
+    for i, x in enumerate(xs.tolist()):
+        lead = "0." + "0" * (-x - 1) if -4 <= x < 0 else ""
+        for sign in (0, 1):
+            text = "-" * sign + lead
+            prefix[sign, i] = _le64(text) << 8 * (8 - len(text))
+        suffix[i] = _le64("" if fixed[i] else "e%+03d" % x)
+    # p: X + 1 in fixed notation, 1 in exponent notation, and past the
+    # digits when the prefix holds the point ("0.000" of X < 0)
+    point = np.where(fixed, np.where(xs >= 0, xs + 1, _SIGNIFICANT), 1)
+    kept = np.arange(_SIGNIFICANT + 1)  # digits left when trailing zeros go
+    width = np.where(kept > point[:, None], kept + 1, point[:, None])  # field bytes
+    width[fixed & (xs < 0)] = kept
+    row = (point[:, None] * (_SIGNIFICANT + 2) + width).ravel()
+    b = np.arange(24)
+    p, w = np.divmod(np.arange((_SIGNIFICANT + 1) * (_SIGNIFICANT + 2))[:, None], _SIGNIFICANT + 2)
+    below = (b >= 3) & (b < 3 + np.minimum(p, w))
+    above = (b > 3 + p) & (b < 3 + w)
+    masks = [np.where(m, fill, 0).astype(np.uint8).view(_LE64)
+             for m, fill in ((below, 0xFF), (above, 0xFF), ((b == 3 + p) & (b < 3 + w), ord(".")))]
+    v = np.arange(_WORD_BASE)
+    trailing = sum((v % 10**e == 0).astype(np.int8) for e in range(1, _WORD_DIGITS + 1))
+    return scale, exact, prefix.ravel(), suffix, row, masks, trailing
 
 
 def rows_as_dict(keys, values) -> dict:

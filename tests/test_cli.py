@@ -21,6 +21,8 @@ from hypothesis import strategies as st
 import orbitsep
 import orbitsep.cli
 import orbitsep.exponents
+import orbitsep.hermite
+import orbitsep.metric
 import orbitsep.plan
 from orbitsep.cli import main
 from orbitsep.io import emit_json
@@ -352,9 +354,10 @@ def test_compare_gap_stays_finite_above_the_square_root_of_the_largest_double(ca
 
 
 def count_calls(monkeypatch, name):
-    """Record the calls of name, a builder the group plan calls, or else the CLI."""
+    """Record the calls of name, a builder the group plan calls, patched in
+    the module the plan looks it up in when called."""
     calls = []
-    module = orbitsep.plan if hasattr(orbitsep.plan, name) else orbitsep.cli
+    module = next(m for m in (orbitsep.plan, orbitsep.hermite, orbitsep.metric) if hasattr(m, name))
     original = getattr(module, name)
     monkeypatch.setattr(
         module, name, lambda *a, **k: calls.append(a) or original(*a, **k)
@@ -394,6 +397,27 @@ def test_second_command_on_a_group_builds_nothing(capsys, monkeypatch, tmp_path)
     assert len(calls) == 1
     run_json(capsys, "exponents", "--shift", "2x3", "--max-tuple-size", "2")
     assert len(calls) == 2  # another tuple size is another table
+
+
+def test_one_group_builds_its_hermite_data_once_across_commands(capsys, monkeypatch, tmp_path):
+    calls = count_calls(monkeypatch, "hermite_multiplier")
+    rng = np.random.default_rng(40)
+    a, b = (str(write_signal(tmp_path, f"{k}.json", rng.standard_normal(6) + 0.5)) for k in "ab")
+    run_json(capsys, "invariants", "--shift", "2x3", "--transform", "rational", a)
+    run_json(capsys, "invariants", "--shift", "2x3", "--transform", "g", a)
+    run_json(capsys, "compare", "--shift", "2x3", "--transform", "rational", a, b)
+    assert len(calls) == 1
+
+
+def test_two_compares_on_one_group_compile_the_metric_once(capsys, monkeypatch, tmp_path):
+    calls = count_calls(monkeypatch, "_compile")
+    rng = np.random.default_rng(41)
+    a, b, c = (str(write_signal(tmp_path, f"{k}.json", rng.standard_normal(6) + 0.5)) for k in "abc")
+    run_json(capsys, "compare", "--shift", "2x3", a, b)
+    run_json(capsys, "compare", "--shift", "2x3", "--transform", "theta", b, c)
+    assert len(calls) == 1
+    run_json(capsys, "compare", "--shift", "3x2", a, b)
+    assert len(calls) == 2  # another group is another plan
 
 
 def test_table_cache_evicts_the_least_recently_used(capsys, monkeypatch):

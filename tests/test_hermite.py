@@ -37,10 +37,11 @@ from orbitsep import (
 )
 import orbitsep.hermite
 from orbitsep.errors import InternalCheckError
-from orbitsep.exponents import _reduce
-from orbitsep.groups import _unit_scaled
+from orbitsep.exponents import _reduce, float_exponents
+from orbitsep.groups import _norm, _unit_norm, _unit_scaled
 from orbitsep.hermite import hermite_as_dict
 from orbitsep.metric import _full_support, child_seed
+from orbitsep.plan import plan
 
 
 def as_np(rows):
@@ -611,6 +612,81 @@ def test_stacked_rows_match_single_calls(stack):
         assert bits(act(data.group, element, row)) == bits(row_moved)
     reduced = np.array([[e % p for e, p in zip(element, data.group.orders)] for element in elements])
     assert bits(act(data.group, reduced, z)) == bits(moved)
+
+
+@st.composite
+def plan_stacks(draw):
+    """(group, z, full): a group of 1 to 3 generators on N = 1 to 12
+    coordinates, and a (B, N) stack, B = 1 to 4, at scales 2**-600 to
+    2**600, one per row; z has planted zeros, full has none."""
+    n = draw(st.integers(1, 12))
+    orders = draw(st.lists(st.integers(1, 12), min_size=1, max_size=3))
+    matrix = [draw(st.lists(st.integers(0, 11), min_size=n, max_size=n)) for _ in orders]
+    rows = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scales = draw(st.lists(st.integers(-600, 600), min_size=rows, max_size=rows))
+    full = np.ldexp(rng.standard_normal((rows, 2 * n)), np.array(scales)[:, None]).view(complex)
+    z = np.where(rng.random(full.shape) < draw(st.floats(0, 0.5)), 0, full)
+    return make_group(orders, matrix), z, full
+
+
+def direct_rational(data, z):
+    """eval_rational_invariants' values and domain_ok, the values by
+    reference.monomials on a fresh float64 conversion of the block."""
+    exps = float_exponents(data.inv_exponents).T
+    zero = (z == 0)[..., None, :]
+    poled, annihilated = ((zero & side).any(axis=-1) for side in (exps < 0, exps > 0))
+    values = reference.monomials(z[..., None, :], np.arange(data.dim), exps)
+    values[poled | annihilated] = 0
+    with np.errstate(all="ignore"):
+        terms = np.where(exps != 0, exps * np.log(np.abs(z))[..., None, :], 0.0)
+        logs = np.concatenate([terms, np.cumsum(terms, axis=-1)], axis=-1)
+    in_range = ((reference.LOG_RANGE[0] < logs) & (logs < reference.LOG_RANGE[1])).all(axis=-1)
+    return values, ~poled.any(axis=-1) & np.isfinite(values).all(axis=-1) & (in_range | annihilated).all(axis=-1)
+
+
+def direct_unsigned_map(data, w):
+    """The counterexample's row-read map by reference.monomials."""
+    norm = _norm(w)
+    with np.errstate(all="ignore"):
+        return norm * reference.monomials(w / norm, np.arange(data.dim), float_exponents(data.inv_exponents))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(plan_stacks(), st.integers(4, 12))
+def test_plan_float_block_evaluates_as_direct_monomials(case, n):
+    # The plan's Hermite data converts its block to float64 once; rational
+    # values and domain_ok, G's sign and values, and the counterexample's
+    # g_gap powered by that block give the bits of reference.monomials on a
+    # fresh conversion, the columns gathered by index.
+    group, z, full = case
+    data = plan(group).hermite
+    assert data is plan(group).hermite
+    exps = float_exponents(data.inv_exponents)
+    assert bits(data.float_block) == bits(exps) and not data.float_block.flags.writeable
+    rational = eval_rational_invariants(data, z)
+    values, domain_ok = direct_rational(data, z)
+    assert bits(rational.values) == bits(values) and bits(rational.domain_ok) == bits(domain_ok)
+    x, k = _unit_scaled(full)
+    q = signed_quadratic(data, x)
+    scale = _unit_norm(x) if min(data.scaling) >= 0 else np.sqrt(np.abs(q))
+    with contextlib.suppress(DomainError):  # a vanishing form
+        sign, values = eval_scaled_invariants(data, full)
+        assert sign.tolist() == [1 if min(data.scaling) >= 0 or v > 0 else -1 for v in q]
+        unit = (x / scale[:, None])[:, None, :]
+        with np.errstate(all="ignore"):
+            want = np.ldexp(scale, k)[:, None] * reference.monomials(unit, np.arange(data.dim), exps.T)
+        assert bits(values) == bits(want)
+    for data, y in ((data, full[0]), (cyclic_fixture_data(n), _full_support(np.random.default_rng(n), n))):
+        # Large exponents can take the map to NaN beside entries past 1e154,
+        # and _norm does not scale a row holding NaN, so its squares warn.
+        with np.errstate(all="ignore"):
+            try:
+                result = construct_counterexample(data, y / _norm(y))
+            except (DomainError, InternalCheckError):  # no mixed-sign scaling or no usable root
+                continue
+            gap = _norm(direct_unsigned_map(data, result.scaled) - direct_unsigned_map(data, result.twisted))
+        assert bits(result.g_gap) == bits(gap)
 
 
 def test_signed_quadratic_is_taken_on_scaled_rows():

@@ -23,7 +23,7 @@ from orbitsep.io import (
     read_signal_json,
     write_output,
 )
-from reference import reference_emit_json, rows_as_dict
+from reference import decimal_tables, reference_emit_json, rows_as_dict
 
 
 def test_signal_json_mixed_entries(tmp_path):
@@ -426,6 +426,17 @@ PLANTED_FLOATS = {
     "outside the window": ([9.99e-271, 1e280, -1.7976931348623157e308], False),
     "non-finite": ([math.nan, NEGATIVE_NAN, math.inf, -math.inf], False),
 }
+
+
+def test_decimal_tables_match_their_fraction_construction():
+    # Integer true division rounds 10**k and 10**-m as float(Fraction) does,
+    # and the residual is exact in integers before its one rounding.
+    orbitsep.io._decimal_tables.cache_clear()
+    got, want = orbitsep.io._decimal_tables(), decimal_tables()
+    assert len(got) == len(want) == 7
+    for table, oracle in zip(got, want):
+        for a, b in zip(*(t if isinstance(t, list) else [t] for t in (table, oracle)), strict=True):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 @pytest.mark.parametrize("case", PLANTED_FLOATS)

@@ -36,8 +36,8 @@ from orbitsep import (
 )
 from orbitsep.exponents import ExponentTable, float_exponents
 from orbitsep.groups import _unit_scaled
-from orbitsep.transforms import _unit_phases, monomials
-from reference import minimal_single
+from orbitsep.transforms import _unit_phases
+from reference import minimal_single, monomials
 
 DIAG = make_group([2, 3], [[1, 0], [0, 1]])
 SHIFT = shift_action_spec(2, 3)

@@ -70,8 +70,8 @@ MUTANTS = [
      "_TIE_MARGIN = 0.0",
      "tests/test_io.py::test_a_product_near_a_tie_is_certified_only_where_the_power_is_a_double"),
     ("orbitsep/io.py",
-     "exact[i] = power == double",
-     "exact[i] = True",
+     "exact = scale[:, 3] == 0",
+     "exact = np.ones(len(xs), bool)",
      "tests/test_io.py::test_planted_floats_match_reference_in_the_byte_pass"),
     ("orbitsep/io.py",
      "np.signbit(values)",
@@ -119,6 +119,16 @@ MUTANTS = [
      "            sign = -sign\n",
      "",
      "tests/test_hermite.py::test_bareiss_solve_and_determinant_match_oracles"),
+    # The Laurent evaluators read the Hermite data's float block by columns,
+    # and the plan builds that data once per group.
+    ("orbitsep/hermite.py",
+     "exps = data.float_block.T",
+     "exps = data.float_block",
+     "tests/test_hermite.py::test_plan_float_block_evaluates_as_direct_monomials"),
+    ("orbitsep/plan.py",
+     "    @functools.cached_property\n    def hermite(self):",
+     "    @property\n    def hermite(self):",
+     "tests/test_cli.py::test_one_group_builds_its_hermite_data_once_across_commands"),
     # Stacked rational invariants and signed form: the pole mask per row,
     # and the left-to-right sum.
     ("orbitsep/hermite.py",
